@@ -1,8 +1,8 @@
 """Structure-preserving NMPC on smooth manifolds.
 
 The package layers a matrix-free Newton-Krylov predictive controller on
-top of geometric one-step integrators: dense LU and GMRES kernels at the
-bottom, manifold-aware steppers and a single-shooting horizon transcription
+top of geometric one-step integrators: guarded LAPACK and GMRES kernels at
+the bottom, manifold-aware steppers and a single-shooting horizon transcription
 in the middle, and a closed-loop simulator with CSV telemetry on top.
 """
 
@@ -22,7 +22,6 @@ from .gmres import (
     GmresReport,
     LinearOperator,
     gmres_solve,
-    lu_operator,
     matrix_operator,
 )
 from .hemisphere import (
@@ -42,7 +41,6 @@ from .horizon import (
     OcpDefinition,
     euler_stepper,
 )
-from .linalg import LuFactors, lu_factor, lu_solve
 from .manifold import (
     ManifoldChart,
     ManifoldConstraint,
@@ -78,7 +76,6 @@ __all__ = [
     "HorizonProblem",
     "InitializationFailure",
     "LinearOperator",
-    "LuFactors",
     "ManifoldChart",
     "ManifoldConstraint",
     "NmpcController",
@@ -103,9 +100,6 @@ __all__ = [
     "initial_guess",
     "load_config",
     "local_coordinates_step",
-    "lu_factor",
-    "lu_operator",
-    "lu_solve",
     "make_problem",
     "matrix_operator",
     "plant_step",

@@ -27,7 +27,6 @@ class SimConfig:
     p_stop: float = 0.02
     precond_enabled: bool = True
     output_dir: Optional[str] = "out"
-    seed: int = 0  # reserved for measurement noise; runs are deterministic
     params: HemisphereParams = field(default_factory=HemisphereParams)
     solver: SolverConfig = field(default_factory=SolverConfig)
 
@@ -43,7 +42,7 @@ class SimConfig:
         return self
 
 
-_INT_KEYS = {"n", "max_samples", "seed", "gmres_max_iters",
+_INT_KEYS = {"n", "max_samples", "gmres_max_iters",
              "newton_iters_per_sample", "init_max_iters"}
 _FLOAT_KEYS = {"dt", "t_max", "p_stop", "c_u", "r_u", "w_s", "x0", "y0",
                "x_f", "y_f", "z_min", "fd_step", "gmres_abs_tol",
@@ -129,7 +128,6 @@ def load_config(path: Optional[str] = None) -> SimConfig:
         p_stop=values.get("p_stop", 0.02),
         precond_enabled=values.get("precond", True),
         output_dir=values.get("output_dir", "out"),
-        seed=values.get("seed", 0),
         params=params,
         solver=solver,
     )

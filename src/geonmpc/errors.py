@@ -10,7 +10,7 @@ class DimensionMismatch(GeonmpcError):
 
 
 class SingularMatrix(GeonmpcError):
-    """A pivot fell below the singularity threshold during factorization."""
+    """A dense matrix is singular or too ill-conditioned to invert."""
 
 
 class ChartDomainViolation(GeonmpcError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import as_vector, lu_solve, norm2
+from .linalg import as_vector, norm2
 
 # An Arnoldi vector shorter than this means the Krylov subspace is exhausted
 # (happy breakdown): the current least-squares iterate is already optimal.
@@ -44,11 +44,6 @@ class LinearOperator:
 def matrix_operator(a) -> LinearOperator:
     a = np.asarray(a, dtype=float)
     return LinearOperator(a.shape[0], lambda v: a @ v)
-
-
-def lu_operator(factors) -> LinearOperator:
-    """Wrap packed LU factors as the inverse operator v -> A^-1 v."""
-    return LinearOperator(factors.dim, lambda v: lu_solve(factors, v))
 
 
 @dataclass(frozen=True)

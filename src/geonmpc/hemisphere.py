@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartDomainViolation
-from .horizon import HorizonGrid, HorizonProblem, OcpDefinition
+from .horizon import HorizonGrid, HorizonProblem, OcpDefinition, euler_stepper
 from .manifold import ManifoldChart, ManifoldConstraint
 
 Z_MIN = 0.05  # chart guard: reject x^2 + y^2 > 1 - Z_MIN^2
@@ -52,14 +52,23 @@ class HemisphereParams:
             raise ValueError("target point must lie strictly inside the chart")
 
 
-def chart_height(z_coords, z_min: float = Z_MIN) -> float:
-    """z = sqrt(1 - x^2 - y^2), guarded away from the equator."""
-    r2 = float(z_coords[0] ** 2 + z_coords[1] ** 2)
-    if r2 > 1.0 - z_min ** 2:
+def _height(zt, z_min: float):
+    """z = sqrt(1 - x^2 - y^2) from zt = (x, y), guarded away from the equator.
+
+    x and y may be scalars or arrays; a scalar skips the array reduction.
+    """
+    r2 = zt[0] * zt[0] + zt[1] * zt[1]
+    outside = r2 > 1.0 - z_min ** 2
+    if outside.any() if isinstance(outside, np.ndarray) else outside:
         raise ChartDomainViolation(
-            f"x^2+y^2 = {r2:.6f} exceeds the chart limit {1.0 - z_min ** 2:.6f}"
+            f"x^2+y^2 = {np.max(r2):.6f} exceeds the chart limit {1.0 - z_min ** 2:.6f}"
         )
-    return float(np.sqrt(1.0 - r2))
+    return np.sqrt(1.0 - r2)
+
+
+def chart_height(z_coords, z_min: float = Z_MIN) -> float:
+    """Guarded chart height at one point, in Python float arithmetic."""
+    return float(_height((float(z_coords[0]), float(z_coords[1])), z_min))
 
 
 def lift_to_sphere(z_coords, z_min: float = Z_MIN) -> np.ndarray:
@@ -82,7 +91,7 @@ def constraint_C(u: float, u_s: float, params: HemisphereParams) -> float:
 
 
 def terminal_psi(x_n, params: HemisphereParams) -> np.ndarray:
-    return np.array([x_n[0] - params.x_f, x_n[1] - params.y_f])
+    return np.asarray(x_n, dtype=float) - (params.x_f, params.y_f)
 
 
 def cost_terms(p: float, u_s: float, params: HemisphereParams):
@@ -128,61 +137,67 @@ def make_ocp(params: HemisphereParams) -> OcpDefinition:
     The rescaled horizon multiplies dynamics, running cost and constraint
     by p, so the optimality rows reproduce the discretized system with
     p inside every stage block and phi_p = 1 in the parameter row.
+
+    Callbacks read components from transposes (``xt = x.T``, ``xt[0]``)
+    and pack results back with ``.T``: a single point runs on numpy
+    scalars, a stage or batch stack on arrays.
     """
     c_u, r_u, w_s, z_min = params.c_u, params.r_u, params.w_s, params.z_min
 
+    def drift(lt, u0):
+        return np.cos(u0) * lt[0] + np.sin(u0) * lt[1]
+
     def f(tau, x, u, p):
-        return chart_dynamics(x, u[0], p[0], z_min)
+        u0 = u.T[0]
+        speed = p.T[0] * _height(x.T, z_min)
+        return np.array([speed * np.cos(u0), speed * np.sin(u0)]).T
 
     def f_x(tau, x, u, p):
-        s = chart_height(x, z_min)
-        cu, su = np.cos(u[0]), np.sin(u[0])
-        return (p[0] / s) * np.array([
-            [-x[0] * cu, -x[1] * cu],
-            [-x[0] * su, -x[1] * su],
-        ])
+        xt, u0 = x.T, u.T[0]
+        scale = p.T[0] / _height(xt, z_min)
+        cu, su = scale * np.cos(u0), scale * np.sin(u0)
+        # packed rows are the columns d/dx, d/dy; .T moves them last
+        return np.array([[-xt[0] * cu, -xt[0] * su], [-xt[1] * cu, -xt[1] * su]]).T
 
-    def heading_response(x, lam, u, z_min=z_min):
-        s = chart_height(x, z_min)
-        return s * (-np.sin(u) * lam[0] + np.cos(u) * lam[1])
+    def C(tau, x, u, p):
+        ut = u.T
+        return np.array([p.T[0] * constraint_C(ut[0], ut[1], params)]).T
 
     def H_u(tau, x, lam, u, mu, p):
-        return p[0] * np.array([
-            heading_response(x, lam, u[0]) + 2.0 * (u[0] - c_u) * mu[0],
-            2.0 * mu[0] * u[1] - w_s,
-        ])
+        lt, ut, m0, p0 = lam.T, u.T, mu.T[0], p.T[0]
+        steer = _height(x.T, z_min) * (-np.sin(ut[0]) * lt[0] + np.cos(ut[0]) * lt[1])
+        return np.array([
+            p0 * (steer + 2.0 * (ut[0] - c_u) * m0),
+            p0 * (2.0 * m0 * ut[1] - w_s),
+        ]).T
 
     def H_x(tau, x, lam, u, mu, p):
-        s = chart_height(x, z_min)
-        drift = np.cos(u[0]) * lam[0] + np.sin(u[0]) * lam[1]
-        return -(p[0] / s) * drift * np.array([x[0], x[1]])
+        xt = x.T
+        return (-(p.T[0] / _height(xt, z_min)) * drift(lam.T, u.T[0]) * xt).T
 
     def H_p(tau, x, lam, u, mu, p):
-        s = chart_height(x, z_min)
-        drift = np.cos(u[0]) * lam[0] + np.sin(u[0]) * lam[1]
+        ut = u.T
         return np.array([
-            s * drift + mu[0] * constraint_C(u[0], u[1], params) - w_s * u[1],
-        ])
-
-    def stepper(tau, x, u, p, dtau):
-        return np.asarray(x, dtype=float) + dtau * f(tau, x, u, p)
+            _height(x.T, z_min) * drift(lam.T, ut[0])
+            + mu.T[0] * constraint_C(ut[0], ut[1], params) - w_s * ut[1],
+        ]).T
 
     return OcpDefinition(
         n_x=2, n_u=2, n_mu=1, n_nu=2, n_p=1,
         f=f,
         f_x=f_x,
-        L=lambda tau, x, u, p: -p[0] * w_s * u[1],
-        phi=lambda xn, p: float(p[0]),
-        C=lambda tau, x, u, p: np.array([p[0] * constraint_C(u[0], u[1], params)]),
+        L=lambda tau, x, u, p: (-p.T[0] * w_s * u.T[1]).T,
+        phi=lambda xn, p: p[..., 0],
+        C=C,
         psi=lambda xn, p: terminal_psi(xn, params),
         H_u=H_u,
         H_x=H_x,
         H_p=H_p,
-        phi_x=lambda xn, p: np.zeros(2),
-        phi_p=lambda xn, p: np.ones(1),
-        psi_x=lambda xn, p: np.eye(2),
-        psi_p=lambda xn, p: np.zeros((2, 1)),
-        stepper=stepper,
+        phi_x=lambda xn, p: np.zeros_like(xn),
+        phi_p=lambda xn, p: np.ones_like(p),
+        psi_x=lambda xn, p: np.broadcast_to(np.eye(2), xn.shape[:-1] + (2, 2)),
+        psi_p=lambda xn, p: np.zeros(xn.shape[:-1] + (2, 1)),
+        stepper=euler_stepper(f),
     )
 
 

@@ -12,16 +12,17 @@ Decision vector layout (component-major inside each block):
     [ u^(0)_0..u^(0)_{N-1}, u^(1)_0.., ... | mu^(0)_0.., ... | nu | p ]
 
 Residual rows use the same layout, so Jacobian blocks of F line up with
-the corresponding unknown blocks.
+the corresponding unknown blocks.  A (B, dim) stack of decision vectors
+gives the (B, dim) stack of their residuals from one assembly.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import as_vector, norm2
+from .linalg import as_vector
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,11 @@ class HorizonGrid:
 
 @dataclass(frozen=True)
 class DecisionLayout:
-    """Index arithmetic for the stacked decision vector and residual."""
+    """Index arithmetic for the stacked decision vector and residual.
+
+    Every accessor works on the last axis, so it applies unchanged to a
+    batch of decision vectors.
+    """
 
     n_steps: int
     n_u: int
@@ -78,36 +83,62 @@ class DecisionLayout:
     # Component j of a stage block lives at offset + j*n_steps + i, so a
     # whole stage is the stride-n_steps slice below.
     def control_at_stage(self, vec: np.ndarray, i: int) -> np.ndarray:
-        return vec[i : self.mu_offset : self.n_steps]
+        return vec[..., i : self.mu_offset : self.n_steps]
 
     def mu_at_stage(self, vec: np.ndarray, i: int) -> np.ndarray:
-        return vec[self.mu_offset + i : self.nu_offset : self.n_steps]
+        return vec[..., self.mu_offset + i : self.nu_offset : self.n_steps]
+
+    def controls(self, vec: np.ndarray) -> np.ndarray:
+        """All stage controls as a (..., n_steps, n_u) view."""
+        return self._stages(vec, 0, self.n_u)
+
+    def mus(self, vec: np.ndarray) -> np.ndarray:
+        """All stage multipliers as a (..., n_steps, n_mu) view."""
+        return self._stages(vec, self.mu_offset, self.n_mu)
+
+    def _stages(self, vec: np.ndarray, offset: int, width: int) -> np.ndarray:
+        block = vec[..., offset : offset + width * self.n_steps]
+        return np.swapaxes(
+            block.reshape(vec.shape[:-1] + (width, self.n_steps)), -1, -2)
 
     def nu(self, vec: np.ndarray) -> np.ndarray:
-        return vec[self.nu_offset : self.p_offset]
+        return vec[..., self.nu_offset : self.p_offset]
 
     def p(self, vec: np.ndarray) -> np.ndarray:
-        return vec[self.p_offset :]
+        return vec[..., self.p_offset :]
 
     def set_control_at_stage(self, vec: np.ndarray, i: int, values) -> None:
-        vec[i : self.mu_offset : self.n_steps] = values
+        vec[..., i : self.mu_offset : self.n_steps] = values
 
     def set_mu_at_stage(self, vec: np.ndarray, i: int, values) -> None:
-        vec[self.mu_offset + i : self.nu_offset : self.n_steps] = values
+        vec[..., self.mu_offset + i : self.nu_offset : self.n_steps] = values
 
     def set_nu(self, vec: np.ndarray, values) -> None:
-        vec[self.nu_offset : self.p_offset] = values
+        vec[..., self.nu_offset : self.p_offset] = values
 
     def set_p(self, vec: np.ndarray, values) -> None:
-        vec[self.p_offset :] = values
+        vec[..., self.p_offset :] = values
 
     def zeros(self) -> np.ndarray:
         return np.zeros(self.dim)
 
 
+# validate_at probes one point, a stage stack and a batch of stage stacks;
+# row k of a stack sits at the point + k * PROBE_SHIFT.
+PROBE_LEADS = ((), (3,), (2, 3))
+PROBE_SHIFT = 1e-6
+
+
 @dataclass(frozen=True)
 class OcpDefinition:
     """Problem callbacks.  All maps must be pure.
+
+    Callbacks take arrays whose last axis is the component and broadcast
+    over any leading stage or batch axes: all array arguments of one call
+    share those axes, and each output carries them in front of the shapes
+    below (tau is a scalar or has the leading shape).  The recursions call
+    their callbacks on (..., n_x) slices one stage at a time; H_u, C and
+    H_p see whole (..., n_steps, n) stage stacks.
 
     The Hamiltonian behind H_u/H_x/H_p is L + lam . f + mu . C; the
     costate recursion deliberately uses df/dx in place of the stepper's
@@ -134,116 +165,144 @@ class OcpDefinition:
     psi_p: Callable        # (x_N, p) -> (n_nu, n_p)
     stepper: Callable      # (tau, x, u, p, dtau) -> next x
 
+    def _probe(self, tau, x, u, lam, mu, nu, p) -> dict:
+        """name -> (output, component shape) of every callback at one input."""
+        return {
+            "f": (self.f(tau, x, u, p), (self.n_x,)),
+            "f_x": (self.f_x(tau, x, u, p), (self.n_x, self.n_x)),
+            "L": (self.L(tau, x, u, p), ()),
+            "phi": (self.phi(x, p), ()),
+            "C": (self.C(tau, x, u, p), (self.n_mu,)),
+            "psi": (self.psi(x, p), (self.n_nu,)),
+            "H_u": (self.H_u(tau, x, lam, u, mu, p), (self.n_u,)),
+            "H_x": (self.H_x(tau, x, lam, u, mu, p), (self.n_x,)),
+            "H_p": (self.H_p(tau, x, lam, u, mu, p), (self.n_p,)),
+            "phi_x": (self.phi_x(x, p), (self.n_x,)),
+            "phi_p": (self.phi_p(x, p), (self.n_p,)),
+            "psi_x": (self.psi_x(x, p), (self.n_nu, self.n_x)),
+            "psi_p": (self.psi_p(x, p), (self.n_nu, self.n_p)),
+            "stepper": (self.stepper(tau, x, u, p, 1e-3), (self.n_x,)),
+        }
+
     def validate_at(self, tau, x, u, lam, mu, nu, p) -> None:
-        """Probe every callback once and check output shapes."""
-        x, u, lam, mu, nu, p = map(as_vector, (x, u, lam, mu, nu, p))
-        checks = [
-            ("f", self.f(tau, x, u, p), (self.n_x,)),
-            ("f_x", np.asarray(self.f_x(tau, x, u, p)), (self.n_x, self.n_x)),
-            ("C", self.C(tau, x, u, p), (self.n_mu,)),
-            ("psi", self.psi(x, p), (self.n_nu,)),
-            ("H_u", self.H_u(tau, x, lam, u, mu, p), (self.n_u,)),
-            ("H_x", self.H_x(tau, x, lam, u, mu, p), (self.n_x,)),
-            ("H_p", self.H_p(tau, x, lam, u, mu, p), (self.n_p,)),
-            ("phi_x", self.phi_x(x, p), (self.n_x,)),
-            ("phi_p", self.phi_p(x, p), (self.n_p,)),
-            ("psi_x", np.asarray(self.psi_x(x, p)), (self.n_nu, self.n_x)),
-            ("psi_p", np.asarray(self.psi_p(x, p)), (self.n_nu, self.n_p)),
-            ("stepper", self.stepper(tau, x, u, p, 1e-3), (self.n_x,)),
-        ]
-        for name, out, want in checks:
-            got = np.shape(out)
-            if got != want:
-                raise DimensionMismatch(f"{name} returned shape {got}, expected {want}")
-        for name in ("L", "phi"):
-            val = self.L(tau, x, u, p) if name == "L" else self.phi(x, p)
-            if np.shape(val) != ():
-                raise DimensionMismatch(f"{name} must return a scalar")
+        """Probe every callback at one point and on stacks of nearby points.
+
+        Raise DimensionMismatch naming a callback whose output lacks the
+        leading axes, or whose stacked rows differ from single-point calls.
+        """
+        point = [as_vector(v) for v in (x, u, lam, mu, nu, p)]
+        singles = [self._probe(tau, *(v + PROBE_SHIFT * k for v in point))
+                   for k in range(int(np.prod(PROBE_LEADS[-1])))]
+        for lead in PROBE_LEADS:
+            rows = int(np.prod(lead))
+            shift = PROBE_SHIFT * np.arange(rows).reshape(lead + (1,))
+            outputs = self._probe(np.full(lead, float(tau)), *(v + shift for v in point))
+            for name, (out, want) in outputs.items():
+                if np.shape(out) != lead + want:
+                    raise DimensionMismatch(f"{name} returned shape {np.shape(out)} "
+                                            f"for leading axes {lead}, expected {lead + want}")
+                expect = np.reshape([singles[k][name][0] for k in range(rows)], lead + want)
+                if not np.allclose(out, expect, rtol=1e-12, atol=1e-12):
+                    raise DimensionMismatch(f"{name} does not broadcast: rows for leading "
+                                            f"axes {lead} differ from single-point calls")
 
 
 def euler_stepper(f) -> Callable:
     """Plain explicit-Euler stepper over the given dynamics callback."""
-    return lambda tau, x, u, p, dtau: as_vector(x) + dtau * as_vector(f(tau, x, u, p))
+    return lambda tau, x, u, p, dtau: x + dtau * f(tau, x, u, p)
 
 
 @dataclass
 class TrajectoryWorkspace:
-    states: np.ndarray     # (N+1, n_x)
-    costates: np.ndarray   # (N+1, n_x)
+    states: np.ndarray     # (..., N+1, n_x)
+    costates: np.ndarray   # (..., N+1, n_x)
 
     @staticmethod
-    def for_problem(n_steps: int, n_x: int) -> "TrajectoryWorkspace":
+    def for_problem(n_steps: int, n_x: int, lead: tuple = ()) -> "TrajectoryWorkspace":
         return TrajectoryWorkspace(
-            states=np.zeros((n_steps + 1, n_x)),
-            costates=np.zeros((n_steps + 1, n_x)),
+            states=np.zeros(lead + (n_steps + 1, n_x)),
+            costates=np.zeros(lead + (n_steps + 1, n_x)),
         )
+
+
+def _transposed_times(jac, vec) -> np.ndarray:
+    """jac^T vec over leading axes: (..., m, n) and (..., m) -> (..., n)."""
+    return (vec[..., None, :] @ jac)[..., 0, :]
+
+
+def _component_major(stages) -> np.ndarray:
+    """(..., n_steps, n) stage rows -> (..., n * n_steps) residual block."""
+    return np.swapaxes(stages, -1, -2).reshape(stages.shape[:-2] + (-1,))
 
 
 def forward_recursion(ocp: OcpDefinition, grid: HorizonGrid, layout: DecisionLayout,
                       x0, U, ws: TrajectoryWorkspace) -> None:
     p = layout.p(U)
-    ws.states[0] = as_vector(x0)
+    controls = layout.controls(U)
+    states = ws.states
+    states[..., 0, :] = x0
     for i in range(grid.n_steps):
-        ws.states[i + 1] = ocp.stepper(
-            grid.tau[i], ws.states[i], layout.control_at_stage(U, i), p, grid.dtau[i]
-        )
+        states[..., i + 1, :] = ocp.stepper(
+            grid.tau[i], states[..., i, :], controls[..., i, :], p, grid.dtau[i])
 
 
 def backward_recursion(ocp: OcpDefinition, grid: HorizonGrid, layout: DecisionLayout,
                        U, ws: TrajectoryWorkspace) -> None:
     p = layout.p(U)
-    nu = layout.nu(U)
-    x_n = ws.states[grid.n_steps]
-    lam = as_vector(ocp.phi_x(x_n, p)) + np.asarray(ocp.psi_x(x_n, p)).T @ nu
-    ws.costates[grid.n_steps] = lam
-    for i in range(grid.n_steps - 1, -1, -1):
-        hx = as_vector(ocp.H_x(
-            grid.tau[i], ws.states[i], ws.costates[i + 1],
-            layout.control_at_stage(U, i), layout.mu_at_stage(U, i), p,
-        ))
-        ws.costates[i] = ws.costates[i + 1] + hx * grid.dtau[i]
+    controls, mus = layout.controls(U), layout.mus(U)
+    states, costates = ws.states, ws.costates
+    n = grid.n_steps
+    x_n = states[..., n, :]
+    costates[..., n, :] = ocp.phi_x(x_n, p) + _transposed_times(
+        ocp.psi_x(x_n, p), layout.nu(U))
+    for i in range(n - 1, -1, -1):
+        lam = costates[..., i + 1, :]
+        hx = ocp.H_x(grid.tau[i], states[..., i, :], lam, controls[..., i, :],
+                     mus[..., i, :], p)
+        costates[..., i, :] = lam + hx * grid.dtau[i]
+
+
+def trajectory(ocp: OcpDefinition, grid: HorizonGrid, layout: DecisionLayout,
+               x0, U: np.ndarray) -> TrajectoryWorkspace:
+    """States and costates of U, or of each row of a (..., dim) stack."""
+    ws = TrajectoryWorkspace.for_problem(grid.n_steps, ocp.n_x, U.shape[:-1])
+    forward_recursion(ocp, grid, layout, x0, U, ws)
+    backward_recursion(ocp, grid, layout, U, ws)
+    return ws
 
 
 def assemble_residual(ocp: OcpDefinition, grid: HorizonGrid, layout: DecisionLayout,
-                      x0, U, ws: Optional[TrajectoryWorkspace] = None) -> np.ndarray:
+                      x0, U) -> np.ndarray:
     """Stack the optimality residual over the whole horizon.
 
     Row order: H_u blocks, C blocks, terminal constraint, then the
-    parameter stationarity rows.
+    parameter stationarity rows.  U may carry leading batch axes; the
+    result then has the same leading axes.
     """
-    U = as_vector(U)
-    if U.shape[0] != layout.dim:
-        raise DimensionMismatch(f"U has length {U.shape[0]}, layout dim {layout.dim}")
-    if ws is None:
-        ws = TrajectoryWorkspace.for_problem(grid.n_steps, ocp.n_x)
-    forward_recursion(ocp, grid, layout, x0, U, ws)
-    backward_recursion(ocp, grid, layout, U, ws)
+    U = np.asarray(U, dtype=float)
+    if U.ndim < 1 or U.shape[-1] != layout.dim:
+        raise DimensionMismatch(f"U has shape {U.shape}, layout dim {layout.dim}")
+    ws = trajectory(ocp, grid, layout, x0, U)
 
-    p = layout.p(U)
-    nu = layout.nu(U)
-    out = np.empty(layout.dim)
-    p_rows = as_vector(ocp.phi_p(ws.states[grid.n_steps], p)).copy()
-    p_rows += np.asarray(ocp.psi_p(ws.states[grid.n_steps], p)).T @ nu
     n = grid.n_steps
-    for i in range(n):
-        tau_i = grid.tau[i]
-        x_i = ws.states[i]
-        lam_next = ws.costates[i + 1]
-        u_i = layout.control_at_stage(U, i)
-        mu_i = layout.mu_at_stage(U, i)
-        dt = grid.dtau[i]
-        out[i : layout.mu_offset : n] = dt * as_vector(
-            ocp.H_u(tau_i, x_i, lam_next, u_i, mu_i, p))
-        out[layout.mu_offset + i : layout.nu_offset : n] = dt * as_vector(
-            ocp.C(tau_i, x_i, u_i, p))
-        p_rows += dt * as_vector(ocp.H_p(tau_i, x_i, lam_next, u_i, mu_i, p))
-    out[layout.nu_offset : layout.p_offset] = ocp.psi(ws.states[grid.n_steps], p)
-    out[layout.p_offset :] = p_rows
-    return out
-
-
-def residual_norm(fvec) -> float:
-    return norm2(fvec)
+    stage_lead = U.shape[:-1] + (n,)
+    p = layout.p(U)
+    x_n = ws.states[..., n, :]
+    x = ws.states[..., :n, :]
+    lam_next = ws.costates[..., 1:, :]
+    u, mu = layout.controls(U), layout.mus(U)
+    p_stages = np.broadcast_to(p[..., None, :], stage_lead + (layout.n_p,))
+    tau = np.broadcast_to(grid.tau[:n], stage_lead)
+    dtau = grid.dtau[:, None]
+    p_rows = (ocp.phi_p(x_n, p)
+              + _transposed_times(ocp.psi_p(x_n, p), layout.nu(U))
+              + grid.dtau @ ocp.H_p(tau, x, lam_next, u, mu, p_stages))
+    return np.concatenate([
+        _component_major(dtau * ocp.H_u(tau, x, lam_next, u, mu, p_stages)),
+        _component_major(dtau * ocp.C(tau, x, u, p_stages)),
+        ocp.psi(x_n, p),
+        p_rows,
+    ], axis=-1)
 
 
 class HorizonProblem:
@@ -262,10 +321,9 @@ class HorizonProblem:
         return self.layout.dim
 
     def trajectory(self, x0, U) -> TrajectoryWorkspace:
-        ws = TrajectoryWorkspace.for_problem(self.grid.n_steps, self.ocp.n_x)
-        forward_recursion(self.ocp, self.grid, self.layout, x0, U, ws)
-        backward_recursion(self.ocp, self.grid, self.layout, U, ws)
-        return ws
+        return trajectory(self.ocp, self.grid, self.layout, x0,
+                          np.asarray(U, dtype=float))
 
     def assemble_residual(self, x0, U) -> np.ndarray:
+        """Residual of U, or row-wise residuals of a (..., dim) stack."""
         return assemble_residual(self.ocp, self.grid, self.layout, x0, U)

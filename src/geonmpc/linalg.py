@@ -1,20 +1,18 @@
-"""Dense vector/matrix kernel: BLAS-2 style helpers and LU with partial pivoting.
+"""Dense vector/matrix kernel: argument checks and a guarded LAPACK inverse.
 
 Vectors are 1-d float64 ndarrays, matrices are 2-d row-major float64
-ndarrays.  Everything here is sized for the small dense Jacobians this
-package produces (a few hundred unknowns at most), so the factorization
-is a plain right-looking LU with row pivoting and no blocking.
+ndarrays.  The dense systems this package solves are small (a few hundred
+unknowns at most), so numpy's LAPACK bindings do the factorization; this
+module adds the singularity guard the solver's fallbacks rely on.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, SingularMatrix
 
-# A pivot column whose largest remaining entry is below this is treated as
-# exactly singular.
-PIVOT_TOL = 1e-14
+# A matrix whose reciprocal 1-norm condition number is below this is treated
+# as singular: a solve with it keeps fewer than two significant digits.
+MIN_RCOND = 1e-14
 
 
 def as_vector(x) -> np.ndarray:
@@ -31,96 +29,31 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class LuFactors:
-    """Packed LU factors of a row-permuted square matrix.
-
-    ``lu`` stores the unit-lower-triangular multipliers strictly below the
-    diagonal and U on and above it; ``perm`` is the row permutation such
-    that ``A[perm]`` equals ``L @ U``.
-    """
-
-    lu: np.ndarray
-    perm: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.lu.shape[0]
+def _norm1(a: np.ndarray) -> float:
+    return np.abs(a).sum(axis=0).max()
 
 
-def lu_factor(a) -> LuFactors:
-    """Factor a square matrix as ``P A = L U`` with partial row pivoting.
+def inverse(a) -> np.ndarray:
+    """LAPACK inverse of a square matrix, for dense solves as ``inverse(a) @ b``.
 
-    Raises SingularMatrix when the best available pivot magnitude drops
-    below ``PIVOT_TOL``.
+    Raises SingularMatrix when LAPACK meets an exactly singular matrix or
+    when the reciprocal 1-norm condition number falls below MIN_RCOND.
     """
     a = as_matrix(a)
     n, m = a.shape
-    if n != m:
-        raise DimensionMismatch(f"lu_factor needs a square matrix, got {n}x{m}")
-    if n < 1:
-        raise DimensionMismatch("lu_factor needs dim >= 1")
-
-    lu = a.copy()
-    perm = np.arange(n)
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[piv, k]) < PIVOT_TOL:
-            raise SingularMatrix(
-                f"pivot {abs(lu[piv, k]):.3e} below {PIVOT_TOL:g} in column {k}"
-            )
-        if piv != k:
-            lu[[k, piv]] = lu[[piv, k]]
-            perm[[k, piv]] = perm[[piv, k]]
-        lu[k + 1 :, k] /= lu[k, k]
-        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return LuFactors(lu=lu, perm=perm)
-
-
-def lu_solve(f: LuFactors, b) -> np.ndarray:
-    """Solve ``A x = b`` from packed factors (forward then back substitution)."""
-    b = as_vector(b)
-    n = f.dim
-    if b.shape[0] != n:
-        raise DimensionMismatch(f"rhs has length {b.shape[0]}, factors have dim {n}")
-    lu = f.lu
-    x = b[f.perm].copy()
-    for i in range(1, n):
-        x[i] -= lu[i, :i] @ x[:i]
-    for i in range(n - 1, -1, -1):
-        x[i] = (x[i] - lu[i, i + 1 :] @ x[i + 1 :]) / lu[i, i]
-    return x
-
-
-def matvec(a, v) -> np.ndarray:
-    a = as_matrix(a)
-    v = as_vector(v)
-    if a.shape[1] != v.shape[0]:
-        raise DimensionMismatch(f"matvec: {a.shape} with length-{v.shape[0]} vector")
-    return a @ v
-
-
-def axpy(alpha: float, x, y) -> np.ndarray:
-    """Return ``alpha * x + y``."""
-    x = as_vector(x)
-    y = as_vector(y)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"axpy: lengths {x.shape[0]} and {y.shape[0]}")
-    return alpha * x + y
-
-
-def dot(x, y) -> float:
-    x = as_vector(x)
-    y = as_vector(y)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"dot: lengths {x.shape[0]} and {y.shape[0]}")
-    return float(x @ y)
+    if n != m or n < 1:
+        raise DimensionMismatch(f"inverse needs a nonempty square matrix, got {n}x{m}")
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(str(exc)) from exc
+    rcond = 1.0 / (_norm1(a) * _norm1(inv))
+    if not rcond >= MIN_RCOND:  # also rejects NaN, from non-finite entries
+        raise SingularMatrix(
+            f"reciprocal condition number {rcond:.3e} below {MIN_RCOND:g}")
+    return inv
 
 
 def norm2(x) -> float:
     """Euclidean norm, the norm used for all residual reporting."""
     return float(np.linalg.norm(as_vector(x)))
-
-
-def scale(alpha: float, x) -> np.ndarray:
-    return alpha * as_vector(x)

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ChartDomainViolation, ProjectionDivergence
-from .linalg import as_vector, lu_factor, lu_solve
+from .linalg import as_vector, inverse
 
 ON_MANIFOLD_TOL = 1e-10   # max-norm of g at points accepted as on-manifold
 CHART_LIFT_TOL = 1e-12    # constraint defect allowed for chart lifts
@@ -131,7 +131,7 @@ def project_onto_manifold(constraint: ManifoldConstraint, y_hat,
         if float(np.max(np.abs(res))) <= tol:
             return y
         gy = np.asarray(constraint.jacobian_g(y), dtype=float)
-        dlam = lu_solve(lu_factor(gy @ gt), -res)
+        dlam = inverse(gy @ gt) @ -res
         y = y + gt @ dlam
     raise ProjectionDivergence(
         f"projection residual {float(np.max(np.abs(constraint.g(y)))):.3e} "
@@ -179,7 +179,7 @@ def symmetric_projection_step(constraint: ManifoldConstraint, method: OneStepMet
             mu_j = mu.copy()
             mu_j[j] += fd
             jac[:, j] = (as_vector(constraint.g(advance(mu_j))) - res) / fd
-        mu = mu + lu_solve(lu_factor(jac), -res)
+        mu = mu + inverse(jac) @ -res
     raise ProjectionDivergence(
         f"multiplier iteration residual {float(np.max(np.abs(res))):.3e} "
         f"after {max_iters} iterations"

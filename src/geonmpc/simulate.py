@@ -71,8 +71,9 @@ def run_simulation(cfg: SimConfig, write_output: bool = True
                    ) -> List[TrajectoryRecord]:
     """Run the controller against the plant until p <= p_stop or max_samples.
 
-    Each sample: solve for the control, record telemetry at the measured
-    state, then advance the plant one physical dt step.  A controller or
+    Each sample: solve for the control, clip its heading to the band
+    [c_u - r_u, c_u + r_u], record telemetry at the measured state, then
+    advance the plant one physical dt step.  A controller or
     integrator error aborts the loop; the partial records are still written
     and attached to the raised SimulationAborted.
     """
@@ -80,6 +81,7 @@ def run_simulation(cfg: SimConfig, write_output: bool = True
     problem = make_problem(cfg.params, cfg.n_steps)
     controller = NmpcController(problem, controller_config(cfg))
     x = np.array([cfg.params.x0, cfg.params.y0])
+    heading_band = (cfg.params.c_u - cfg.params.r_u, cfg.params.c_u + cfg.params.r_u)
     records: List[TrajectoryRecord] = []
 
     try:
@@ -87,6 +89,9 @@ def run_simulation(cfg: SimConfig, write_output: bool = True
         t = 0.0
         for _ in range(cfg.max_samples):
             u_apply, telemetry = controller.sample_update(x, t)
+            # the plant gets a heading inside its band even when the one
+            # Newton step per sample leaves the warm start slightly outside
+            u_apply[0] = np.clip(u_apply[0], *heading_band)
             p = float(problem.layout.p(controller.U)[0])
             records.append(
                 _make_record(t, x, u_apply, p, telemetry, cfg.params.z_min))

@@ -4,11 +4,11 @@ Each sample performs a fixed number of Newton iterations (default one, the
 real-time iteration scheme) on the stacked optimality residual, solving
 the linear step with matrix-free GMRES.  Jacobian-vector products are
 forward differences of the residual; a fully materialized FD Jacobian is
-factorized periodically and reused as a frozen left preconditioner in
-between refreshes.
+inverted periodically and its inverse reused as a frozen left
+preconditioner in between refreshes.
 
 Cold start solves the residual to tight tolerance with damped Newton and
-dense LU steps, from a caller-supplied structured guess.
+dense LAPACK steps, from a caller-supplied structured guess.
 """
 
 from dataclasses import dataclass
@@ -17,8 +17,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import GeonmpcError, InitializationFailure, SingularMatrix
-from .gmres import GmresConfig, LinearOperator, gmres_solve, lu_operator
-from .linalg import as_vector, lu_factor, lu_solve, norm2
+from .gmres import GmresConfig, LinearOperator, gmres_solve, matrix_operator
+from .linalg import as_vector, inverse, norm2
 
 MIN_DAMPING = 2.0 ** -30
 
@@ -47,7 +47,7 @@ class SolverConfig:
 
 @dataclass
 class PreconditionerState:
-    factors: object = None
+    inverse: Optional[np.ndarray] = None
     built_at: float = -np.inf
     valid: bool = False
 
@@ -82,16 +82,14 @@ def jacobian_vector_product(problem, x0, U, F0, v, h: float) -> np.ndarray:
 
 
 def exact_jacobian(problem, x0, U, h: float) -> np.ndarray:
-    """Materialized forward-difference Jacobian, one residual per column."""
+    """Materialized forward-difference Jacobian from one batched residual.
+
+    Row 0 of the batch is U itself and row j + 1 is U with h added to
+    entry j, so column j is (F(U + h e_j) - F(U)) / h.
+    """
     U = as_vector(U)
-    f0 = problem.assemble_residual(x0, U)
-    n = U.shape[0]
-    jac = np.empty((n, n))
-    for j in range(n):
-        u_j = U.copy()
-        u_j[j] += h
-        jac[:, j] = (problem.assemble_residual(x0, u_j) - f0) / h
-    return jac
+    rows = problem.assemble_residual(x0, np.vstack([U, U + h * np.eye(U.shape[0])]))
+    return (rows[1:] - rows[0]).T / h
 
 
 def _clamp_p(problem, U, p_min) -> None:
@@ -118,7 +116,7 @@ def initialize(problem, x0, t0: float, cfg: SolverConfig, U0) -> np.ndarray:
             return U
         jac = exact_jacobian(problem, x0, U, cfg.fd_step)
         try:
-            step = lu_solve(lu_factor(jac), -fvec)
+            step = inverse(jac) @ -fvec
         except SingularMatrix as exc:
             raise InitializationFailure(
                 f"singular Jacobian during initialization: {exc}",
@@ -163,7 +161,6 @@ class NmpcController:
         self.U: Optional[np.ndarray] = None
         self.precond = PreconditionerState()
         self.last_residual_norm = np.inf
-        self.last_gmres_iters = 0
 
     def initialize(self, x0, t0: float, U0) -> np.ndarray:
         x0 = self._measured(x0)
@@ -184,11 +181,11 @@ class NmpcController:
             return
         jac = exact_jacobian(self.problem, x0, self.U, self.cfg.fd_step)
         try:
-            st.factors = lu_factor(jac)
+            st.inverse = inverse(jac)
             st.valid = True
         except SingularMatrix:
             # fall back to unpreconditioned GMRES until the next period
-            st.factors = None
+            st.inverse = None
             st.valid = False
         st.built_at = t_now
 
@@ -197,7 +194,7 @@ class NmpcController:
             raise InitializationFailure("sample_update before initialize")
         x = self._measured(x_measured)
         self.refresh_preconditioner(x, t_now)
-        precond_op = lu_operator(self.precond.factors) if self.precond.valid else None
+        precond_op = matrix_operator(self.precond.inverse) if self.precond.valid else None
 
         iters_total = 0
         converged = True
@@ -220,7 +217,6 @@ class NmpcController:
         res_post = norm2(self.problem.assemble_residual(x, self.U))
         u_apply = np.array(self.problem.layout.control_at_stage(self.U, 0))
         self.last_residual_norm = res_post
-        self.last_gmres_iters = iters_total
         telemetry = SampleTelemetry(
             t=t_now,
             gmres_iters=iters_total,

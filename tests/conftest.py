@@ -19,34 +19,48 @@ from geonmpc.horizon import (
 
 
 def make_cart_problem(n_steps=10):
-    """Nonlinear point-mass problem: every callback branch is exercised."""
+    """Nonlinear point-mass problem: every callback branch is exercised.
+
+    Callbacks unpack components along the last axis and pack results back
+    with ``.T``, so they broadcast over stage and batch axes.
+    """
 
     def f(tau, x, u, p):
-        return np.array([x[1], u[0] - 0.3 * np.sin(x[0]) + 0.2 * p[0]])
+        x0, x1 = x.T
+        return np.array([x1, u.T[0] - 0.3 * np.sin(x0) + 0.2 * p.T[0]]).T
 
     def f_x(tau, x, u, p):
-        return np.array([[0.0, 1.0], [-0.3 * np.cos(x[0]), 0.0]])
+        x0 = x.T[0]
+        zero = np.zeros_like(x0)
+        # packed rows are the columns d/dx0, d/dx1
+        return np.array([[zero, -0.3 * np.cos(x0)], [zero + 1.0, zero]]).T
+
+    def H_x(tau, x, lam, u, mu, p):
+        x0 = x.T[0]
+        l0, l1 = lam.T
+        return np.array([0.1 * x0 - 0.3 * np.cos(x0) * l1, l0 + 0.2 * mu.T[0]]).T
+
+    def terminal(xn, shape):
+        return np.zeros(xn.shape[:-1] + shape)
 
     ocp = OcpDefinition(
         n_x=2, n_u=1, n_mu=1, n_nu=1, n_p=1,
         f=f,
         f_x=f_x,
-        L=lambda tau, x, u, p: 0.5 * (u[0] ** 2 + 0.1 * x[0] ** 2) + 0.05 * p[0] ** 2,
-        phi=lambda xn, p: 0.5 * (xn @ xn) + 0.1 * p[0],
-        C=lambda tau, x, u, p: np.array([u[0] + 0.2 * x[1] - 0.1 * p[0]]),
-        psi=lambda xn, p: np.array([xn[0] - 0.3]),
-        H_u=lambda tau, x, lam, u, mu, p: np.array([u[0] + lam[1] + mu[0]]),
-        H_x=lambda tau, x, lam, u, mu, p: np.array([
-            0.1 * x[0] - 0.3 * np.cos(x[0]) * lam[1],
-            lam[0] + 0.2 * mu[0],
-        ]),
+        L=lambda tau, x, u, p: (0.5 * (u.T[0] ** 2 + 0.1 * x.T[0] ** 2)
+                                + 0.05 * p.T[0] ** 2).T,
+        phi=lambda xn, p: 0.5 * (xn * xn).sum(axis=-1) + 0.1 * p[..., 0],
+        C=lambda tau, x, u, p: np.array([u.T[0] + 0.2 * x.T[1] - 0.1 * p.T[0]]).T,
+        psi=lambda xn, p: xn[..., :1] - 0.3,
+        H_u=lambda tau, x, lam, u, mu, p: np.array([u.T[0] + lam.T[1] + mu.T[0]]).T,
+        H_x=H_x,
         H_p=lambda tau, x, lam, u, mu, p: np.array([
-            0.1 * p[0] + 0.2 * lam[1] - 0.1 * mu[0],
-        ]),
+            0.1 * p.T[0] + 0.2 * lam.T[1] - 0.1 * mu.T[0],
+        ]).T,
         phi_x=lambda xn, p: xn.copy(),
-        phi_p=lambda xn, p: np.array([0.1]),
-        psi_x=lambda xn, p: np.array([[1.0, 0.0]]),
-        psi_p=lambda xn, p: np.array([[0.0]]),
+        phi_p=lambda xn, p: np.full_like(p, 0.1),
+        psi_x=lambda xn, p: terminal(xn, (1, 2)) + [[1.0, 0.0]],
+        psi_p=lambda xn, p: terminal(xn, (1, 1)),
         stepper=euler_stepper(f),
     )
     return HorizonProblem(ocp, HorizonGrid.uniform(n_steps))

@@ -3,14 +3,24 @@ import pytest
 
 from conftest import discrete_lagrangian, fd_gradient, make_cart_problem
 from geonmpc.errors import DimensionMismatch
+from geonmpc.hemisphere import HemisphereParams, initial_guess, make_problem
 from geonmpc.horizon import (
     DecisionLayout,
     HorizonGrid,
     HorizonProblem,
     OcpDefinition,
     euler_stepper,
-    residual_norm,
 )
+from geonmpc.solver import exact_jacobian
+
+
+def zeros(*shape):
+    """Callback returning zeros of the given shape behind the leading axes
+    of its state argument (the second one, or the first for terminal maps)."""
+    def callback(*args):
+        state = args[1] if len(args) > 2 else args[0]
+        return np.zeros(np.shape(state)[:-1] + shape)
+    return callback
 
 
 def zero_like_callbacks(n_x, n_u, n_mu, n_nu, n_p, f, stepper=None):
@@ -18,18 +28,18 @@ def zero_like_callbacks(n_x, n_u, n_mu, n_nu, n_p, f, stepper=None):
     return OcpDefinition(
         n_x=n_x, n_u=n_u, n_mu=n_mu, n_nu=n_nu, n_p=n_p,
         f=f,
-        f_x=lambda tau, x, u, p: np.zeros((n_x, n_x)),
-        L=lambda tau, x, u, p: 0.0,
-        phi=lambda xn, p: 0.0,
-        C=lambda tau, x, u, p: np.zeros(n_mu),
-        psi=lambda xn, p: np.zeros(n_nu),
-        H_u=lambda tau, x, lam, u, mu, p: np.zeros(n_u),
-        H_x=lambda tau, x, lam, u, mu, p: np.zeros(n_x),
-        H_p=lambda tau, x, lam, u, mu, p: np.zeros(n_p),
-        phi_x=lambda xn, p: np.zeros(n_x),
-        phi_p=lambda xn, p: np.zeros(n_p),
-        psi_x=lambda xn, p: np.zeros((n_nu, n_x)),
-        psi_p=lambda xn, p: np.zeros((n_nu, n_p)),
+        f_x=zeros(n_x, n_x),
+        L=zeros(),
+        phi=zeros(),
+        C=zeros(n_mu),
+        psi=zeros(n_nu),
+        H_u=zeros(n_u),
+        H_x=zeros(n_x),
+        H_p=zeros(n_p),
+        phi_x=zeros(n_x),
+        phi_p=zeros(n_p),
+        psi_x=zeros(n_nu, n_x),
+        psi_p=zeros(n_nu, n_p),
         stepper=stepper if stepper is not None else euler_stepper(f),
     )
 
@@ -98,7 +108,7 @@ def test_layout_offsets_reproducible():
 # ------------------------------------------------------------- recursions
 
 def test_forward_zero_dynamics_keeps_state():
-    ocp = zero_like_callbacks(2, 1, 1, 1, 1, f=lambda tau, x, u, p: np.zeros(2))
+    ocp = zero_like_callbacks(2, 1, 1, 1, 1, f=zeros(2))
     prob = HorizonProblem(ocp, HorizonGrid.uniform(6))
     x0 = np.array([0.4, -1.2])
     U = prob.layout.zeros()
@@ -110,8 +120,10 @@ def test_forward_hand_iterated_two_steps():
     # reduced hemisphere flow with u = 0, p = 1: two Euler half-steps from
     # the apex land at x = 0.5 + 0.5*sqrt(0.75)
     def f(tau, x, u, p):
-        s = np.sqrt(1.0 - x[0] ** 2 - x[1] ** 2)
-        return p[0] * s * np.array([np.cos(u[0]), np.sin(u[0])])
+        x0, x1 = x.T
+        s = np.sqrt(1.0 - x0 ** 2 - x1 ** 2)
+        u0 = u.T[0]
+        return (p.T[0] * s * np.array([np.cos(u0), np.sin(u0)])).T
 
     ocp = zero_like_callbacks(2, 1, 1, 2, 1, f=f)
     prob = HorizonProblem(ocp, HorizonGrid.uniform(2))
@@ -124,23 +136,11 @@ def test_forward_hand_iterated_two_steps():
 
 
 def test_terminal_costate_equals_nu():
-    ocp = OcpDefinition(
-        n_x=2, n_u=1, n_mu=1, n_nu=2, n_p=1,
-        f=lambda tau, x, u, p: np.zeros(2),
-        f_x=lambda tau, x, u, p: np.zeros((2, 2)),
-        L=lambda tau, x, u, p: 0.0,
-        phi=lambda xn, p: 0.0,
-        C=lambda tau, x, u, p: np.zeros(1),
-        psi=lambda xn, p: xn.copy(),
-        H_u=lambda tau, x, lam, u, mu, p: np.zeros(1),
-        H_x=lambda tau, x, lam, u, mu, p: np.zeros(2),
-        H_p=lambda tau, x, lam, u, mu, p: np.zeros(1),
-        phi_x=lambda xn, p: np.zeros(2),
-        phi_p=lambda xn, p: np.zeros(1),
-        psi_x=lambda xn, p: np.eye(2),
-        psi_p=lambda xn, p: np.zeros((2, 1)),
-        stepper=euler_stepper(lambda tau, x, u, p: np.zeros(2)),
-    )
+    ocp = OcpDefinition(**{
+        **zero_like_callbacks(2, 1, 1, 2, 1, f=zeros(2)).__dict__,
+        "psi": lambda xn, p: xn.copy(),
+        "psi_x": lambda xn, p: zeros(2, 2)(xn, p) + np.eye(2),
+    })
     prob = HorizonProblem(ocp, HorizonGrid.uniform(4))
     U = prob.layout.zeros()
     nu = np.array([0.7, -0.3])
@@ -181,26 +181,14 @@ def test_residual_matches_lagrangian_gradient():
 def test_dtau_scaling_doubles_stage_blocks():
     # state-independent dynamics keep the trajectory identical, so the
     # explicit dtau factor is the only change
-    def f(tau, x, u, p):
-        return np.zeros(2)
-
-    ocp = OcpDefinition(
-        n_x=2, n_u=1, n_mu=1, n_nu=1, n_p=1,
-        f=f,
-        f_x=lambda tau, x, u, p: np.zeros((2, 2)),
-        L=lambda tau, x, u, p: u[0] ** 2,
-        phi=lambda xn, p: 0.0,
-        C=lambda tau, x, u, p: np.array([u[0] - 0.3]),
-        psi=lambda xn, p: np.array([xn[0]]),
-        H_u=lambda tau, x, lam, u, mu, p: np.array([2.0 * u[0] + mu[0]]),
-        H_x=lambda tau, x, lam, u, mu, p: np.zeros(2),
-        H_p=lambda tau, x, lam, u, mu, p: np.zeros(1),
-        phi_x=lambda xn, p: np.zeros(2),
-        phi_p=lambda xn, p: np.zeros(1),
-        psi_x=lambda xn, p: np.array([[1.0, 0.0]]),
-        psi_p=lambda xn, p: np.zeros((1, 1)),
-        stepper=euler_stepper(f),
-    )
+    ocp = OcpDefinition(**{
+        **zero_like_callbacks(2, 1, 1, 1, 1, f=zeros(2)).__dict__,
+        "L": lambda tau, x, u, p: u[..., 0] ** 2,
+        "C": lambda tau, x, u, p: u - 0.3,
+        "psi": lambda xn, p: xn[..., :1],
+        "H_u": lambda tau, x, lam, u, mu, p: 2.0 * u + mu,
+        "psi_x": lambda xn, p: zeros(1, 2)(xn, p) + [[1.0, 0.0]],
+    })
     rng = np.random.default_rng(4)
     n = 5
     prob1 = HorizonProblem(ocp, HorizonGrid.uniform(n, horizon=1.0))
@@ -231,14 +219,6 @@ def test_assemble_rejects_wrong_length():
         prob.assemble_residual(np.zeros(2), np.zeros(prob.dim + 1))
 
 
-def test_residual_norm_values():
-    assert residual_norm(np.zeros(7)) == 0.0
-    e = np.zeros(7)
-    e[3] = 1.0
-    assert residual_norm(e) == 1.0
-    assert residual_norm(np.array([3.0, 4.0])) == 5.0
-
-
 def test_validate_at_accepts_and_rejects():
     prob = make_cart_problem(4)
     prob.ocp.validate_at(0.0, np.zeros(2), np.zeros(1), np.zeros(2),
@@ -249,3 +229,66 @@ def test_validate_at_accepts_and_rejects():
     with pytest.raises(DimensionMismatch):
         bad.validate_at(0.0, np.zeros(2), np.zeros(1), np.zeros(2),
                         np.zeros(1), np.zeros(1), np.ones(1))
+
+
+# ---------------------------------------------------- batched assembly
+
+def hemisphere_case():
+    params = HemisphereParams()
+    prob = make_problem(params, 20)
+    base = initial_guess(prob.layout, params)
+    return prob, np.array([params.x0, params.y0]), base, 0.01
+
+
+def cart_case():
+    prob = make_cart_problem(10)
+    return prob, np.array([0.2, -0.1]), np.zeros(prob.dim), 0.3
+
+
+@pytest.mark.parametrize("case", [hemisphere_case, cart_case])
+def test_batched_rows_match_single_calls(case):
+    prob, x0, base, spread = case()
+    rng = np.random.default_rng(8)
+    stack = base + spread * rng.standard_normal((6, prob.dim))
+    batched = prob.assemble_residual(x0, stack)
+    assert batched.shape == (6, prob.dim)
+    single = np.array([prob.assemble_residual(x0, row) for row in stack])
+    assert np.max(np.abs(batched - single)) <= 1e-14
+    # a second leading axis is a batch axis too
+    assert np.array_equal(prob.assemble_residual(x0, stack.reshape(2, 3, -1)),
+                          batched.reshape(2, 3, -1))
+
+
+@pytest.mark.parametrize("case", [hemisphere_case, cart_case])
+def test_exact_jacobian_matches_column_loop(case):
+    prob, x0, base, spread = case()
+    U = base + spread * np.random.default_rng(9).standard_normal(prob.dim)
+    h = 1e-8
+    f0 = prob.assemble_residual(x0, U)
+    loop = np.empty((prob.dim, prob.dim))
+    for j in range(prob.dim):
+        u_j = U.copy()
+        u_j[j] += h
+        loop[:, j] = (prob.assemble_residual(x0, u_j) - f0) / h
+    jac = exact_jacobian(prob, x0, U, h)
+    # FD level: the two differ only by round-off in F, amplified by 1/h
+    assert np.max(np.abs(jac - loop)) <= 1e-6
+
+
+def test_validate_at_rejects_callbacks_that_do_not_broadcast():
+    prob = make_cart_problem(4)
+    args = (0.0, np.zeros(2), np.zeros(1), np.zeros(2),
+            np.zeros(1), np.zeros(1), np.ones(1))
+    prob.ocp.validate_at(*args)
+    # right at one point, wrong shape for a stage stack
+    indexed = OcpDefinition(**{
+        **prob.ocp.__dict__,
+        "H_u": lambda tau, x, lam, u, mu, p: np.array([u[0] + lam[1] + mu[0]])})
+    with pytest.raises(DimensionMismatch, match="H_u"):
+        indexed.validate_at(*args)
+    # right shape for a stack, but every row reads the first stage's mu
+    first_row = OcpDefinition(**{
+        **prob.ocp.__dict__,
+        "H_p": lambda tau, x, lam, u, mu, p: 0.1 * p + 0.2 * lam[..., 1:] - 0.1 * mu[0]})
+    with pytest.raises(DimensionMismatch, match="H_p"):
+        first_row.validate_at(*args)

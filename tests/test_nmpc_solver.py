@@ -20,7 +20,9 @@ from geonmpc.solver import (
 
 
 class StubProblem:
-    """Residual-only problem: F(U) = A U - b, measured state ignored."""
+    """Residual-only problem: F(U) = A U - b, measured state ignored.
+
+    Like HorizonProblem, it maps a (B, n) stack of U row by row."""
 
     def __init__(self, a, b):
         self.a = np.asarray(a, dtype=float)
@@ -35,10 +37,12 @@ class StubProblem:
         return self.a.shape[0]
 
     def assemble_residual(self, x0, U):
-        return self.a @ U - self.b
+        return U @ self.a.T - self.b
 
 
 class CallableProblem:
+    """F(U) from a per-vector function, mapped over the rows of a stack."""
+
     def __init__(self, fn, layout):
         self.fn = fn
         self.layout = layout
@@ -48,7 +52,7 @@ class CallableProblem:
         return self.layout.dim
 
     def assemble_residual(self, x0, U):
-        return self.fn(U)
+        return np.apply_along_axis(self.fn, -1, U)
 
 
 PARAMS = HemisphereParams()
@@ -206,11 +210,11 @@ def test_sample_update_requires_initialize(hemi):
 def test_preconditioner_refresh_period(hemi):
     prob, x0, _ = hemi
     ctl = fresh_controller(hemi)
-    built = ctl.precond.factors
+    built = ctl.precond.inverse
     ctl.sample_update(x0, 0.1)
-    assert ctl.precond.factors is built  # inside the period: reused
+    assert ctl.precond.inverse is built  # inside the period: reused
     ctl.sample_update(x0, 0.25)
-    assert ctl.precond.factors is not built  # period elapsed: rebuilt
+    assert ctl.precond.inverse is not built  # period elapsed: rebuilt
     assert ctl.precond.built_at == 0.25
 
 
@@ -233,7 +237,7 @@ def test_unpreconditioned_mode(hemi):
     ctl = NmpcController(prob, SolverConfig(use_preconditioner=False))
     ctl.U = u_star.copy()
     ctl.refresh_preconditioner(x0, 0.0)
-    assert ctl.precond.factors is None
+    assert ctl.precond.inverse is None
     _, tel = ctl.sample_update(x0, 0.0)
     assert not tel.precond_used
 

@@ -6,7 +6,9 @@ import pytest
 
 from geonmpc.cli import main
 from geonmpc.config import SimConfig, load_config, with_overrides
-from geonmpc.errors import ConfigError, GeonmpcError, SimulationAborted
+from geonmpc import solver
+from geonmpc.errors import (ConfigError, GeonmpcError, InitializationFailure,
+                            SimulationAborted)
 from geonmpc.simulate import (TrajectoryRecord, compare_preconditioning,
                               emit_plot_data, run_simulation)
 from geonmpc.solver import NmpcController
@@ -40,7 +42,6 @@ max_samples = 77
 p_stop = 0.1
 precond = false
 output_dir = results
-seed = 42
 c_u = 0.4          # band center
 r_u = 0.2
 w_s = 0.001
@@ -67,7 +68,6 @@ p_min = 0.01
         assert cfg.p_stop == 0.1
         assert not cfg.precond_enabled
         assert cfg.output_dir == "results"
-        assert cfg.seed == 42
         assert cfg.params.c_u == 0.4
         assert cfg.params.r_u == 0.2
         assert cfg.params.w_s == 0.001
@@ -219,6 +219,36 @@ class TestRunSimulation:
         monkeypatch.setattr(NmpcController, "sample_update", fail)
         with pytest.raises(SimulationAborted, match="no samples completed"):
             run_simulation(short_config(max_samples=5), write_output=False)
+
+    @pytest.mark.parametrize("entry", [0.0, np.nan])
+    def test_degenerate_jacobian_aborts_classified(self, monkeypatch, entry):
+        real = solver.exact_jacobian
+        monkeypatch.setattr(solver, "exact_jacobian", lambda *args: np.full_like(
+            real(*args), entry))
+        with pytest.raises(SimulationAborted, match="singular") as info:
+            run_simulation(short_config(max_samples=3), write_output=False)
+        assert isinstance(info.value.cause, InitializationFailure)
+
+    def test_degenerate_refresh_jacobian_runs_unpreconditioned(self, monkeypatch):
+        real_init, real_jac = solver.initialize, solver.exact_jacobian
+        in_init = {"now": False}
+
+        def init(*args):
+            in_init["now"] = True
+            try:
+                return real_init(*args)
+            finally:
+                in_init["now"] = False
+
+        def jac(*args):
+            out = real_jac(*args)
+            return out if in_init["now"] else np.zeros_like(out)
+
+        monkeypatch.setattr(solver, "initialize", init)
+        monkeypatch.setattr(solver, "exact_jacobian", jac)
+        records = run_simulation(short_config(max_samples=5), write_output=False)
+        assert len(records) == 5
+        assert all(math.isnan(r.precond_age) for r in records)
 
 
 # ---------------------------------------------------------- emit_plot_data

@@ -13,8 +13,7 @@ import numpy as np
 from .config import load_config, with_overrides
 from .errors import ConfigError, GeonmpcError
 from .hemisphere import initial_guess, make_problem
-from .simulate import (compare_preconditioning, controller_config,
-                       run_simulation)
+from .simulate import compare_preconditioning, run_simulation
 from .solver import NmpcController
 
 EXIT_OK = 0
@@ -74,7 +73,7 @@ def _cmd_compare(cfg) -> int:
 
 def _cmd_init_only(cfg) -> int:
     problem = make_problem(cfg.params, cfg.n_steps)
-    controller = NmpcController(problem, controller_config(cfg))
+    controller = NmpcController(problem, cfg.solver, precondition=cfg.precond_enabled)
     x0 = np.array([cfg.params.x0, cfg.params.y0])
     decision = controller.initialize(
         x0, 0.0, initial_guess(problem.layout, cfg.params))

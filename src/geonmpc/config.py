@@ -6,6 +6,7 @@ loudly instead of silently running defaults.
 """
 
 import configparser
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -30,7 +31,7 @@ class SimConfig:
     params: HemisphereParams = field(default_factory=HemisphereParams)
     solver: SolverConfig = field(default_factory=SolverConfig)
 
-    def validate(self) -> "SimConfig":
+    def __post_init__(self):
         if self.n_steps < 2:
             raise ConfigError("n must be >= 2")
         if self.dt <= 0:
@@ -39,20 +40,38 @@ class SimConfig:
             raise ConfigError("p_stop must be positive")
         if self.max_samples < 1:
             raise ConfigError("max_samples must be >= 1")
-        return self
 
 
-_INT_KEYS = {"n", "max_samples", "gmres_max_iters",
-             "newton_iters_per_sample", "init_max_iters"}
-_FLOAT_KEYS = {"dt", "t_max", "p_stop", "c_u", "r_u", "w_s", "x0", "y0",
-               "x_f", "y_f", "z_min", "fd_step", "gmres_abs_tol",
-               "precond_period", "init_tol", "p_min"}
-_BOOL_KEYS = {"precond"}
-_STR_KEYS = {"output_dir"}
-KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS
+# Config key -> (owning dataclass, field).  The field's default is the key's
+# default, and the type of that default is the type the file value parses to.
+KEYS = {
+    "n": (SimConfig, "n_steps"),
+    "dt": (SimConfig, "dt"),
+    "max_samples": (SimConfig, "max_samples"),
+    "p_stop": (SimConfig, "p_stop"),
+    "precond": (SimConfig, "precond_enabled"),
+    "output_dir": (SimConfig, "output_dir"),
+    "c_u": (HemisphereParams, "c_u"),
+    "r_u": (HemisphereParams, "r_u"),
+    "w_s": (HemisphereParams, "w_s"),
+    "x0": (HemisphereParams, "x0"),
+    "y0": (HemisphereParams, "y0"),
+    "x_f": (HemisphereParams, "x_f"),
+    "y_f": (HemisphereParams, "y_f"),
+    "z_min": (HemisphereParams, "z_min"),
+    "fd_step": (SolverConfig, "fd_step"),
+    "gmres_max_iters": (GmresConfig, "max_iters"),
+    "gmres_abs_tol": (GmresConfig, "abs_tol"),
+    "precond_period": (SolverConfig, "precond_period"),
+    "newton_iters_per_sample": (SolverConfig, "newton_iters_per_sample"),
+    "init_tol": (SolverConfig, "init_tol"),
+    "init_max_iters": (SolverConfig, "init_max_iters"),
+    "p_min": (SolverConfig, "p_min"),
+}
 
 
 def _parse_file(path: str) -> dict:
+    """Key -> typed value for every key the file sets."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         text = Path(path).read_text()
@@ -63,75 +82,49 @@ def _parse_file(path: str) -> dict:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
 
-    raw = dict(parser["sim"])
+    section = parser["sim"]
     values = {}
-    for key, text_value in raw.items():
-        if key not in KNOWN_KEYS:
+    for key, text_value in section.items():
+        if key == "t_max":  # seconds, given instead of max_samples
+            kind = float
+        elif key in KEYS:
+            cls, name = KEYS[key]
+            # a plain dataclass default is also the class attribute
+            kind = type(getattr(cls, name))
+        else:
             raise ConfigError(f"unknown config key '{key}' in {path}")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(text_value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(text_value)
-            elif key in _BOOL_KEYS:
-                values[key] = parser["sim"].getboolean(key)
-            else:
-                values[key] = text_value
+            values[key] = section.getboolean(key) if kind is bool else kind(text_value)
         except ValueError as exc:
             raise ConfigError(f"bad value for '{key}': {text_value!r}") from exc
     return values
 
 
 def load_config(path: Optional[str] = None) -> SimConfig:
-    """Build a validated SimConfig from defaults plus an optional file."""
+    """Build a validated SimConfig from defaults plus an optional file.
+
+    Each dataclass is built once from all of its file values, so checks
+    that span several keys (the start point's x0, y0) see the file's pair.
+    """
     values = _parse_file(path) if path is not None else {}
+    t_max = values.pop("t_max", None)
+    if t_max is not None:
+        values.pop("max_samples", None)
+    given = defaultdict(dict)
+    for key, value in values.items():
+        cls, name = KEYS[key]
+        given[cls][name] = value
 
     try:
-        params = HemisphereParams(
-            c_u=values.get("c_u", 0.5),
-            r_u=values.get("r_u", 0.1),
-            w_s=values.get("w_s", 0.005),
-            x0=values.get("x0", -0.5),
-            y0=values.get("y0", -0.5),
-            x_f=values.get("x_f", 0.5),
-            y_f=values.get("y_f", 0.0),
-            z_min=values.get("z_min", 0.05),
-        )
-        gmres_cfg = GmresConfig(
-            max_iters=values.get("gmres_max_iters", 20),
-            abs_tol=values.get("gmres_abs_tol", 1e-5),
-        )
-        solver = SolverConfig(
-            fd_step=values.get("fd_step", 1e-8),
-            gmres_cfg=gmres_cfg,
-            precond_period=values.get("precond_period", 0.2),
-            newton_iters_per_sample=values.get("newton_iters_per_sample", 1),
-            init_tol=values.get("init_tol", 1e-8),
-            init_max_iters=values.get("init_max_iters", 100),
-            p_min=values.get("p_min", 1e-3),
-        )
+        solver = SolverConfig(gmres_cfg=GmresConfig(**given[GmresConfig]),
+                              **given[SolverConfig])
+        cfg = SimConfig(params=HemisphereParams(**given[HemisphereParams]),
+                        solver=solver, **given[SimConfig])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    dt = values.get("dt", 0.00625)
-    if "t_max" in values:
-        if dt <= 0:
-            raise ConfigError("dt must be positive")
-        max_samples = max(1, int(round(values["t_max"] / dt)))
-    else:
-        max_samples = values.get("max_samples", 1000)
-
-    cfg = SimConfig(
-        n_steps=values.get("n", 20),
-        dt=dt,
-        max_samples=max_samples,
-        p_stop=values.get("p_stop", 0.02),
-        precond_enabled=values.get("precond", True),
-        output_dir=values.get("output_dir", "out"),
-        params=params,
-        solver=solver,
-    )
-    return cfg.validate()
+    if t_max is not None:
+        cfg = replace(cfg, max_samples=max(1, int(round(t_max / cfg.dt))))
+    return cfg
 
 
 def with_overrides(cfg: SimConfig, no_precond: bool = False,
@@ -144,4 +137,4 @@ def with_overrides(cfg: SimConfig, no_precond: bool = False,
         cfg = replace(cfg, output_dir=output_dir)
     if max_samples is not None:
         cfg = replace(cfg, max_samples=max_samples)
-    return cfg.validate()
+    return cfg

@@ -94,11 +94,6 @@ def terminal_psi(x_n, params: HemisphereParams) -> np.ndarray:
     return np.asarray(x_n, dtype=float) - (params.x_f, params.y_f)
 
 
-def cost_terms(p: float, u_s: float, params: HemisphereParams):
-    """(terminal cost, running cost) = (p, -w_s * u_s)."""
-    return float(p), -params.w_s * u_s
-
-
 def sphere_constraint() -> ManifoldConstraint:
     return ManifoldConstraint(
         g=lambda y: np.array([y @ y - 1.0]),
@@ -152,13 +147,6 @@ def make_ocp(params: HemisphereParams) -> OcpDefinition:
         speed = p.T[0] * _height(x.T, z_min)
         return np.array([speed * np.cos(u0), speed * np.sin(u0)]).T
 
-    def f_x(tau, x, u, p):
-        xt, u0 = x.T, u.T[0]
-        scale = p.T[0] / _height(xt, z_min)
-        cu, su = scale * np.cos(u0), scale * np.sin(u0)
-        # packed rows are the columns d/dx, d/dy; .T moves them last
-        return np.array([[-xt[0] * cu, -xt[0] * su], [-xt[1] * cu, -xt[1] * su]]).T
-
     def C(tau, x, u, p):
         ut = u.T
         return np.array([p.T[0] * constraint_C(ut[0], ut[1], params)]).T
@@ -184,8 +172,6 @@ def make_ocp(params: HemisphereParams) -> OcpDefinition:
 
     return OcpDefinition(
         n_x=2, n_u=2, n_mu=1, n_nu=2, n_p=1,
-        f=f,
-        f_x=f_x,
         L=lambda tau, x, u, p: (-p.T[0] * w_s * u.T[1]).T,
         phi=lambda xn, p: p[..., 0],
         C=C,
@@ -218,11 +204,9 @@ def initial_guess(layout, params: HemisphereParams) -> np.ndarray:
     """Stationary-in-the-band guess: controls at the band center, slack at
     full radius, mu canceling the slack row, p at the great-circle length."""
     U = layout.zeros()
-    for i in range(layout.n_steps):
-        layout.set_control_at_stage(U, i, [params.c_u, params.r_u])
-        layout.set_mu_at_stage(U, i, [params.w_s / (2.0 * params.r_u)])
-    layout.set_nu(U, np.zeros(2))
-    layout.set_p(U, [great_circle_distance(params)])
+    layout.controls(U)[:] = (params.c_u, params.r_u)
+    layout.mus(U)[:] = params.w_s / (2.0 * params.r_u)
+    layout.p(U)[:] = great_circle_distance(params)
     return U
 
 

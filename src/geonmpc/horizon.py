@@ -45,17 +45,13 @@ class HorizonGrid:
     def n_steps(self) -> int:
         return self.dtau.shape[0]
 
-    @property
-    def horizon(self) -> float:
-        return float(self.tau[-1])
-
 
 @dataclass(frozen=True)
 class DecisionLayout:
     """Index arithmetic for the stacked decision vector and residual.
 
     Every accessor works on the last axis, so it applies unchanged to a
-    batch of decision vectors.
+    batch of decision vectors, and returns a writable view.
     """
 
     n_steps: int
@@ -80,14 +76,6 @@ class DecisionLayout:
     def p_offset(self) -> int:
         return self.nu_offset + self.n_nu
 
-    # Component j of a stage block lives at offset + j*n_steps + i, so a
-    # whole stage is the stride-n_steps slice below.
-    def control_at_stage(self, vec: np.ndarray, i: int) -> np.ndarray:
-        return vec[..., i : self.mu_offset : self.n_steps]
-
-    def mu_at_stage(self, vec: np.ndarray, i: int) -> np.ndarray:
-        return vec[..., self.mu_offset + i : self.nu_offset : self.n_steps]
-
     def controls(self, vec: np.ndarray) -> np.ndarray:
         """All stage controls as a (..., n_steps, n_u) view."""
         return self._stages(vec, 0, self.n_u)
@@ -96,6 +84,8 @@ class DecisionLayout:
         """All stage multipliers as a (..., n_steps, n_mu) view."""
         return self._stages(vec, self.mu_offset, self.n_mu)
 
+    # Component j of stage i lives at offset + j*n_steps + i: the block
+    # reshaped to (width, n_steps) and transposed is the stage view.
     def _stages(self, vec: np.ndarray, offset: int, width: int) -> np.ndarray:
         block = vec[..., offset : offset + width * self.n_steps]
         return np.swapaxes(
@@ -106,18 +96,6 @@ class DecisionLayout:
 
     def p(self, vec: np.ndarray) -> np.ndarray:
         return vec[..., self.p_offset :]
-
-    def set_control_at_stage(self, vec: np.ndarray, i: int, values) -> None:
-        vec[..., i : self.mu_offset : self.n_steps] = values
-
-    def set_mu_at_stage(self, vec: np.ndarray, i: int, values) -> None:
-        vec[..., self.mu_offset + i : self.nu_offset : self.n_steps] = values
-
-    def set_nu(self, vec: np.ndarray, values) -> None:
-        vec[..., self.nu_offset : self.p_offset] = values
-
-    def set_p(self, vec: np.ndarray, values) -> None:
-        vec[..., self.p_offset :] = values
 
     def zeros(self) -> np.ndarray:
         return np.zeros(self.dim)
@@ -140,9 +118,9 @@ class OcpDefinition:
     their callbacks on (..., n_x) slices one stage at a time; H_u, C and
     H_p see whole (..., n_steps, n) stage stacks.
 
-    The Hamiltonian behind H_u/H_x/H_p is L + lam . f + mu . C; the
-    costate recursion deliberately uses df/dx in place of the stepper's
-    own state sensitivity.
+    The Hamiltonian behind H_u/H_x/H_p is L + lam . f + mu . C, with f the
+    dynamics the stepper integrates; the costate recursion deliberately
+    uses H_x in place of the stepper's own state sensitivity.
     """
 
     n_x: int
@@ -150,8 +128,6 @@ class OcpDefinition:
     n_mu: int
     n_nu: int
     n_p: int
-    f: Callable            # (tau, x, u, p) -> xdot
-    f_x: Callable          # (tau, x, u, p) -> (n_x, n_x)
     L: Callable            # (tau, x, u, p) -> scalar
     phi: Callable          # (x_N, p) -> scalar
     C: Callable            # (tau, x, u, p) -> (n_mu,)
@@ -168,8 +144,6 @@ class OcpDefinition:
     def _probe(self, tau, x, u, lam, mu, nu, p) -> dict:
         """name -> (output, component shape) of every callback at one input."""
         return {
-            "f": (self.f(tau, x, u, p), (self.n_x,)),
-            "f_x": (self.f_x(tau, x, u, p), (self.n_x, self.n_x)),
             "L": (self.L(tau, x, u, p), ()),
             "phi": (self.phi(x, p), ()),
             "C": (self.C(tau, x, u, p), (self.n_mu,)),
@@ -212,19 +186,6 @@ def euler_stepper(f) -> Callable:
     return lambda tau, x, u, p, dtau: x + dtau * f(tau, x, u, p)
 
 
-@dataclass
-class TrajectoryWorkspace:
-    states: np.ndarray     # (..., N+1, n_x)
-    costates: np.ndarray   # (..., N+1, n_x)
-
-    @staticmethod
-    def for_problem(n_steps: int, n_x: int, lead: tuple = ()) -> "TrajectoryWorkspace":
-        return TrajectoryWorkspace(
-            states=np.zeros(lead + (n_steps + 1, n_x)),
-            costates=np.zeros(lead + (n_steps + 1, n_x)),
-        )
-
-
 def _transposed_times(jac, vec) -> np.ndarray:
     """jac^T vec over leading axes: (..., m, n) and (..., m) -> (..., n)."""
     return (vec[..., None, :] @ jac)[..., 0, :]
@@ -233,76 +194,6 @@ def _transposed_times(jac, vec) -> np.ndarray:
 def _component_major(stages) -> np.ndarray:
     """(..., n_steps, n) stage rows -> (..., n * n_steps) residual block."""
     return np.swapaxes(stages, -1, -2).reshape(stages.shape[:-2] + (-1,))
-
-
-def forward_recursion(ocp: OcpDefinition, grid: HorizonGrid, layout: DecisionLayout,
-                      x0, U, ws: TrajectoryWorkspace) -> None:
-    p = layout.p(U)
-    controls = layout.controls(U)
-    states = ws.states
-    states[..., 0, :] = x0
-    for i in range(grid.n_steps):
-        states[..., i + 1, :] = ocp.stepper(
-            grid.tau[i], states[..., i, :], controls[..., i, :], p, grid.dtau[i])
-
-
-def backward_recursion(ocp: OcpDefinition, grid: HorizonGrid, layout: DecisionLayout,
-                       U, ws: TrajectoryWorkspace) -> None:
-    p = layout.p(U)
-    controls, mus = layout.controls(U), layout.mus(U)
-    states, costates = ws.states, ws.costates
-    n = grid.n_steps
-    x_n = states[..., n, :]
-    costates[..., n, :] = ocp.phi_x(x_n, p) + _transposed_times(
-        ocp.psi_x(x_n, p), layout.nu(U))
-    for i in range(n - 1, -1, -1):
-        lam = costates[..., i + 1, :]
-        hx = ocp.H_x(grid.tau[i], states[..., i, :], lam, controls[..., i, :],
-                     mus[..., i, :], p)
-        costates[..., i, :] = lam + hx * grid.dtau[i]
-
-
-def trajectory(ocp: OcpDefinition, grid: HorizonGrid, layout: DecisionLayout,
-               x0, U: np.ndarray) -> TrajectoryWorkspace:
-    """States and costates of U, or of each row of a (..., dim) stack."""
-    ws = TrajectoryWorkspace.for_problem(grid.n_steps, ocp.n_x, U.shape[:-1])
-    forward_recursion(ocp, grid, layout, x0, U, ws)
-    backward_recursion(ocp, grid, layout, U, ws)
-    return ws
-
-
-def assemble_residual(ocp: OcpDefinition, grid: HorizonGrid, layout: DecisionLayout,
-                      x0, U) -> np.ndarray:
-    """Stack the optimality residual over the whole horizon.
-
-    Row order: H_u blocks, C blocks, terminal constraint, then the
-    parameter stationarity rows.  U may carry leading batch axes; the
-    result then has the same leading axes.
-    """
-    U = np.asarray(U, dtype=float)
-    if U.ndim < 1 or U.shape[-1] != layout.dim:
-        raise DimensionMismatch(f"U has shape {U.shape}, layout dim {layout.dim}")
-    ws = trajectory(ocp, grid, layout, x0, U)
-
-    n = grid.n_steps
-    stage_lead = U.shape[:-1] + (n,)
-    p = layout.p(U)
-    x_n = ws.states[..., n, :]
-    x = ws.states[..., :n, :]
-    lam_next = ws.costates[..., 1:, :]
-    u, mu = layout.controls(U), layout.mus(U)
-    p_stages = np.broadcast_to(p[..., None, :], stage_lead + (layout.n_p,))
-    tau = np.broadcast_to(grid.tau[:n], stage_lead)
-    dtau = grid.dtau[:, None]
-    p_rows = (ocp.phi_p(x_n, p)
-              + _transposed_times(ocp.psi_p(x_n, p), layout.nu(U))
-              + grid.dtau @ ocp.H_p(tau, x, lam_next, u, mu, p_stages))
-    return np.concatenate([
-        _component_major(dtau * ocp.H_u(tau, x, lam_next, u, mu, p_stages)),
-        _component_major(dtau * ocp.C(tau, x, u, p_stages)),
-        ocp.psi(x_n, p),
-        p_rows,
-    ], axis=-1)
 
 
 class HorizonProblem:
@@ -320,10 +211,59 @@ class HorizonProblem:
     def dim(self) -> int:
         return self.layout.dim
 
-    def trajectory(self, x0, U) -> TrajectoryWorkspace:
-        return trajectory(self.ocp, self.grid, self.layout, x0,
-                          np.asarray(U, dtype=float))
+    def trajectory(self, x0, U) -> tuple:
+        """(states, costates) of U, each (..., N+1, n_x); U may be a
+        (..., dim) stack.  Both recursions run in order over the stages."""
+        ocp, grid, layout = self.ocp, self.grid, self.layout
+        U = np.asarray(U, dtype=float)
+        n = grid.n_steps
+        p = layout.p(U)
+        controls, mus = layout.controls(U), layout.mus(U)
+        states = np.empty(U.shape[:-1] + (n + 1, ocp.n_x))
+        costates = np.empty_like(states)
+        states[..., 0, :] = x0
+        for i in range(n):
+            states[..., i + 1, :] = ocp.stepper(
+                grid.tau[i], states[..., i, :], controls[..., i, :], p, grid.dtau[i])
+        x_n = states[..., n, :]
+        costates[..., n, :] = ocp.phi_x(x_n, p) + _transposed_times(
+            ocp.psi_x(x_n, p), layout.nu(U))
+        for i in range(n - 1, -1, -1):
+            lam = costates[..., i + 1, :]
+            hx = ocp.H_x(grid.tau[i], states[..., i, :], lam, controls[..., i, :],
+                         mus[..., i, :], p)
+            costates[..., i, :] = lam + hx * grid.dtau[i]
+        return states, costates
 
     def assemble_residual(self, x0, U) -> np.ndarray:
-        """Residual of U, or row-wise residuals of a (..., dim) stack."""
-        return assemble_residual(self.ocp, self.grid, self.layout, x0, U)
+        """Stack the optimality residual over the whole horizon.
+
+        Row order: H_u blocks, C blocks, terminal constraint, then the
+        parameter stationarity rows.  U may carry leading batch axes; the
+        result then has the same leading axes.
+        """
+        ocp, grid, layout = self.ocp, self.grid, self.layout
+        U = np.asarray(U, dtype=float)
+        if U.ndim < 1 or U.shape[-1] != layout.dim:
+            raise DimensionMismatch(f"U has shape {U.shape}, layout dim {layout.dim}")
+        states, costates = self.trajectory(x0, U)
+
+        n = grid.n_steps
+        stage_lead = U.shape[:-1] + (n,)
+        p = layout.p(U)
+        x_n = states[..., n, :]
+        x = states[..., :n, :]
+        lam_next = costates[..., 1:, :]
+        u, mu = layout.controls(U), layout.mus(U)
+        p_stages = np.broadcast_to(p[..., None, :], stage_lead + (layout.n_p,))
+        tau = np.broadcast_to(grid.tau[:n], stage_lead)
+        dtau = grid.dtau[:, None]
+        p_rows = (ocp.phi_p(x_n, p)
+                  + _transposed_times(ocp.psi_p(x_n, p), layout.nu(U))
+                  + grid.dtau @ ocp.H_p(tau, x, lam_next, u, mu, p_stages))
+        return np.concatenate([
+            _component_major(dtau * ocp.H_u(tau, x, lam_next, u, mu, p_stages)),
+            _component_major(dtau * ocp.C(tau, x, u, p_stages)),
+            ocp.psi(x_n, p),
+            p_rows,
+        ], axis=-1)

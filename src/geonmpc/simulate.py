@@ -15,7 +15,7 @@ import numpy as np
 from .config import SimConfig
 from .errors import GeonmpcError, SimulationAborted
 from .hemisphere import chart_height, initial_guess, make_problem, plant_step
-from .solver import NmpcController, SolverConfig
+from .solver import NmpcController
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,6 @@ class PrecondComparison:
     max_state_gap: float
     records_with: Sequence[TrajectoryRecord]
     records_without: Sequence[TrajectoryRecord]
-
-
-def controller_config(cfg: SimConfig) -> SolverConfig:
-    return replace(cfg.solver, use_preconditioner=cfg.precond_enabled)
 
 
 def _make_record(t: float, x, u_apply, p: float, telemetry,
@@ -77,9 +73,8 @@ def run_simulation(cfg: SimConfig, write_output: bool = True
     integrator error aborts the loop; the partial records are still written
     and attached to the raised SimulationAborted.
     """
-    cfg.validate()
     problem = make_problem(cfg.params, cfg.n_steps)
-    controller = NmpcController(problem, controller_config(cfg))
+    controller = NmpcController(problem, cfg.solver, precondition=cfg.precond_enabled)
     x = np.array([cfg.params.x0, cfg.params.y0])
     heading_band = (cfg.params.c_u - cfg.params.r_u, cfg.params.c_u + cfg.params.r_u)
     records: List[TrajectoryRecord] = []

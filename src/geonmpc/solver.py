@@ -12,7 +12,7 @@ dense LAPACK steps, from a caller-supplied structured guess.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -34,7 +34,6 @@ class SolverConfig:
     # Horizon length stays strictly positive; None disables the clamp for
     # problems whose parameter block is not a duration.
     p_min: Optional[float] = 1e-3
-    use_preconditioner: bool = True
 
     def __post_init__(self):
         if self.fd_step <= 0:
@@ -43,13 +42,16 @@ class SolverConfig:
             raise ValueError("precond_period must be positive")
         if self.newton_iters_per_sample < 1:
             raise ValueError("newton_iters_per_sample must be >= 1")
+        if self.init_tol <= 0:
+            raise ValueError("init_tol must be positive")
+        if self.init_max_iters < 1:
+            raise ValueError("init_max_iters must be >= 1")
 
 
 @dataclass
 class PreconditionerState:
     inverse: Optional[np.ndarray] = None
     built_at: float = -np.inf
-    valid: bool = False
 
     def age(self, t_now: float) -> float:
         return t_now - self.built_at
@@ -151,50 +153,47 @@ def initialize(problem, x0, t0: float, cfg: SolverConfig, U0) -> np.ndarray:
 
 
 class NmpcController:
-    """Warm-started controller: one decision vector tracked across samples."""
+    """Warm-started controller: one decision vector tracked across samples.
+
+    With precondition=False no Jacobian is built and every GMRES solve runs
+    unpreconditioned.
+    """
 
     def __init__(self, problem, cfg: SolverConfig | None = None,
-                 reproject: Optional[Callable] = None):
+                 precondition: bool = True):
         self.problem = problem
         self.cfg = cfg if cfg is not None else SolverConfig()
-        self.reproject = reproject
+        self.precondition = precondition
         self.U: Optional[np.ndarray] = None
         self.precond = PreconditionerState()
         self.last_residual_norm = np.inf
 
     def initialize(self, x0, t0: float, U0) -> np.ndarray:
-        x0 = self._measured(x0)
         self.U = initialize(self.problem, x0, t0, self.cfg, U0)
         self.refresh_preconditioner(x0, t0)
         self.last_residual_norm = norm2(self.problem.assemble_residual(x0, self.U))
         return self.U
 
-    def _measured(self, x):
-        x = as_vector(x)
-        return self.reproject(x) if self.reproject is not None else x
-
     def refresh_preconditioner(self, x0, t_now: float) -> None:
-        if not self.cfg.use_preconditioner:
+        if not self.precondition:
             return
         st = self.precond
-        if st.valid and st.age(t_now) < self.cfg.precond_period:
+        if st.inverse is not None and st.age(t_now) < self.cfg.precond_period:
             return
         jac = exact_jacobian(self.problem, x0, self.U, self.cfg.fd_step)
         try:
             st.inverse = inverse(jac)
-            st.valid = True
         except SingularMatrix:
             # fall back to unpreconditioned GMRES until the next period
             st.inverse = None
-            st.valid = False
         st.built_at = t_now
 
-    def sample_update(self, x_measured, t_now: float):
+    def sample_update(self, x, t_now: float):
         if self.U is None:
             raise InitializationFailure("sample_update before initialize")
-        x = self._measured(x_measured)
         self.refresh_preconditioner(x, t_now)
-        precond_op = matrix_operator(self.precond.inverse) if self.precond.valid else None
+        precond_used = self.precond.inverse is not None
+        precond_op = matrix_operator(self.precond.inverse) if precond_used else None
 
         iters_total = 0
         converged = True
@@ -215,7 +214,7 @@ class NmpcController:
             converged = converged and report.converged
 
         res_post = norm2(self.problem.assemble_residual(x, self.U))
-        u_apply = np.array(self.problem.layout.control_at_stage(self.U, 0))
+        u_apply = self.problem.layout.controls(self.U)[0].copy()
         self.last_residual_norm = res_post
         telemetry = SampleTelemetry(
             t=t_now,
@@ -223,8 +222,8 @@ class NmpcController:
             residual_norm=res_post,
             residual_norm_pre=res_pre,
             u_applied=u_apply,
-            precond_age=self.precond.age(t_now) if self.precond.valid else float("nan"),
-            precond_used=self.precond.valid,
+            precond_age=self.precond.age(t_now) if precond_used else float("nan"),
+            precond_used=precond_used,
             gmres_converged=converged,
         )
         return u_apply, telemetry

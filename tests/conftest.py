@@ -12,9 +12,7 @@ from geonmpc.horizon import (
     HorizonGrid,
     HorizonProblem,
     OcpDefinition,
-    TrajectoryWorkspace,
     euler_stepper,
-    forward_recursion,
 )
 
 
@@ -29,12 +27,6 @@ def make_cart_problem(n_steps=10):
         x0, x1 = x.T
         return np.array([x1, u.T[0] - 0.3 * np.sin(x0) + 0.2 * p.T[0]]).T
 
-    def f_x(tau, x, u, p):
-        x0 = x.T[0]
-        zero = np.zeros_like(x0)
-        # packed rows are the columns d/dx0, d/dx1
-        return np.array([[zero, -0.3 * np.cos(x0)], [zero + 1.0, zero]]).T
-
     def H_x(tau, x, lam, u, mu, p):
         x0 = x.T[0]
         l0, l1 = lam.T
@@ -45,8 +37,6 @@ def make_cart_problem(n_steps=10):
 
     ocp = OcpDefinition(
         n_x=2, n_u=1, n_mu=1, n_nu=1, n_p=1,
-        f=f,
-        f_x=f_x,
         L=lambda tau, x, u, p: (0.5 * (u.T[0] ** 2 + 0.1 * x.T[0] ** 2)
                                 + 0.05 * p.T[0] ** 2).T,
         phi=lambda xn, p: 0.5 * (xn * xn).sum(axis=-1) + 0.1 * p[..., 0],
@@ -71,15 +61,14 @@ def discrete_lagrangian(problem, x0, U):
     ocp, grid, layout = problem.ocp, problem.grid, problem.layout
     p = layout.p(U)
     nu = layout.nu(U)
-    ws = TrajectoryWorkspace.for_problem(grid.n_steps, ocp.n_x)
-    forward_recursion(ocp, grid, layout, x0, U, ws)
-    x_n = ws.states[grid.n_steps]
+    states, _ = problem.trajectory(x0, U)
+    x_n = states[grid.n_steps]
     total = float(ocp.phi(x_n, p)) + float(nu @ ocp.psi(x_n, p))
     for i in range(grid.n_steps):
-        u_i = layout.control_at_stage(U, i)
-        mu_i = layout.mu_at_stage(U, i)
-        stage = float(ocp.L(grid.tau[i], ws.states[i], u_i, p))
-        stage += float(mu_i @ ocp.C(grid.tau[i], ws.states[i], u_i, p))
+        u_i = layout.controls(U)[i]
+        mu_i = layout.mus(U)[i]
+        stage = float(ocp.L(grid.tau[i], states[i], u_i, p))
+        stage += float(mu_i @ ocp.C(grid.tau[i], states[i], u_i, p))
         total += stage * grid.dtau[i]
     return total
 

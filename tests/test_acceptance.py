@@ -160,15 +160,12 @@ def test_06a_dual_residual_paths():
     worst = 0.0
     for _ in range(100):
         decision = base.copy()
+        controls, mus = layout.controls(decision), layout.mus(decision)
         for i in range(layout.n_steps):
-            layout.set_control_at_stage(
-                decision, i,
-                layout.control_at_stage(base, i) + rng.uniform(-0.05, 0.05, 2))
-            layout.set_mu_at_stage(
-                decision, i,
-                layout.mu_at_stage(base, i) + rng.uniform(-0.02, 0.02, 1))
-        layout.set_nu(decision, rng.uniform(-0.5, 0.5, size=2))
-        layout.set_p(decision, layout.p(base) + rng.uniform(-0.1, 0.1, 1))
+            controls[i] += rng.uniform(-0.05, 0.05, 2)
+            mus[i] += rng.uniform(-0.02, 0.02, 1)
+        layout.nu(decision)[:] = rng.uniform(-0.5, 0.5, size=2)
+        layout.p(decision)[:] += rng.uniform(-0.1, 0.1, 1)
         x0 = np.array([params.x0, params.y0]) + rng.uniform(-0.05, 0.05, 2)
         generic = problem.assemble_residual(x0, decision)
         direct = residual_rows(decision, x0, problem.grid, params)

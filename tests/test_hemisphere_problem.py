@@ -8,7 +8,6 @@ from geonmpc.hemisphere import (
     ambient_dynamics,
     chart_dynamics,
     constraint_C,
-    cost_terms,
     great_circle_distance,
     hemisphere_chart,
     initial_guess,
@@ -98,11 +97,6 @@ def test_lifted_height_lipschitz_near_target():
         assert dz <= 2.0 * np.max(np.abs(psi)) / PARAMS.z_min + 1e-15
 
 
-def test_cost_terms():
-    assert cost_terms(1.2332, 0.0, PARAMS) == (1.2332, 0.0)
-    assert cost_terms(2.0, 0.1, PARAMS) == (2.0, -5e-4)
-
-
 def test_params_validation():
     with pytest.raises(ValueError):
         HemisphereParams(r_u=0.0)
@@ -136,9 +130,8 @@ def test_initial_guess_structure():
 def test_residual_constant_row_without_multipliers():
     prob = make_problem(PARAMS)
     U = prob.layout.zeros()
-    for i in range(20):
-        prob.layout.set_control_at_stage(U, i, [0.37, 0.0])  # u_s = 0
-    prob.layout.set_p(U, [0.8])
+    prob.layout.controls(U)[:] = (0.37, 0.0)  # u_s = 0
+    prob.layout.p(U)[:] = 0.8
     fvec = prob.assemble_residual(np.array([PARAMS.x0, PARAMS.y0]), U)
     assert fvec[-1] == 1.0
 
@@ -150,14 +143,12 @@ def random_decision_vectors(layout, count, seed=101):
     base = initial_guess(layout, PARAMS)
     for _ in range(count):
         U = base.copy()
+        controls, mus = layout.controls(U), layout.mus(U)
         for i in range(layout.n_steps):
-            du = rng.uniform(-0.05, 0.05, size=2)
-            layout.set_control_at_stage(
-                U, i, layout.control_at_stage(base, i) + du)
-            layout.set_mu_at_stage(
-                U, i, layout.mu_at_stage(base, i) + rng.uniform(-0.02, 0.02, 1))
-        layout.set_nu(U, rng.uniform(-0.5, 0.5, size=2))
-        layout.set_p(U, layout.p(base) + rng.uniform(-0.1, 0.1, 1))
+            controls[i] += rng.uniform(-0.05, 0.05, size=2)
+            mus[i] += rng.uniform(-0.02, 0.02, 1)
+        layout.nu(U)[:] = rng.uniform(-0.5, 0.5, size=2)
+        layout.p(U)[:] += rng.uniform(-0.1, 0.1, 1)
         yield U
 
 

@@ -27,8 +27,6 @@ def zero_like_callbacks(n_x, n_u, n_mu, n_nu, n_p, f, stepper=None):
     """OcpDefinition with the given dynamics and inert cost/constraint maps."""
     return OcpDefinition(
         n_x=n_x, n_u=n_u, n_mu=n_mu, n_nu=n_nu, n_p=n_p,
-        f=f,
-        f_x=zeros(n_x, n_x),
         L=zeros(),
         phi=zeros(),
         C=zeros(n_mu),
@@ -68,34 +66,38 @@ def test_layout_dim_matches_hemisphere_shape():
 
 
 def test_layout_block_roundtrip():
+    # writes through the views land in a vector and in every row of a stack
     layout = DecisionLayout(n_steps=7, n_u=2, n_mu=3, n_nu=2, n_p=1)
     rng = np.random.default_rng(17)
-    vec = layout.zeros()
-    written = {}
-    for i in range(7):
-        u = rng.standard_normal(2)
-        mu = rng.standard_normal(3)
-        layout.set_control_at_stage(vec, i, u)
-        layout.set_mu_at_stage(vec, i, mu)
-        written[i] = (u, mu)
-    nu = rng.standard_normal(2)
-    p = rng.standard_normal(1)
-    layout.set_nu(vec, nu)
-    layout.set_p(vec, p)
-    for i in range(7):
-        assert np.array_equal(layout.control_at_stage(vec, i), written[i][0])
-        assert np.array_equal(layout.mu_at_stage(vec, i), written[i][1])
-    assert np.array_equal(layout.nu(vec), nu)
-    assert np.array_equal(layout.p(vec), p)
+    for lead in [(), (4,)]:
+        vec = np.zeros(lead + (layout.dim,))
+        u = rng.standard_normal(lead + (7, 2))
+        mu = rng.standard_normal(lead + (7, 3))
+        nu = rng.standard_normal(lead + (2,))
+        p = rng.standard_normal(lead + (1,))
+        layout.controls(vec)[...] = u
+        layout.mus(vec)[...] = mu
+        layout.nu(vec)[...] = nu
+        layout.p(vec)[...] = p
+        assert np.array_equal(layout.controls(vec), u)
+        assert np.array_equal(layout.mus(vec), mu)
+        assert np.array_equal(layout.nu(vec), nu)
+        assert np.array_equal(layout.p(vec), p)
+        # the four blocks tile the vector
+        assert np.count_nonzero(vec) == vec.size
 
 
 def test_layout_component_major_order():
     # component j of stage i sits at j*n_steps + i inside its block
     layout = DecisionLayout(n_steps=3, n_u=2, n_mu=1, n_nu=1, n_p=1)
-    vec = layout.zeros()
-    layout.set_control_at_stage(vec, 1, [5.0, 7.0])
-    assert vec[1] == 5.0
-    assert vec[3 + 1] == 7.0
+    for lead in [(), (2,)]:
+        vec = np.zeros(lead + (layout.dim,))
+        layout.controls(vec)[..., 1, :] = (5.0, 7.0)
+        layout.mus(vec)[..., 2, :] = 9.0
+        assert np.all(vec[..., 1] == 5.0)
+        assert np.all(vec[..., 3 + 1] == 7.0)
+        assert np.all(vec[..., layout.mu_offset + 2] == 9.0)
+        assert np.count_nonzero(vec) == 3 * int(np.prod(lead))
 
 
 def test_layout_offsets_reproducible():
@@ -112,8 +114,8 @@ def test_forward_zero_dynamics_keeps_state():
     prob = HorizonProblem(ocp, HorizonGrid.uniform(6))
     x0 = np.array([0.4, -1.2])
     U = prob.layout.zeros()
-    ws = prob.trajectory(x0, U)
-    assert np.all(ws.states == x0)
+    states, _ = prob.trajectory(x0, U)
+    assert np.all(states == x0)
 
 
 def test_forward_hand_iterated_two_steps():
@@ -128,11 +130,11 @@ def test_forward_hand_iterated_two_steps():
     ocp = zero_like_callbacks(2, 1, 1, 2, 1, f=f)
     prob = HorizonProblem(ocp, HorizonGrid.uniform(2))
     U = prob.layout.zeros()
-    prob.layout.set_p(U, [1.0])
-    ws = prob.trajectory(np.zeros(2), U)
-    assert np.allclose(ws.states[1], [0.5, 0.0], rtol=0, atol=1e-15)
-    assert abs(ws.states[2][0] - (0.5 + 0.5 * np.sqrt(0.75))) <= 1e-15
-    assert ws.states[2][1] == 0.0
+    prob.layout.p(U)[:] = 1.0
+    states, _ = prob.trajectory(np.zeros(2), U)
+    assert np.allclose(states[1], [0.5, 0.0], rtol=0, atol=1e-15)
+    assert abs(states[2][0] - (0.5 + 0.5 * np.sqrt(0.75))) <= 1e-15
+    assert states[2][1] == 0.0
 
 
 def test_terminal_costate_equals_nu():
@@ -144,12 +146,12 @@ def test_terminal_costate_equals_nu():
     prob = HorizonProblem(ocp, HorizonGrid.uniform(4))
     U = prob.layout.zeros()
     nu = np.array([0.7, -0.3])
-    prob.layout.set_nu(U, nu)
-    ws = prob.trajectory(np.zeros(2), U)
-    assert np.array_equal(ws.costates[4], nu)
+    prob.layout.nu(U)[:] = nu
+    _, costates = prob.trajectory(np.zeros(2), U)
+    assert np.array_equal(costates[4], nu)
     # H_x == 0 here, so the whole costate history is constant
     for i in range(5):
-        assert np.array_equal(ws.costates[i], nu)
+        assert np.array_equal(costates[i], nu)
 
 
 def test_recursion_reevaluation_is_bitwise_stable():
@@ -157,10 +159,10 @@ def test_recursion_reevaluation_is_bitwise_stable():
     rng = np.random.default_rng(2)
     U = rng.standard_normal(prob.dim)
     x0 = np.array([0.1, -0.2])
-    ws1 = prob.trajectory(x0, U)
-    ws2 = prob.trajectory(x0, U)
-    assert np.array_equal(ws1.states, ws2.states)
-    assert np.array_equal(ws1.costates, ws2.costates)
+    states1, costates1 = prob.trajectory(x0, U)
+    states2, costates2 = prob.trajectory(x0, U)
+    assert np.array_equal(states1, states2)
+    assert np.array_equal(costates1, costates2)
 
 
 # --------------------------------------------------------------- residual

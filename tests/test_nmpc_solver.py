@@ -86,7 +86,8 @@ def test_solver_config_defaults_and_validation():
     assert cfg.init_tol == 1e-8
     assert cfg.init_max_iters == 100
     for bad in (dict(fd_step=0.0), dict(precond_period=-1.0),
-                dict(newton_iters_per_sample=0)):
+                dict(newton_iters_per_sample=0), dict(init_tol=0.0),
+                dict(init_max_iters=0)):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
 
@@ -193,7 +194,7 @@ def test_initialize_hemisphere_solution(hemi):
 def test_sample_update_fixed_point(hemi):
     prob, x0, u_star = hemi
     ctl = fresh_controller(hemi)
-    u0_before = np.array(prob.layout.control_at_stage(u_star, 0))
+    u0_before = prob.layout.controls(u_star)[0].copy()
     u_apply, tel = ctl.sample_update(x0, 0.0)
     assert np.max(np.abs(u_apply - u0_before)) <= 1e-8
     assert tel.residual_norm <= 1e-8
@@ -226,7 +227,7 @@ def test_singular_preconditioner_falls_back():
     ctl = NmpcController(prob, SolverConfig(p_min=None))
     ctl.U = 0.01 * rng.standard_normal(8)
     u_apply, tel = ctl.sample_update(np.zeros(2), 0.0)
-    assert not ctl.precond.valid
+    assert ctl.precond.inverse is None
     assert not tel.precond_used
     assert np.isnan(tel.precond_age)
     assert np.isfinite(tel.residual_norm)
@@ -234,7 +235,7 @@ def test_singular_preconditioner_falls_back():
 
 def test_unpreconditioned_mode(hemi):
     prob, x0, u_star = hemi
-    ctl = NmpcController(prob, SolverConfig(use_preconditioner=False))
+    ctl = NmpcController(prob, SolverConfig(), precondition=False)
     ctl.U = u_star.copy()
     ctl.refresh_preconditioner(x0, 0.0)
     assert ctl.precond.inverse is None

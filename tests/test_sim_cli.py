@@ -1,11 +1,14 @@
+import configparser
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from geonmpc.cli import main
-from geonmpc.config import SimConfig, load_config, with_overrides
+from geonmpc.config import KEYS, SimConfig, load_config, with_overrides
 from geonmpc import solver
 from geonmpc.errors import (ConfigError, GeonmpcError, InitializationFailure,
                             SimulationAborted)
@@ -113,6 +116,8 @@ p_min = 0.01
         "max_samples = 0",
         "r_u = -0.1",   # problem-parameter validation surfaces as ConfigError
         "z_min = 1.5",
+        "init_tol = 0",
+        "init_max_iters = 0",
     ])
     def test_invariant_violations(self, tmp_path, line):
         path = tmp_path / "sim.ini"
@@ -123,6 +128,27 @@ p_min = 0.01
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(str(tmp_path / "absent.ini"))
+
+    def test_start_point_is_checked_as_a_pair(self, tmp_path):
+        # x0 = 0.9 next to the default y0 = -0.5 would leave the chart
+        path = tmp_path / "sim.ini"
+        path.write_text("x0 = 0.9\ny0 = 0.1\n")
+        cfg = load_config(str(path))
+        assert (cfg.params.x0, cfg.params.y0) == (0.9, 0.1)
+
+    def test_replace_is_validated(self):
+        with pytest.raises(ConfigError):
+            replace(SimConfig(), n_steps=1)
+
+    def test_readme_config_block_lists_the_defaults(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        path = tmp_path / "readme.ini"
+        path.write_text(block)
+        assert load_config(str(path)) == load_config(None)
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        parser.read_string("[sim]\n" + block)
+        assert set(parser["sim"]) == set(KEYS)
 
 
 class TestOverrides:

@@ -44,7 +44,6 @@ from .horizon import (
 from .manifold import (
     ManifoldChart,
     ManifoldConstraint,
-    OneStepMethod,
     explicit_euler,
     local_coordinates_step,
     project_onto_manifold,
@@ -80,7 +79,6 @@ __all__ = [
     "ManifoldConstraint",
     "NmpcController",
     "OcpDefinition",
-    "OneStepMethod",
     "PrecondComparison",
     "ProjectionDivergence",
     "SampleTelemetry",

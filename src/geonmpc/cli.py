@@ -13,7 +13,7 @@ import numpy as np
 from .config import load_config, with_overrides
 from .errors import ConfigError, GeonmpcError
 from .hemisphere import initial_guess, make_problem
-from .simulate import compare_preconditioning, run_simulation
+from .simulate import _fmt, compare_preconditioning, run_simulation
 from .solver import NmpcController
 
 EXIT_OK = 0
@@ -39,13 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory for CSV artifacts")
     parser.add_argument("--max-samples", type=int, metavar="K",
                         help="cap on the number of closed-loop samples")
-    parser.add_argument("--compare-precond", action="store_true",
-                        help="shorthand for the compare-precond command")
     return parser
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
 
 
 def _cmd_simulate(cfg) -> int:
@@ -87,10 +81,6 @@ def _cmd_init_only(cfg) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    command = args.command
-    if args.compare_precond:
-        command = "compare-precond"
-
     try:
         cfg = load_config(args.config)
         cfg = with_overrides(cfg, no_precond=args.no_precond,
@@ -101,9 +91,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_CONFIG_ERROR
 
     try:
-        if command == "simulate":
+        if args.command == "simulate":
             return _cmd_simulate(cfg)
-        if command == "compare-precond":
+        if args.command == "compare-precond":
             return _cmd_compare(cfg)
         return _cmd_init_only(cfg)
     except ConfigError as exc:

@@ -63,7 +63,6 @@ KEYS = {
     "gmres_max_iters": (GmresConfig, "max_iters"),
     "gmres_abs_tol": (GmresConfig, "abs_tol"),
     "precond_period": (SolverConfig, "precond_period"),
-    "newton_iters_per_sample": (SolverConfig, "newton_iters_per_sample"),
     "init_tol": (SolverConfig, "init_tol"),
     "init_max_iters": (SolverConfig, "init_max_iters"),
     "p_min": (SolverConfig, "p_min"),

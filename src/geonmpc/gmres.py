@@ -68,9 +68,10 @@ class GmresReport:
     residual_history: list = field(default_factory=list)
 
 
-def gmres_solve(op: LinearOperator, rhs, x0=None, precond=None,
+def gmres_solve(op: LinearOperator, rhs, precond=None,
                 cfg: GmresConfig | None = None) -> GmresReport:
-    """Minimize the (preconditioned) residual over a growing Krylov subspace.
+    """Minimize the (preconditioned) residual over a growing Krylov subspace
+    that starts from the zero vector.
 
     Stops at the first iteration whose residual norm is <= cfg.abs_tol, at
     cfg.max_iters, or on happy breakdown of the Arnoldi process; the report
@@ -82,14 +83,7 @@ def gmres_solve(op: LinearOperator, rhs, x0=None, precond=None,
     n = op.dim
     if rhs.shape[0] != n:
         raise DimensionMismatch(f"rhs length {rhs.shape[0]}, operator dim {n}")
-    if x0 is None:
-        x0 = np.zeros(n)
-        r = rhs.copy()
-    else:
-        x0 = as_vector(x0)
-        if x0.shape[0] != n:
-            raise DimensionMismatch(f"x0 length {x0.shape[0]}, operator dim {n}")
-        r = rhs - op.apply(x0)
+    r = rhs
     if precond is not None:
         if precond.dim != n:
             raise DimensionMismatch(f"precond dim {precond.dim}, operator dim {n}")
@@ -98,7 +92,7 @@ def gmres_solve(op: LinearOperator, rhs, x0=None, precond=None,
     beta = norm2(r)
     history = [beta]
     if beta <= cfg.abs_tol:
-        return GmresReport(x0.copy(), 0, beta, True, history)
+        return GmresReport(np.zeros(n), 0, beta, True, history)
 
     m = cfg.max_iters
     basis = np.zeros((m + 1, n))
@@ -149,6 +143,6 @@ def gmres_solve(op: LinearOperator, rhs, x0=None, precond=None,
     y = np.zeros(iters)
     for i in range(iters - 1, -1, -1):
         y[i] = (g[i] - hess[i, i + 1 : iters] @ y[i + 1 : iters]) / hess[i, i]
-    x = x0 + basis[:iters].T @ y
+    x = basis[:iters].T @ y
     res = history[-1]
     return GmresReport(x, iters, res, res <= cfg.abs_tol, history)

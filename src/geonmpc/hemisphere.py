@@ -46,10 +46,11 @@ class HemisphereParams:
             raise ValueError("r_u must be positive")
         if not 0.0 < self.z_min < 1.0:
             raise ValueError("z_min must lie in (0, 1)")
-        if self.x0 ** 2 + self.y0 ** 2 >= 1.0:
-            raise ValueError("start point must lie strictly inside the chart")
-        if self.x_f ** 2 + self.y_f ** 2 >= 1.0:
-            raise ValueError("target point must lie strictly inside the chart")
+        limit = 1.0 - self.z_min ** 2  # the bound _height enforces
+        if self.x0 ** 2 + self.y0 ** 2 > limit:
+            raise ValueError("start point must lie inside the chart guard")
+        if self.x_f ** 2 + self.y_f ** 2 > limit:
+            raise ValueError("target point must lie inside the chart guard")
 
 
 def _height(zt, z_min: float):
@@ -81,9 +82,11 @@ def ambient_dynamics(state, u: float) -> np.ndarray:
     return np.array([z * cu, z * su, -x * cu - y * su])
 
 
-def chart_dynamics(z_coords, u: float, p: float, z_min: float = Z_MIN) -> np.ndarray:
-    s = chart_height(z_coords, z_min)
-    return p * s * np.array([np.cos(u), np.sin(u)])
+def chart_dynamics(z_coords, u, p, z_min: float = Z_MIN) -> np.ndarray:
+    """Chart flow p * z * (cos u, sin u) at one point or a (..., 2) stack,
+    with u and p broadcasting over the stack's leading axes."""
+    speed = p * _height(np.asarray(z_coords).T, z_min)
+    return np.array([speed * np.cos(u), speed * np.sin(u)]).T
 
 
 def constraint_C(u: float, u_s: float, params: HemisphereParams) -> float:
@@ -142,11 +145,6 @@ def make_ocp(params: HemisphereParams) -> OcpDefinition:
     def drift(lt, u0):
         return np.cos(u0) * lt[0] + np.sin(u0) * lt[1]
 
-    def f(tau, x, u, p):
-        u0 = u.T[0]
-        speed = p.T[0] * _height(x.T, z_min)
-        return np.array([speed * np.cos(u0), speed * np.sin(u0)]).T
-
     def C(tau, x, u, p):
         ut = u.T
         return np.array([p.T[0] * constraint_C(ut[0], ut[1], params)]).T
@@ -183,7 +181,8 @@ def make_ocp(params: HemisphereParams) -> OcpDefinition:
         phi_p=lambda xn, p: np.ones_like(p),
         psi_x=lambda xn, p: np.broadcast_to(np.eye(2), xn.shape[:-1] + (2, 2)),
         psi_p=lambda xn, p: np.zeros(xn.shape[:-1] + (2, 1)),
-        stepper=euler_stepper(f),
+        stepper=euler_stepper(
+            lambda tau, x, u, p: chart_dynamics(x, u.T[0], p.T[0], z_min)),
     )
 
 

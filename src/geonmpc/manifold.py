@@ -11,8 +11,10 @@ Three steppers are provided for y' = f(tau, y) restricted to a manifold
   along G^T after it with the SAME multiplier, which makes the scheme
   time-reversible when the base method is.
 
-Base methods are explicit Euler and the trapezoidal rule; the latter is
-symmetric and is the one that yields reversibility in round-trip tests.
+Base methods are explicit Euler and the trapezoidal rule, each a
+(tau, y, dtau) -> next-state callable built over a field f(tau, y); the
+trapezoidal rule is symmetric and is the one that yields reversibility in
+round-trip tests.
 """
 
 from dataclasses import dataclass
@@ -23,11 +25,12 @@ import numpy as np
 from .errors import ChartDomainViolation, ProjectionDivergence
 from .linalg import as_vector, inverse
 
-ON_MANIFOLD_TOL = 1e-10   # max-norm of g at points accepted as on-manifold
-CHART_LIFT_TOL = 1e-12    # constraint defect allowed for chart lifts
 PROJECTION_TOL = 1e-10
 PROJECTION_MAX_ITERS = 20
 SYMMETRIC_MAX_ITERS = 30
+# relative stop and iteration cap of the trapezoidal fixed-point stage solve
+TRAPEZOIDAL_TOL = 1e-14
+TRAPEZOIDAL_MAX_ITERS = 100
 
 
 @dataclass(frozen=True)
@@ -39,9 +42,6 @@ class ManifoldConstraint:
 
     def defect(self, y) -> float:
         return float(np.max(np.abs(self.g(y))))
-
-    def is_on_manifold(self, y, tol: float = ON_MANIFOLD_TOL) -> bool:
-        return self.defect(y) <= tol
 
 
 @dataclass(frozen=True)
@@ -61,21 +61,15 @@ class ManifoldChart:
         return lambda tau, z: self.reduced_field(tau, z, controls)
 
 
-@dataclass(frozen=True)
-class OneStepMethod:
-    step: Callable           # (tau, state, dtau) -> next state
-    symmetric: bool
-
-
-def explicit_euler(field) -> OneStepMethod:
+def explicit_euler(field) -> Callable:
     def step(tau, state, dtau):
         state = as_vector(state)
         return state + dtau * as_vector(field(tau, state))
 
-    return OneStepMethod(step=step, symmetric=False)
+    return step
 
 
-def trapezoidal(field, fp_tol: float = 1e-14, fp_max_iters: int = 100) -> OneStepMethod:
+def trapezoidal(field) -> Callable:
     """Trapezoidal rule with the implicit stage solved by fixed-point iteration."""
 
     def step(tau, state, dtau):
@@ -83,20 +77,20 @@ def trapezoidal(field, fp_tol: float = 1e-14, fp_max_iters: int = 100) -> OneSte
         f0 = as_vector(field(tau, state))
         base = state + 0.5 * dtau * f0
         nxt = state + dtau * f0
-        for _ in range(fp_max_iters):
+        for _ in range(TRAPEZOIDAL_MAX_ITERS):
             new = base + 0.5 * dtau * as_vector(field(tau + dtau, nxt))
             delta = float(np.max(np.abs(new - nxt)))
             nxt = new
-            if delta <= fp_tol * max(1.0, float(np.max(np.abs(nxt)))):
+            if delta <= TRAPEZOIDAL_TOL * max(1.0, float(np.max(np.abs(nxt)))):
                 return nxt
         raise ProjectionDivergence(
             f"trapezoidal stage iteration stalled at delta={delta:.3e}"
         )
 
-    return OneStepMethod(step=step, symmetric=True)
+    return step
 
 
-def local_coordinates_step(chart: ManifoldChart, method: OneStepMethod,
+def local_coordinates_step(chart: ManifoldChart, method: Callable,
                            tau: float, x, dtau: float) -> np.ndarray:
     """Advance one step in chart coordinates and lift back to ambient space.
 
@@ -106,7 +100,7 @@ def local_coordinates_step(chart: ManifoldChart, method: OneStepMethod,
     z = as_vector(chart.project_coords(as_vector(x)))
     if chart.in_domain is not None and not chart.in_domain(z):
         raise ChartDomainViolation(f"state {z} outside the chart domain")
-    z_next = as_vector(method.step(tau, z, dtau))
+    z_next = as_vector(method(tau, z, dtau))
     if chart.in_domain is not None and not chart.in_domain(z_next):
         raise ChartDomainViolation(f"step left the chart domain at {z_next}")
     return as_vector(chart.lift(z_next))
@@ -139,14 +133,14 @@ def project_onto_manifold(constraint: ManifoldConstraint, y_hat,
     )
 
 
-def standard_projection_step(constraint: ManifoldConstraint, method: OneStepMethod,
+def standard_projection_step(constraint: ManifoldConstraint, method: Callable,
                              tau: float, y, dtau: float) -> np.ndarray:
     """One base-method step in ambient space followed by orthogonal projection."""
-    y_hat = as_vector(method.step(tau, as_vector(y), dtau))
+    y_hat = as_vector(method(tau, as_vector(y), dtau))
     return project_onto_manifold(constraint, y_hat)
 
 
-def symmetric_projection_step(constraint: ManifoldConstraint, method: OneStepMethod,
+def symmetric_projection_step(constraint: ManifoldConstraint, method: Callable,
                               tau: float, y, dtau: float,
                               tol: float = PROJECTION_TOL,
                               max_iters: int = SYMMETRIC_MAX_ITERS) -> np.ndarray:
@@ -163,7 +157,7 @@ def symmetric_projection_step(constraint: ManifoldConstraint, method: OneStepMet
 
     def advance(mu):
         y_pert = y + g0t @ mu
-        y_hat = as_vector(method.step(tau, y_pert, dtau))
+        y_hat = as_vector(method(tau, y_pert, dtau))
         g_hat_t = np.asarray(constraint.jacobian_g(y_hat), dtype=float).T
         return y_hat + g_hat_t @ mu
 

@@ -40,8 +40,6 @@ class PrecondComparison:
     mean_with: float
     mean_without: float
     max_state_gap: float
-    records_with: Sequence[TrajectoryRecord]
-    records_without: Sequence[TrajectoryRecord]
 
 
 def _make_record(t: float, x, u_apply, p: float, telemetry,
@@ -142,8 +140,6 @@ def compare_preconditioning(cfg: SimConfig) -> PrecondComparison:
         mean_with=mean_on,
         mean_without=mean_off,
         max_state_gap=gap,
-        records_with=rec_on,
-        records_without=rec_off,
     )
     if cfg.output_dir is not None:
         _write_comparison(summary, cfg.output_dir)
@@ -155,6 +151,10 @@ def _fmt(value: float) -> str:
 
 
 def _write_rows(path: Path, header: str, rows) -> None:
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise GeonmpcError(f"cannot create output dir {path.parent}: {exc}") from exc
     try:
         with open(path, "w") as fh:
             fh.write(header + "\n")
@@ -172,11 +172,6 @@ def emit_plot_data(records: Sequence[TrajectoryRecord],
     the same config are byte-identical.
     """
     out = Path(output_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise GeonmpcError(f"cannot create output dir {out}: {exc}") from exc
-
     tables = {
         "trajectory.csv": ("t,x,y,z,p", lambda r: (
             _fmt(r.t), _fmt(r.x), _fmt(r.y), _fmt(r.z), _fmt(r.p))),
@@ -197,17 +192,11 @@ def emit_plot_data(records: Sequence[TrajectoryRecord],
 
 
 def _write_comparison(summary: PrecondComparison, output_dir: str) -> None:
-    out = Path(output_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise GeonmpcError(f"cannot create output dir {out}: {exc}") from exc
-
     n = max(len(summary.iters_with), len(summary.iters_without))
     rows = []
     for i in range(n):
         a = summary.iters_with[i] if i < len(summary.iters_with) else ""
         b = summary.iters_without[i] if i < len(summary.iters_without) else ""
         rows.append((str(i), str(a), str(b)))
-    _write_rows(out / "compare_precond.csv", "sample,iters_precond,iters_noprecond",
-                rows)
+    _write_rows(Path(output_dir) / "compare_precond.csv",
+                "sample,iters_precond,iters_noprecond", rows)

@@ -1,11 +1,12 @@
 """Per-sample Newton-Krylov engine for the receding-horizon controller.
 
-Each sample performs a fixed number of Newton iterations (default one, the
-real-time iteration scheme) on the stacked optimality residual, solving
-the linear step with matrix-free GMRES.  Jacobian-vector products are
-forward differences of the residual; a fully materialized FD Jacobian is
-inverted periodically and its inverse reused as a frozen left
-preconditioner in between refreshes.
+Each sample performs one Newton iteration (the real-time iteration scheme)
+on the stacked optimality residual, solving the linear step with
+matrix-free GMRES.  Jacobian-vector products are forward differences of
+the residual; a fully materialized FD Jacobian is inverted periodically
+and its inverse reused as a frozen left preconditioner in between
+refreshes.  A refresh that finds the Jacobian singular leaves GMRES
+unpreconditioned until the next period.
 
 Cold start solves the residual to tight tolerance with damped Newton and
 dense LAPACK steps, from a caller-supplied structured guess.
@@ -28,7 +29,6 @@ class SolverConfig:
     fd_step: float = 1e-8
     gmres_cfg: GmresConfig = GmresConfig()
     precond_period: float = 0.2
-    newton_iters_per_sample: int = 1
     init_tol: float = 1e-8
     init_max_iters: int = 100
     # Horizon length stays strictly positive; None disables the clamp for
@@ -40,8 +40,6 @@ class SolverConfig:
             raise ValueError("fd_step must be positive")
         if self.precond_period <= 0:
             raise ValueError("precond_period must be positive")
-        if self.newton_iters_per_sample < 1:
-            raise ValueError("newton_iters_per_sample must be >= 1")
         if self.init_tol <= 0:
             raise ValueError("init_tol must be positive")
         if self.init_max_iters < 1:
@@ -63,7 +61,6 @@ class SampleTelemetry:
     gmres_iters: int
     residual_norm: float          # |F| after the update (what gets logged)
     residual_norm_pre: float      # |F| the update started from
-    u_applied: np.ndarray
     precond_age: float
     precond_used: bool
     gmres_converged: bool
@@ -178,7 +175,7 @@ class NmpcController:
         if not self.precondition:
             return
         st = self.precond
-        if st.inverse is not None and st.age(t_now) < self.cfg.precond_period:
+        if st.age(t_now) < self.cfg.precond_period:
             return
         jac = exact_jacobian(self.problem, x0, self.U, self.cfg.fd_step)
         try:
@@ -194,36 +191,27 @@ class NmpcController:
         self.refresh_preconditioner(x, t_now)
         precond_used = self.precond.inverse is not None
         precond_op = matrix_operator(self.precond.inverse) if precond_used else None
-
-        iters_total = 0
-        converged = True
-        res_pre = np.nan
-        for _ in range(self.cfg.newton_iters_per_sample):
-            u_snap = self.U
-            f0 = self.problem.assemble_residual(x, u_snap)
-            res_pre = norm2(f0)
-            op = LinearOperator(
-                self.problem.dim,
-                lambda v: jacobian_vector_product(
-                    self.problem, x, u_snap, f0, v, self.cfg.fd_step),
-            )
-            report = gmres_solve(op, -f0, None, precond_op, self.cfg.gmres_cfg)
-            self.U = u_snap + report.solution
-            _clamp_p(self.problem, self.U, self.cfg.p_min)
-            iters_total += report.iters_used
-            converged = converged and report.converged
+        U = self.U
+        f0 = self.problem.assemble_residual(x, U)
+        op = LinearOperator(
+            self.problem.dim,
+            lambda v: jacobian_vector_product(
+                self.problem, x, U, f0, v, self.cfg.fd_step),
+        )
+        report = gmres_solve(op, -f0, precond_op, self.cfg.gmres_cfg)
+        self.U = U + report.solution
+        _clamp_p(self.problem, self.U, self.cfg.p_min)
 
         res_post = norm2(self.problem.assemble_residual(x, self.U))
         u_apply = self.problem.layout.controls(self.U)[0].copy()
         self.last_residual_norm = res_post
         telemetry = SampleTelemetry(
             t=t_now,
-            gmres_iters=iters_total,
+            gmres_iters=report.iters_used,
             residual_norm=res_post,
-            residual_norm_pre=res_pre,
-            u_applied=u_apply,
+            residual_norm_pre=norm2(f0),
             precond_age=self.precond.age(t_now) if precond_used else float("nan"),
             precond_used=precond_used,
-            gmres_converged=converged,
+            gmres_converged=report.converged,
         )
         return u_apply, telemetry

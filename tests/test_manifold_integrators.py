@@ -60,21 +60,19 @@ def reference_endpoint(field, y0, t_end):
 # ------------------------------------------------------------ base methods
 
 def test_explicit_euler_step():
-    m = explicit_euler(lambda tau, y: -y)
-    out = m.step(0.0, np.array([1.0, 2.0]), 0.5)
+    step = explicit_euler(lambda tau, y: -y)
+    out = step(0.0, np.array([1.0, 2.0]), 0.5)
     assert np.array_equal(out, [0.5, 1.0])
-    assert not m.symmetric
 
 
 def test_trapezoidal_linear_exactness():
     # for y' = a y one step must match (1 + dt a/2)/(1 - dt a/2)
     a = -1.3
-    m = trapezoidal(lambda tau, y: a * y)
+    step = trapezoidal(lambda tau, y: a * y)
     dt = 0.1
-    out = m.step(0.0, np.array([2.0]), dt)
+    out = step(0.0, np.array([2.0]), dt)
     expect = 2.0 * (1 + 0.5 * dt * a) / (1 - 0.5 * dt * a)
     assert abs(out[0] - expect) <= 1e-13
-    assert m.symmetric
 
 
 def test_trapezoidal_is_second_order():
@@ -83,11 +81,11 @@ def test_trapezoidal_is_second_order():
     ref = reference_endpoint(field, y0, 1.0)
     errs = []
     for n in (20, 40):
-        m = trapezoidal(field)
+        step = trapezoidal(field)
         y = y0.copy()
         dt = 1.0 / n
         for i in range(n):
-            y = m.step(i * dt, y, dt)
+            y = step(i * dt, y, dt)
         errs.append(np.linalg.norm(y - ref))
     assert 3.0 <= errs[0] / errs[1] <= 5.0
 
@@ -224,7 +222,7 @@ def test_symmetric_step_longrun_drift_vs_euler():
     plain = explicit_euler(field)
     y = y0.copy()
     for i in range(n):
-        y = plain.step(i * dt, y, dt)
+        y = plain(i * dt, y, dt)
     euler_drift = abs(np.linalg.norm(y) - 1.0)
     assert euler_drift > 1e-3
 

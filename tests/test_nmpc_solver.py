@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import geonmpc.solver
 from conftest import make_cart_problem
 from geonmpc.errors import InitializationFailure
 from geonmpc.hemisphere import (
@@ -82,12 +83,10 @@ def test_solver_config_defaults_and_validation():
     assert cfg.gmres_cfg.max_iters == 20
     assert cfg.gmres_cfg.abs_tol == 1e-5
     assert cfg.precond_period == 0.2
-    assert cfg.newton_iters_per_sample == 1
     assert cfg.init_tol == 1e-8
     assert cfg.init_max_iters == 100
     for bad in (dict(fd_step=0.0), dict(precond_period=-1.0),
-                dict(newton_iters_per_sample=0), dict(init_tol=0.0),
-                dict(init_max_iters=0)):
+                dict(init_tol=0.0), dict(init_max_iters=0)):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
 
@@ -219,18 +218,33 @@ def test_preconditioner_refresh_period(hemi):
     assert ctl.precond.built_at == 0.25
 
 
-def test_singular_preconditioner_falls_back():
+def singular_controller():
     rng = np.random.default_rng(30)
     a = np.zeros((8, 8))
     a[:4, :4] = rng.standard_normal((4, 4))  # rank-deficient snapshot
-    prob = StubProblem(a, np.zeros(8))
-    ctl = NmpcController(prob, SolverConfig(p_min=None))
+    ctl = NmpcController(StubProblem(a, np.zeros(8)), SolverConfig(p_min=None))
     ctl.U = 0.01 * rng.standard_normal(8)
+    return ctl
+
+
+def test_singular_preconditioner_falls_back():
+    ctl = singular_controller()
     u_apply, tel = ctl.sample_update(np.zeros(2), 0.0)
     assert ctl.precond.inverse is None
     assert not tel.precond_used
     assert np.isnan(tel.precond_age)
     assert np.isfinite(tel.residual_norm)
+
+
+def test_singular_refresh_waits_one_period(monkeypatch):
+    ctl = singular_controller()
+    builds = []
+    monkeypatch.setattr(geonmpc.solver, "exact_jacobian",
+                        lambda *args: builds.append(1) or exact_jacobian(*args))
+    for k in range(5):  # all inside one 0.2 s refresh period
+        ctl.sample_update(np.zeros(2), 0.01 * k)
+    assert len(builds) == 1
+    assert ctl.precond.inverse is None
 
 
 def test_unpreconditioned_mode(hemi):
@@ -281,7 +295,7 @@ def test_telemetry_fields(hemi):
     assert isinstance(tel.gmres_iters, int)
     assert np.isfinite(tel.residual_norm)
     assert np.isfinite(tel.residual_norm_pre)
-    assert tel.u_applied.shape == (2,)
+    assert u_apply.shape == (2,)
     assert tel.precond_age == 0.0
     assert tel.precond_used
     assert isinstance(tel.gmres_converged, bool)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import geonmpc
 from geonmpc.cli import main
 from geonmpc.config import KEYS, SimConfig, load_config, with_overrides
 from geonmpc import solver
@@ -57,7 +58,6 @@ fd_step = 1e-7
 gmres_max_iters = 15
 gmres_abs_tol = 1e-6
 precond_period = 0.5
-newton_iters_per_sample = 2
 init_tol = 1e-9
 init_max_iters = 50
 p_min = 0.01
@@ -81,7 +81,6 @@ p_min = 0.01
         assert cfg.solver.gmres_cfg.max_iters == 15
         assert cfg.solver.gmres_cfg.abs_tol == 1e-6
         assert cfg.solver.precond_period == 0.5
-        assert cfg.solver.newton_iters_per_sample == 2
         assert cfg.solver.init_tol == 1e-9
         assert cfg.solver.init_max_iters == 50
         assert cfg.solver.p_min == 0.01
@@ -118,6 +117,9 @@ p_min = 0.01
         "z_min = 1.5",
         "init_tol = 0",
         "init_max_iters = 0",
+        # inside the unit disc (0.99829 < 1) but past the z_min guard (0.9975)
+        "x0 = -0.706\ny0 = -0.707",
+        "x_f = -0.706\ny_f = -0.707",
     ])
     def test_invariant_violations(self, tmp_path, line):
         path = tmp_path / "sim.ini"
@@ -400,12 +402,6 @@ class TestCli:
         assert "mean gmres iters" in out
         assert (tmp_path / "c" / "compare_precond.csv").exists()
 
-    def test_compare_precond_shorthand_flag(self, tmp_path, capsys):
-        code = main(["--compare-precond", "--max-samples", "25",
-                     "--out", str(tmp_path / "c2")])
-        assert code == 0
-        assert "mean gmres iters" in capsys.readouterr().out
-
     @pytest.mark.parametrize("content", ["dt = 0\n", "who = 1\n"])
     def test_bad_config_exits_3(self, tmp_path, content, capsys):
         path = tmp_path / "sim.ini"
@@ -433,3 +429,9 @@ class TestCli:
         code = main(["--out", str(tmp_path / "x"), "--max-samples", "4"])
         assert code == 2
         assert "solver failure" in capsys.readouterr().err
+
+
+def test_package_all_resolves():
+    namespace = {}
+    exec("from geonmpc import *", namespace)
+    assert set(geonmpc.__all__) <= namespace.keys()

@@ -13,6 +13,7 @@ import numpy as np
 from .config import load_config, with_overrides
 from .errors import ConfigError, GeonmpcError
 from .hemisphere import initial_guess, make_problem
+from .linalg import norm2
 from .simulate import _fmt, compare_preconditioning, run_simulation
 from .solver import NmpcController
 
@@ -71,7 +72,7 @@ def _cmd_init_only(cfg) -> int:
     x0 = np.array([cfg.params.x0, cfg.params.y0])
     decision = controller.initialize(
         x0, 0.0, initial_guess(problem.layout, cfg.params))
-    print(f"normF = {_fmt(controller.last_residual_norm)}")
+    print(f"normF = {_fmt(norm2(problem.assemble_residual(x0, decision)))}")
     print(f"p = {_fmt(float(problem.layout.p(decision)[0]))}")
     print("U =")
     for value in decision:

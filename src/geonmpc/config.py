@@ -58,14 +58,12 @@ KEYS = {
     "y0": (HemisphereParams, "y0"),
     "x_f": (HemisphereParams, "x_f"),
     "y_f": (HemisphereParams, "y_f"),
-    "z_min": (HemisphereParams, "z_min"),
     "fd_step": (SolverConfig, "fd_step"),
     "gmres_max_iters": (GmresConfig, "max_iters"),
     "gmres_abs_tol": (GmresConfig, "abs_tol"),
     "precond_period": (SolverConfig, "precond_period"),
     "init_tol": (SolverConfig, "init_tol"),
     "init_max_iters": (SolverConfig, "init_max_iters"),
-    "p_min": (SolverConfig, "p_min"),
 }
 
 
@@ -84,14 +82,11 @@ def _parse_file(path: str) -> dict:
     section = parser["sim"]
     values = {}
     for key, text_value in section.items():
-        if key == "t_max":  # seconds, given instead of max_samples
-            kind = float
-        elif key in KEYS:
-            cls, name = KEYS[key]
-            # a plain dataclass default is also the class attribute
-            kind = type(getattr(cls, name))
-        else:
+        if key not in KEYS:
             raise ConfigError(f"unknown config key '{key}' in {path}")
+        cls, name = KEYS[key]
+        # a plain dataclass default is also the class attribute
+        kind = type(getattr(cls, name))
         try:
             values[key] = section.getboolean(key) if kind is bool else kind(text_value)
         except ValueError as exc:
@@ -106,9 +101,6 @@ def load_config(path: Optional[str] = None) -> SimConfig:
     that span several keys (the start point's x0, y0) see the file's pair.
     """
     values = _parse_file(path) if path is not None else {}
-    t_max = values.pop("t_max", None)
-    if t_max is not None:
-        values.pop("max_samples", None)
     given = defaultdict(dict)
     for key, value in values.items():
         cls, name = KEYS[key]
@@ -117,13 +109,10 @@ def load_config(path: Optional[str] = None) -> SimConfig:
     try:
         solver = SolverConfig(gmres_cfg=GmresConfig(**given[GmresConfig]),
                               **given[SolverConfig])
-        cfg = SimConfig(params=HemisphereParams(**given[HemisphereParams]),
-                        solver=solver, **given[SimConfig])
+        return SimConfig(params=HemisphereParams(**given[HemisphereParams]),
+                         solver=solver, **given[SimConfig])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if t_max is not None:
-        cfg = replace(cfg, max_samples=max(1, int(round(t_max / cfg.dt))))
-    return cfg
 
 
 def with_overrides(cfg: SimConfig, no_precond: bool = False,

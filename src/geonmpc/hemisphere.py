@@ -27,7 +27,8 @@ from .errors import ChartDomainViolation
 from .horizon import HorizonGrid, HorizonProblem, OcpDefinition, euler_stepper
 from .manifold import ManifoldChart, ManifoldConstraint
 
-Z_MIN = 0.05  # chart guard: reject x^2 + y^2 > 1 - Z_MIN^2
+Z_MIN = 0.05  # chart guard: the chart keeps z >= Z_MIN, away from the equator
+CHART_R2_MAX = 1.0 - Z_MIN ** 2  # largest x^2 + y^2 inside the guard
 
 
 @dataclass(frozen=True)
@@ -39,41 +40,37 @@ class HemisphereParams:
     y0: float = -0.5
     x_f: float = 0.5
     y_f: float = 0.0
-    z_min: float = Z_MIN
 
     def __post_init__(self):
         if self.r_u <= 0:
             raise ValueError("r_u must be positive")
-        if not 0.0 < self.z_min < 1.0:
-            raise ValueError("z_min must lie in (0, 1)")
-        limit = 1.0 - self.z_min ** 2  # the bound _height enforces
-        if self.x0 ** 2 + self.y0 ** 2 > limit:
+        if self.x0 ** 2 + self.y0 ** 2 > CHART_R2_MAX:
             raise ValueError("start point must lie inside the chart guard")
-        if self.x_f ** 2 + self.y_f ** 2 > limit:
+        if self.x_f ** 2 + self.y_f ** 2 > CHART_R2_MAX:
             raise ValueError("target point must lie inside the chart guard")
 
 
-def _height(zt, z_min: float):
+def _height(zt):
     """z = sqrt(1 - x^2 - y^2) from zt = (x, y), guarded away from the equator.
 
     x and y may be scalars or arrays; a scalar skips the array reduction.
     """
     r2 = zt[0] * zt[0] + zt[1] * zt[1]
-    outside = r2 > 1.0 - z_min ** 2
+    outside = r2 > CHART_R2_MAX
     if outside.any() if isinstance(outside, np.ndarray) else outside:
         raise ChartDomainViolation(
-            f"x^2+y^2 = {np.max(r2):.6f} exceeds the chart limit {1.0 - z_min ** 2:.6f}"
+            f"x^2+y^2 = {np.max(r2):.6f} exceeds the chart limit {CHART_R2_MAX:.6f}"
         )
     return np.sqrt(1.0 - r2)
 
 
-def chart_height(z_coords, z_min: float = Z_MIN) -> float:
+def chart_height(z_coords) -> float:
     """Guarded chart height at one point, in Python float arithmetic."""
-    return float(_height((float(z_coords[0]), float(z_coords[1])), z_min))
+    return float(_height((float(z_coords[0]), float(z_coords[1]))))
 
 
-def lift_to_sphere(z_coords, z_min: float = Z_MIN) -> np.ndarray:
-    return np.array([z_coords[0], z_coords[1], chart_height(z_coords, z_min)])
+def lift_to_sphere(z_coords) -> np.ndarray:
+    return np.array([z_coords[0], z_coords[1], chart_height(z_coords)])
 
 
 def ambient_dynamics(state, u: float) -> np.ndarray:
@@ -82,10 +79,10 @@ def ambient_dynamics(state, u: float) -> np.ndarray:
     return np.array([z * cu, z * su, -x * cu - y * su])
 
 
-def chart_dynamics(z_coords, u, p, z_min: float = Z_MIN) -> np.ndarray:
+def chart_dynamics(z_coords, u, p) -> np.ndarray:
     """Chart flow p * z * (cos u, sin u) at one point or a (..., 2) stack,
     with u and p broadcasting over the stack's leading axes."""
-    speed = p * _height(np.asarray(z_coords).T, z_min)
+    speed = p * _height(np.asarray(z_coords).T)
     return np.array([speed * np.cos(u), speed * np.sin(u)]).T
 
 
@@ -104,28 +101,27 @@ def sphere_constraint() -> ManifoldConstraint:
     )
 
 
-def hemisphere_chart(z_min: float = Z_MIN) -> ManifoldChart:
+def hemisphere_chart() -> ManifoldChart:
     """Upper-hemisphere chart; reduced_field controls are a (u, p) pair."""
     return ManifoldChart(
-        lift=lambda z: lift_to_sphere(z, z_min),
+        lift=lift_to_sphere,
         project_coords=lambda x: np.asarray(x, dtype=float)[:2].copy(),
         reduced_field=lambda tau, z, controls: chart_dynamics(
-            z, controls[0], controls[1], z_min),
-        in_domain=lambda z: z[0] ** 2 + z[1] ** 2 <= 1.0 - z_min ** 2,
+            z, controls[0], controls[1]),
+        in_domain=lambda z: z[0] ** 2 + z[1] ** 2 <= CHART_R2_MAX,
     )
 
 
-def plant_step(z_coords, u: float, dt: float, z_min: float = Z_MIN) -> np.ndarray:
+def plant_step(z_coords, u: float, dt: float) -> np.ndarray:
     """One physical-time Euler step of the chart flow (no horizon rescaling)."""
-    z_next = np.asarray(z_coords, dtype=float) + dt * chart_dynamics(
-        z_coords, u, 1.0, z_min)
-    chart_height(z_next, z_min)  # reject steps that leave the chart
+    z_next = np.asarray(z_coords, dtype=float) + dt * chart_dynamics(z_coords, u, 1.0)
+    chart_height(z_next)  # reject steps that leave the chart
     return z_next
 
 
 def great_circle_distance(params: HemisphereParams) -> float:
-    a = lift_to_sphere((params.x0, params.y0), params.z_min)
-    b = lift_to_sphere((params.x_f, params.y_f), params.z_min)
+    a = lift_to_sphere((params.x0, params.y0))
+    b = lift_to_sphere((params.x_f, params.y_f))
     return float(np.arccos(np.clip(a @ b, -1.0, 1.0)))
 
 
@@ -140,7 +136,7 @@ def make_ocp(params: HemisphereParams) -> OcpDefinition:
     and pack results back with ``.T``: a single point runs on numpy
     scalars, a stage or batch stack on arrays.
     """
-    c_u, r_u, w_s, z_min = params.c_u, params.r_u, params.w_s, params.z_min
+    c_u, r_u, w_s = params.c_u, params.r_u, params.w_s
 
     def drift(lt, u0):
         return np.cos(u0) * lt[0] + np.sin(u0) * lt[1]
@@ -151,7 +147,7 @@ def make_ocp(params: HemisphereParams) -> OcpDefinition:
 
     def H_u(tau, x, lam, u, mu, p):
         lt, ut, m0, p0 = lam.T, u.T, mu.T[0], p.T[0]
-        steer = _height(x.T, z_min) * (-np.sin(ut[0]) * lt[0] + np.cos(ut[0]) * lt[1])
+        steer = _height(x.T) * (-np.sin(ut[0]) * lt[0] + np.cos(ut[0]) * lt[1])
         return np.array([
             p0 * (steer + 2.0 * (ut[0] - c_u) * m0),
             p0 * (2.0 * m0 * ut[1] - w_s),
@@ -159,12 +155,12 @@ def make_ocp(params: HemisphereParams) -> OcpDefinition:
 
     def H_x(tau, x, lam, u, mu, p):
         xt = x.T
-        return (-(p.T[0] / _height(xt, z_min)) * drift(lam.T, u.T[0]) * xt).T
+        return (-(p.T[0] / _height(xt)) * drift(lam.T, u.T[0]) * xt).T
 
     def H_p(tau, x, lam, u, mu, p):
         ut = u.T
         return np.array([
-            _height(x.T, z_min) * drift(lam.T, ut[0])
+            _height(x.T) * drift(lam.T, ut[0])
             + mu.T[0] * constraint_C(ut[0], ut[1], params) - w_s * ut[1],
         ]).T
 
@@ -182,7 +178,7 @@ def make_ocp(params: HemisphereParams) -> OcpDefinition:
         psi_x=lambda xn, p: np.broadcast_to(np.eye(2), xn.shape[:-1] + (2, 2)),
         psi_p=lambda xn, p: np.zeros(xn.shape[:-1] + (2, 1)),
         stepper=euler_stepper(
-            lambda tau, x, u, p: chart_dynamics(x, u.T[0], p.T[0], z_min)),
+            lambda tau, x, u, p: chart_dynamics(x, u.T[0], p.T[0])),
     )
 
 
@@ -190,13 +186,9 @@ def make_problem(params: HemisphereParams | None = None,
                  n_steps: int = 20) -> HorizonProblem:
     if params is None:
         params = HemisphereParams()
-    ocp = make_ocp(params)
-    problem = HorizonProblem(ocp, HorizonGrid.uniform(n_steps))
-    ocp.validate_at(
-        0.0, np.array([params.x0, params.y0]), np.array([params.c_u, params.r_u]),
-        np.array([0.1, -0.1]), np.array([0.02]), np.zeros(2), np.array([1.2]),
-    )
-    return problem
+    probe = (np.array([params.x0, params.y0]), np.array([params.c_u, params.r_u]),
+             np.array([0.1, -0.1]), np.array([0.02]), np.zeros(2), np.array([1.2]))
+    return HorizonProblem(make_ocp(params), HorizonGrid.uniform(n_steps), probe)
 
 
 def initial_guess(layout, params: HemisphereParams) -> np.ndarray:
@@ -230,7 +222,7 @@ def residual_rows(U, x0, grid: HorizonGrid, params: HemisphereParams) -> np.ndar
     ss = np.empty(n)
     xs[0] = np.asarray(x0, dtype=float)
     for i in range(n):
-        ss[i] = chart_height(xs[i], params.z_min)
+        ss[i] = chart_height(xs[i])
         xs[i + 1, 0] = xs[i, 0] + grid.dtau[i] * p * ss[i] * np.cos(u[i])
         xs[i + 1, 1] = xs[i, 1] + grid.dtau[i] * p * ss[i] * np.sin(u[i])
 

@@ -33,12 +33,13 @@ class HorizonGrid:
     tau: np.ndarray
 
     @staticmethod
-    def uniform(n_steps: int, horizon: float = 1.0) -> "HorizonGrid":
+    def uniform(n_steps: int) -> "HorizonGrid":
+        """Equal steps over the normalized horizon [0, 1]."""
         if n_steps < 1:
             raise DimensionMismatch("grid needs at least one step")
         return HorizonGrid(
-            dtau=np.full(n_steps, horizon / n_steps),
-            tau=np.linspace(0.0, horizon, n_steps + 1),
+            dtau=np.full(n_steps, 1.0 / n_steps),
+            tau=np.linspace(0.0, 1.0, n_steps + 1),
         )
 
     @property
@@ -121,6 +122,9 @@ class OcpDefinition:
     The Hamiltonian behind H_u/H_x/H_p is L + lam . f + mu . C, with f the
     dynamics the stepper integrates; the costate recursion deliberately
     uses H_x in place of the stepper's own state sensitivity.
+
+    The solver floors the parameter block p at solver.P_MIN, so p should be
+    a quantity that stays positive, such as a free horizon length.
     """
 
     n_x: int
@@ -197,9 +201,15 @@ def _component_major(stages) -> np.ndarray:
 
 
 class HorizonProblem:
-    """An OCP definition bound to a grid and decision layout."""
+    """An OCP definition bound to a grid and decision layout.
 
-    def __init__(self, ocp: OcpDefinition, grid: HorizonGrid):
+    probe is a point (x, u, lam, mu, nu, p) inside the callbacks' domain;
+    the constructor runs OcpDefinition.validate_at there, so callbacks that
+    do not broadcast are rejected before any assembly.
+    """
+
+    def __init__(self, ocp: OcpDefinition, grid: HorizonGrid, probe):
+        ocp.validate_at(grid.tau[0], *probe)
         self.ocp = ocp
         self.grid = grid
         self.layout = DecisionLayout(

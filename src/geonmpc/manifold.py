@@ -18,7 +18,7 @@ round-trip tests.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -55,7 +55,7 @@ class ManifoldChart:
     lift: Callable
     project_coords: Callable
     reduced_field: Callable
-    in_domain: Optional[Callable] = None
+    in_domain: Callable
 
     def bound_field(self, controls=None) -> Callable:
         return lambda tau, z: self.reduced_field(tau, z, controls)
@@ -98,17 +98,15 @@ def local_coordinates_step(chart: ManifoldChart, method: Callable,
     over chart.bound_field(...)).
     """
     z = as_vector(chart.project_coords(as_vector(x)))
-    if chart.in_domain is not None and not chart.in_domain(z):
+    if not chart.in_domain(z):
         raise ChartDomainViolation(f"state {z} outside the chart domain")
     z_next = as_vector(method(tau, z, dtau))
-    if chart.in_domain is not None and not chart.in_domain(z_next):
+    if not chart.in_domain(z_next):
         raise ChartDomainViolation(f"step left the chart domain at {z_next}")
     return as_vector(chart.lift(z_next))
 
 
-def project_onto_manifold(constraint: ManifoldConstraint, y_hat,
-                          tol: float = PROJECTION_TOL,
-                          max_iters: int = PROJECTION_MAX_ITERS) -> np.ndarray:
+def project_onto_manifold(constraint: ManifoldConstraint, y_hat) -> np.ndarray:
     """Orthogonal projection: the closest manifold point of the form
     y_hat + G(y_hat)^T lambda.
 
@@ -120,16 +118,16 @@ def project_onto_manifold(constraint: ManifoldConstraint, y_hat,
     y_hat = as_vector(y_hat)
     gt = np.asarray(constraint.jacobian_g(y_hat), dtype=float).T
     y = y_hat.copy()
-    for _ in range(max_iters):
+    for _ in range(PROJECTION_MAX_ITERS):
         res = as_vector(constraint.g(y))
-        if float(np.max(np.abs(res))) <= tol:
+        if float(np.max(np.abs(res))) <= PROJECTION_TOL:
             return y
         gy = np.asarray(constraint.jacobian_g(y), dtype=float)
         dlam = inverse(gy @ gt) @ -res
         y = y + gt @ dlam
     raise ProjectionDivergence(
         f"projection residual {float(np.max(np.abs(constraint.g(y)))):.3e} "
-        f"after {max_iters} iterations"
+        f"after {PROJECTION_MAX_ITERS} iterations"
     )
 
 
@@ -142,8 +140,7 @@ def standard_projection_step(constraint: ManifoldConstraint, method: Callable,
 
 def symmetric_projection_step(constraint: ManifoldConstraint, method: Callable,
                               tau: float, y, dtau: float,
-                              tol: float = PROJECTION_TOL,
-                              max_iters: int = SYMMETRIC_MAX_ITERS) -> np.ndarray:
+                              tol: float = PROJECTION_TOL) -> np.ndarray:
     """Perturb along G^T, step, and project along G^T with one shared multiplier.
 
     The multiplier mu solves g(y_next(mu)) = 0 by Newton iteration with a
@@ -163,7 +160,7 @@ def symmetric_projection_step(constraint: ManifoldConstraint, method: Callable,
 
     mu = np.zeros(m)
     fd = 1e-7
-    for _ in range(max_iters):
+    for _ in range(SYMMETRIC_MAX_ITERS):
         y_next = advance(mu)
         res = as_vector(constraint.g(y_next))
         if float(np.max(np.abs(res))) <= tol:
@@ -176,5 +173,5 @@ def symmetric_projection_step(constraint: ManifoldConstraint, method: Callable,
         mu = mu + inverse(jac) @ -res
     raise ProjectionDivergence(
         f"multiplier iteration residual {float(np.max(np.abs(res))):.3e} "
-        f"after {max_iters} iterations"
+        f"after {SYMMETRIC_MAX_ITERS} iterations"
     )

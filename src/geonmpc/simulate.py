@@ -42,9 +42,8 @@ class PrecondComparison:
     max_state_gap: float
 
 
-def _make_record(t: float, x, u_apply, p: float, telemetry,
-                 z_min: float) -> TrajectoryRecord:
-    z = chart_height(x, z_min)
+def _make_record(t: float, x, u_apply, p: float, telemetry) -> TrajectoryRecord:
+    z = chart_height(x)
     defect = abs(x[0] ** 2 + x[1] ** 2 + z ** 2 - 1.0)
     return TrajectoryRecord(
         t=t,
@@ -86,11 +85,10 @@ def run_simulation(cfg: SimConfig, write_output: bool = True
             # Newton step per sample leaves the warm start slightly outside
             u_apply[0] = np.clip(u_apply[0], *heading_band)
             p = float(problem.layout.p(controller.U)[0])
-            records.append(
-                _make_record(t, x, u_apply, p, telemetry, cfg.params.z_min))
+            records.append(_make_record(t, x, u_apply, p, telemetry))
             if p <= cfg.p_stop:
                 break
-            x = plant_step(x, float(u_apply[0]), cfg.dt, cfg.params.z_min)
+            x = plant_step(x, float(u_apply[0]), cfg.dt)
             t += cfg.dt
     except GeonmpcError as exc:
         if write_output and cfg.output_dir is not None:

@@ -53,7 +53,13 @@ def make_cart_problem(n_steps=10):
         psi_p=lambda xn, p: terminal(xn, (1, 1)),
         stepper=euler_stepper(f),
     )
-    return HorizonProblem(ocp, HorizonGrid.uniform(n_steps))
+    return HorizonProblem(ocp, HorizonGrid.uniform(n_steps), origin_probe(ocp))
+
+
+def origin_probe(ocp):
+    """HorizonProblem probe point: zero states, controls and multipliers, p = 1."""
+    return (np.zeros(ocp.n_x), np.zeros(ocp.n_u), np.zeros(ocp.n_x),
+            np.zeros(ocp.n_mu), np.zeros(ocp.n_nu), np.ones(ocp.n_p))
 
 
 def discrete_lagrangian(problem, x0, U):

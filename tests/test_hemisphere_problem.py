@@ -4,6 +4,7 @@ import pytest
 from conftest import discrete_lagrangian, fd_gradient
 from geonmpc.errors import ChartDomainViolation
 from geonmpc.hemisphere import (
+    Z_MIN,
     HemisphereParams,
     ambient_dynamics,
     chart_dynamics,
@@ -87,14 +88,14 @@ def test_terminal_psi_values():
 
 def test_lifted_height_lipschitz_near_target():
     # whenever the chart mismatch is small, the implied z mismatch is
-    # bounded by 2*max(|dx|,|dy|)/z_min on the guarded chart
+    # bounded by 2*max(|dx|,|dy|)/Z_MIN on the guarded chart
     rng = np.random.default_rng(3)
     target = lift_to_sphere((PARAMS.x_f, PARAMS.y_f))
     for _ in range(200):
         x_n = np.array([PARAMS.x_f, PARAMS.y_f]) + rng.uniform(-0.05, 0.05, size=2)
         psi = terminal_psi(x_n, PARAMS)
         dz = abs(lift_to_sphere(x_n)[2] - target[2])
-        assert dz <= 2.0 * np.max(np.abs(psi)) / PARAMS.z_min + 1e-15
+        assert dz <= 2.0 * np.max(np.abs(psi)) / Z_MIN + 1e-15
 
 
 def test_params_validation():

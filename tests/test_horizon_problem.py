@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import discrete_lagrangian, fd_gradient, make_cart_problem
+from conftest import (discrete_lagrangian, fd_gradient, make_cart_problem,
+                      origin_probe)
 from geonmpc.errors import DimensionMismatch
 from geonmpc.hemisphere import HemisphereParams, initial_guess, make_problem
 from geonmpc.horizon import (
@@ -111,7 +112,7 @@ def test_layout_offsets_reproducible():
 
 def test_forward_zero_dynamics_keeps_state():
     ocp = zero_like_callbacks(2, 1, 1, 1, 1, f=zeros(2))
-    prob = HorizonProblem(ocp, HorizonGrid.uniform(6))
+    prob = HorizonProblem(ocp, HorizonGrid.uniform(6), origin_probe(ocp))
     x0 = np.array([0.4, -1.2])
     U = prob.layout.zeros()
     states, _ = prob.trajectory(x0, U)
@@ -128,7 +129,7 @@ def test_forward_hand_iterated_two_steps():
         return (p.T[0] * s * np.array([np.cos(u0), np.sin(u0)])).T
 
     ocp = zero_like_callbacks(2, 1, 1, 2, 1, f=f)
-    prob = HorizonProblem(ocp, HorizonGrid.uniform(2))
+    prob = HorizonProblem(ocp, HorizonGrid.uniform(2), origin_probe(ocp))
     U = prob.layout.zeros()
     prob.layout.p(U)[:] = 1.0
     states, _ = prob.trajectory(np.zeros(2), U)
@@ -143,7 +144,7 @@ def test_terminal_costate_equals_nu():
         "psi": lambda xn, p: xn.copy(),
         "psi_x": lambda xn, p: zeros(2, 2)(xn, p) + np.eye(2),
     })
-    prob = HorizonProblem(ocp, HorizonGrid.uniform(4))
+    prob = HorizonProblem(ocp, HorizonGrid.uniform(4), origin_probe(ocp))
     U = prob.layout.zeros()
     nu = np.array([0.7, -0.3])
     prob.layout.nu(U)[:] = nu
@@ -193,8 +194,11 @@ def test_dtau_scaling_doubles_stage_blocks():
     })
     rng = np.random.default_rng(4)
     n = 5
-    prob1 = HorizonProblem(ocp, HorizonGrid.uniform(n, horizon=1.0))
-    prob2 = HorizonProblem(ocp, HorizonGrid.uniform(n, horizon=2.0))
+    prob1, prob2 = (
+        HorizonProblem(ocp, HorizonGrid(dtau=np.full(n, length / n),
+                                        tau=np.linspace(0.0, length, n + 1)),
+                       origin_probe(ocp))
+        for length in (1.0, 2.0))
     U = rng.standard_normal(prob1.dim)
     x0 = np.array([0.5, 0.5])
     f1 = prob1.assemble_residual(x0, U)
@@ -294,3 +298,13 @@ def test_validate_at_rejects_callbacks_that_do_not_broadcast():
         "H_p": lambda tau, x, lam, u, mu, p: 0.1 * p + 0.2 * lam[..., 1:] - 0.1 * mu[0]})
     with pytest.raises(DimensionMismatch, match="H_p"):
         first_row.validate_at(*args)
+
+
+def test_problem_rejects_callbacks_that_do_not_broadcast():
+    ocp = make_cart_problem(4).ocp
+    # every stage row of H_p reads the first stage's mu
+    first_row = OcpDefinition(**{
+        **ocp.__dict__,
+        "H_p": lambda tau, x, lam, u, mu, p: 0.1 * p + 0.2 * lam[..., 1:] - 0.1 * mu[0]})
+    with pytest.raises(DimensionMismatch, match="H_p"):
+        HorizonProblem(first_row, HorizonGrid.uniform(4), origin_probe(first_row))

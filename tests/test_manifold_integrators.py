@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import geonmpc.manifold
 from geonmpc.errors import ChartDomainViolation, ProjectionDivergence
 from geonmpc.manifold import (
     ManifoldChart,
@@ -160,9 +161,10 @@ def test_projection_matches_closed_form():
     assert np.max(np.abs(out - y_hat / np.linalg.norm(y_hat))) <= 1e-10
 
 
-def test_projection_divergence_reported():
-    with pytest.raises(ProjectionDivergence):
-        project_onto_manifold(SPHERE, np.array([2.0, 0.0, 0.0]), max_iters=1)
+def test_projection_divergence_reported(monkeypatch):
+    monkeypatch.setattr(geonmpc.manifold, "PROJECTION_MAX_ITERS", 1)
+    with pytest.raises(ProjectionDivergence, match="after 1 iterations"):
+        project_onto_manifold(SPHERE, np.array([2.0, 0.0, 0.0]))
 
 
 def test_standard_projection_step_stays_on_sphere():

@@ -63,7 +63,7 @@ PARAMS = HemisphereParams()
 def hemi():
     prob = make_problem(PARAMS)
     x0 = np.array([PARAMS.x0, PARAMS.y0])
-    u_star = initialize(prob, x0, 0.0, SolverConfig(), initial_guess(prob.layout, PARAMS))
+    u_star = initialize(prob, x0, SolverConfig(), initial_guess(prob.layout, PARAMS))
     return prob, x0, u_star
 
 
@@ -153,8 +153,7 @@ def test_jvp_matches_jacobian_columns(hemi):
 
 def test_initialize_cart_problem():
     prob = make_cart_problem(8)
-    cfg = SolverConfig(p_min=None)
-    U = initialize(prob, np.array([0.3, -0.2]), 0.0, cfg, np.zeros(prob.dim))
+    U = initialize(prob, np.array([0.3, -0.2]), SolverConfig(), np.zeros(prob.dim))
     assert np.linalg.norm(prob.assemble_residual(np.array([0.3, -0.2]), U)) <= 1e-8
 
 
@@ -162,7 +161,7 @@ def test_initialize_reports_no_descent():
     layout = DecisionLayout(n_steps=1, n_u=1, n_mu=0, n_nu=0, n_p=0)
     prob = CallableProblem(lambda U: np.array([U[0] ** 2 + 1.0]), layout)
     with pytest.raises(InitializationFailure) as err:
-        initialize(prob, None, 0.0, SolverConfig(p_min=None), np.array([1.0]))
+        initialize(prob, None, SolverConfig(), np.array([1.0]))
     assert err.value.final_residual is not None
     assert err.value.final_residual >= 1.0
     assert len(err.value.damping_history) >= 1
@@ -172,7 +171,7 @@ def test_initialize_reports_singular_jacobian():
     layout = DecisionLayout(n_steps=1, n_u=1, n_mu=0, n_nu=0, n_p=0)
     prob = CallableProblem(lambda U: np.array([1.0]), layout)
     with pytest.raises(InitializationFailure, match="singular"):
-        initialize(prob, None, 0.0, SolverConfig(p_min=None), np.array([0.5]))
+        initialize(prob, None, SolverConfig(), np.array([0.5]))
 
 
 def test_initialize_hemisphere_solution(hemi):
@@ -222,7 +221,7 @@ def singular_controller():
     rng = np.random.default_rng(30)
     a = np.zeros((8, 8))
     a[:4, :4] = rng.standard_normal((4, 4))  # rank-deficient snapshot
-    ctl = NmpcController(StubProblem(a, np.zeros(8)), SolverConfig(p_min=None))
+    ctl = NmpcController(StubProblem(a, np.zeros(8)), SolverConfig())
     ctl.U = 0.01 * rng.standard_normal(8)
     return ctl
 

@@ -53,14 +53,12 @@ x0 = -0.3
 y0 = -0.4
 x_f = 0.6
 y_f = 0.1
-z_min = 0.1
 fd_step = 1e-7
 gmres_max_iters = 15
 gmres_abs_tol = 1e-6
 precond_period = 0.5
 init_tol = 1e-9
 init_max_iters = 50
-p_min = 0.01
 """
         path = tmp_path / "sim.ini"
         path.write_text(text)
@@ -76,19 +74,12 @@ p_min = 0.01
         assert cfg.params.w_s == 0.001
         assert (cfg.params.x0, cfg.params.y0) == (-0.3, -0.4)
         assert (cfg.params.x_f, cfg.params.y_f) == (0.6, 0.1)
-        assert cfg.params.z_min == 0.1
         assert cfg.solver.fd_step == 1e-7
         assert cfg.solver.gmres_cfg.max_iters == 15
         assert cfg.solver.gmres_cfg.abs_tol == 1e-6
         assert cfg.solver.precond_period == 0.5
         assert cfg.solver.init_tol == 1e-9
         assert cfg.solver.init_max_iters == 50
-        assert cfg.solver.p_min == 0.01
-
-    def test_t_max_converts_to_sample_count(self, tmp_path):
-        path = tmp_path / "sim.ini"
-        path.write_text("dt = 0.01\nt_max = 1.5\n")
-        assert load_config(str(path)).max_samples == 150
 
     def test_comment_only_lines_and_blanks(self, tmp_path):
         path = tmp_path / "sim.ini"
@@ -100,6 +91,10 @@ p_min = 0.01
         "dt = fast",
         "n = 2.5",
         "precond = sometimes",
+        # the chart guard and the p floor are constants; t_max is not a key
+        "z_min = 0.05",
+        "p_min = 1e-3",
+        "t_max = 1",
     ])
     def test_unknown_key_or_bad_value(self, tmp_path, line):
         path = tmp_path / "sim.ini"
@@ -114,10 +109,9 @@ p_min = 0.01
         "p_stop = 0",
         "max_samples = 0",
         "r_u = -0.1",   # problem-parameter validation surfaces as ConfigError
-        "z_min = 1.5",
         "init_tol = 0",
         "init_max_iters = 0",
-        # inside the unit disc (0.99829 < 1) but past the z_min guard (0.9975)
+        # inside the unit disc (0.99829 < 1) but past the chart guard (0.9975)
         "x0 = -0.706\ny0 = -0.707",
         "x_f = -0.706\ny_f = -0.707",
     ])

@@ -18,7 +18,6 @@ from .errors import (
     SingularMatrix,
 )
 from .gmres import (
-    GmresConfig,
     GmresReport,
     LinearOperator,
     gmres_solve,
@@ -58,7 +57,7 @@ from .simulate import (
     emit_plot_data,
     run_simulation,
 )
-from .solver import NmpcController, SampleTelemetry, SolverConfig
+from .solver import NmpcController, SampleTelemetry
 
 __version__ = "0.1.0"
 
@@ -68,7 +67,6 @@ __all__ = [
     "DecisionLayout",
     "DimensionMismatch",
     "GeonmpcError",
-    "GmresConfig",
     "GmresReport",
     "HemisphereParams",
     "HorizonGrid",
@@ -85,7 +83,6 @@ __all__ = [
     "SimConfig",
     "SimulationAborted",
     "SingularMatrix",
-    "SolverConfig",
     "TrajectoryRecord",
     "ambient_dynamics",
     "chart_dynamics",

@@ -68,7 +68,7 @@ def _cmd_compare(cfg) -> int:
 
 def _cmd_init_only(cfg) -> int:
     problem = make_problem(cfg.params, cfg.n_steps)
-    controller = NmpcController(problem, cfg.solver, precondition=cfg.precond_enabled)
+    controller = NmpcController(problem, precondition=cfg.precond_enabled)
     x0 = np.array([cfg.params.x0, cfg.params.y0])
     decision = controller.initialize(
         x0, 0.0, initial_guess(problem.layout, cfg.params))

@@ -1,8 +1,10 @@
 """Simulator configuration: defaults, flat key=value files, validation.
 
-The file format is one `key = value` per line with `#` comments; every
-simulator field is addressable.  Unknown keys are rejected so typos fail
-loudly instead of silently running defaults.
+The file format is one `key = value` per line with `#` comments; the keys
+address the sampling, stopping and problem settings.  The solver's
+numerical constants are module constants of solver and gmres, not keys.
+Unknown keys are rejected so typos fail loudly instead of silently running
+defaults.
 """
 
 import configparser
@@ -12,9 +14,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigError
-from .gmres import GmresConfig
 from .hemisphere import HemisphereParams
-from .solver import SolverConfig
 
 
 @dataclass(frozen=True)
@@ -29,14 +29,14 @@ class SimConfig:
     precond_enabled: bool = True
     output_dir: Optional[str] = "out"
     params: HemisphereParams = field(default_factory=HemisphereParams)
-    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
+        # the float checks are negated so that NaN fails them too
         if self.n_steps < 2:
             raise ConfigError("n must be >= 2")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ConfigError("dt must be positive")
-        if self.p_stop <= 0:
+        if not self.p_stop > 0:
             raise ConfigError("p_stop must be positive")
         if self.max_samples < 1:
             raise ConfigError("max_samples must be >= 1")
@@ -58,12 +58,6 @@ KEYS = {
     "y0": (HemisphereParams, "y0"),
     "x_f": (HemisphereParams, "x_f"),
     "y_f": (HemisphereParams, "y_f"),
-    "fd_step": (SolverConfig, "fd_step"),
-    "gmres_max_iters": (GmresConfig, "max_iters"),
-    "gmres_abs_tol": (GmresConfig, "abs_tol"),
-    "precond_period": (SolverConfig, "precond_period"),
-    "init_tol": (SolverConfig, "init_tol"),
-    "init_max_iters": (SolverConfig, "init_max_iters"),
 }
 
 
@@ -107,10 +101,8 @@ def load_config(path: Optional[str] = None) -> SimConfig:
         given[cls][name] = value
 
     try:
-        solver = SolverConfig(gmres_cfg=GmresConfig(**given[GmresConfig]),
-                              **given[SolverConfig])
         return SimConfig(params=HemisphereParams(**given[HemisphereParams]),
-                         solver=solver, **given[SimConfig])
+                         **given[SimConfig])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

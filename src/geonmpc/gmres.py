@@ -3,7 +3,7 @@
 The iteration builds an Arnoldi basis by modified Gram-Schmidt and keeps
 the least-squares problem triangular with Givens rotations, so the
 residual norm is available at every step without forming the iterate.
-Basis storage is max_iters + 1 vectors; no restart cycle is needed at the
+Basis storage is MAX_ITERS + 1 vectors; no restart cycle is needed at the
 problem sizes this package produces.
 
 Left preconditioning solves M^-1 A x = M^-1 b, and the convergence test
@@ -21,6 +21,8 @@ from .linalg import as_vector, norm2
 # An Arnoldi vector shorter than this means the Krylov subspace is exhausted
 # (happy breakdown): the current least-squares iterate is already optimal.
 BREAKDOWN_TOL = 1e-14
+MAX_ITERS = 20  # Arnoldi steps per solve
+ABS_TOL = 1e-5  # stop once the preconditioned residual norm is this small
 
 
 class LinearOperator:
@@ -46,18 +48,6 @@ def matrix_operator(a) -> LinearOperator:
     return LinearOperator(a.shape[0], lambda v: a @ v)
 
 
-@dataclass(frozen=True)
-class GmresConfig:
-    max_iters: int = 20
-    abs_tol: float = 1e-5
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.abs_tol <= 0:
-            raise ValueError("abs_tol must be positive")
-
-
 @dataclass
 class GmresReport:
     solution: np.ndarray
@@ -68,17 +58,16 @@ class GmresReport:
     residual_history: list = field(default_factory=list)
 
 
-def gmres_solve(op: LinearOperator, rhs, precond=None,
-                cfg: GmresConfig | None = None) -> GmresReport:
+def gmres_solve(op: LinearOperator, rhs, precond=None) -> GmresReport:
     """Minimize the (preconditioned) residual over a growing Krylov subspace
     that starts from the zero vector.
 
-    Stops at the first iteration whose residual norm is <= cfg.abs_tol, at
-    cfg.max_iters, or on happy breakdown of the Arnoldi process; the report
-    carries whichever iterate is best at that point.
+    Stops at the first iteration whose residual norm is <= ABS_TOL, at
+    MAX_ITERS, or on breakdown of the Arnoldi process; the report carries
+    whichever iterate is best at that point.  A breakdown that leaves the
+    new column all zero (the operator is singular on the subspace) keeps
+    the previous iterate, which is then reported as not converged.
     """
-    if cfg is None:
-        cfg = GmresConfig()
     rhs = as_vector(rhs)
     n = op.dim
     if rhs.shape[0] != n:
@@ -91,10 +80,10 @@ def gmres_solve(op: LinearOperator, rhs, precond=None,
 
     beta = norm2(r)
     history = [beta]
-    if beta <= cfg.abs_tol:
+    if beta <= ABS_TOL:
         return GmresReport(np.zeros(n), 0, beta, True, history)
 
-    m = cfg.max_iters
+    m = MAX_ITERS
     basis = np.zeros((m + 1, n))
     hess = np.zeros((m + 1, m))
     cs = np.zeros(m)
@@ -124,10 +113,9 @@ def gmres_solve(op: LinearOperator, rhs, precond=None,
             hess[i + 1, j] = -sn[i] * hi + cs[i] * hj
         denom = float(np.hypot(hess[j, j], hess[j + 1, j]))
         if denom == 0.0:
-            cs[j], sn[j] = 1.0, 0.0
-        else:
-            cs[j] = hess[j, j] / denom
-            sn[j] = hess[j + 1, j] / denom
+            break
+        cs[j] = hess[j, j] / denom
+        sn[j] = hess[j + 1, j] / denom
         hess[j, j] = denom
         hess[j + 1, j] = 0.0
         g[j + 1] = -sn[j] * g[j]
@@ -136,7 +124,7 @@ def gmres_solve(op: LinearOperator, rhs, precond=None,
         iters = j + 1
         res = abs(g[j + 1])
         history.append(res)
-        if res <= cfg.abs_tol or breakdown:
+        if res <= ABS_TOL or breakdown:
             break
 
     # back-substitute the triangularized least-squares system
@@ -145,4 +133,4 @@ def gmres_solve(op: LinearOperator, rhs, precond=None,
         y[i] = (g[i] - hess[i, i + 1 : iters] @ y[i + 1 : iters]) / hess[i, i]
     x = basis[:iters].T @ y
     res = history[-1]
-    return GmresReport(x, iters, res, res <= cfg.abs_tol, history)
+    return GmresReport(x, iters, res, res <= ABS_TOL, history)

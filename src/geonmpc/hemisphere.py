@@ -42,11 +42,12 @@ class HemisphereParams:
     y_f: float = 0.0
 
     def __post_init__(self):
-        if self.r_u <= 0:
+        # each check is negated so that NaN fails it too
+        if not self.r_u > 0:
             raise ValueError("r_u must be positive")
-        if self.x0 ** 2 + self.y0 ** 2 > CHART_R2_MAX:
+        if not self.x0 ** 2 + self.y0 ** 2 <= CHART_R2_MAX:
             raise ValueError("start point must lie inside the chart guard")
-        if self.x_f ** 2 + self.y_f ** 2 > CHART_R2_MAX:
+        if not self.x_f ** 2 + self.y_f ** 2 <= CHART_R2_MAX:
             raise ValueError("target point must lie inside the chart guard")
 
 
@@ -56,10 +57,10 @@ def _height(zt):
     x and y may be scalars or arrays; a scalar skips the array reduction.
     """
     r2 = zt[0] * zt[0] + zt[1] * zt[1]
-    outside = r2 > CHART_R2_MAX
-    if outside.any() if isinstance(outside, np.ndarray) else outside:
+    inside = r2 <= CHART_R2_MAX
+    if not (inside.all() if isinstance(inside, np.ndarray) else inside):
         raise ChartDomainViolation(
-            f"x^2+y^2 = {np.max(r2):.6f} exceeds the chart limit {CHART_R2_MAX:.6f}"
+            f"x^2+y^2 = {np.max(r2):.6f} is not within the chart limit {CHART_R2_MAX:.6f}"
         )
     return np.sqrt(1.0 - r2)
 

@@ -71,7 +71,7 @@ def run_simulation(cfg: SimConfig, write_output: bool = True
     and attached to the raised SimulationAborted.
     """
     problem = make_problem(cfg.params, cfg.n_steps)
-    controller = NmpcController(problem, cfg.solver, precondition=cfg.precond_enabled)
+    controller = NmpcController(problem, precondition=cfg.precond_enabled)
     x = np.array([cfg.params.x0, cfg.params.y0])
     heading_band = (cfg.params.c_u - cfg.params.r_u, cfg.params.c_u + cfg.params.r_u)
     records: List[TrajectoryRecord] = []
@@ -119,8 +119,8 @@ def compare_preconditioning(cfg: SimConfig) -> PrecondComparison:
 
     iters_on = [r.gmres_iters for r in rec_on]
     iters_off = [r.gmres_iters for r in rec_off]
-    mean_on = float(np.mean(iters_on)) if iters_on else 0.0
-    mean_off = float(np.mean(iters_off)) if iters_off else 0.0
+    mean_on = float(np.mean(iters_on))
+    mean_off = float(np.mean(iters_off))
 
     n_common = min(len(rec_on), len(rec_off))
     gap = 0.0

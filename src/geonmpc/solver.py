@@ -13,6 +13,9 @@ dense LAPACK steps, from a caller-supplied structured guess.
 
 Every iterate has its parameter block floored at P_MIN: for the benchmark
 that block is the free horizon length, which must stay positive.
+
+The numerical constants below are tuned once for the hemisphere problem
+and read at call time; the GMRES cap and tolerance live in gmres.
 """
 
 from dataclasses import dataclass
@@ -21,30 +24,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import GeonmpcError, InitializationFailure, SingularMatrix
-from .gmres import GmresConfig, LinearOperator, gmres_solve, matrix_operator
+from .gmres import LinearOperator, gmres_solve, matrix_operator
 from .linalg import as_vector, inverse, norm2
 
 MIN_DAMPING = 2.0 ** -30
 P_MIN = 1e-3  # floor of the parameter block (the time-to-go)
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    fd_step: float = 1e-8
-    gmres_cfg: GmresConfig = GmresConfig()
-    precond_period: float = 0.2
-    init_tol: float = 1e-8
-    init_max_iters: int = 100
-
-    def __post_init__(self):
-        if self.fd_step <= 0:
-            raise ValueError("fd_step must be positive")
-        if self.precond_period <= 0:
-            raise ValueError("precond_period must be positive")
-        if self.init_tol <= 0:
-            raise ValueError("init_tol must be positive")
-        if self.init_max_iters < 1:
-            raise ValueError("init_max_iters must be >= 1")
+FD_STEP = 1e-8  # forward-difference step h of the Jacobian and its products
+PRECOND_PERIOD = 0.2  # seconds between preconditioner refreshes
+INIT_TOL = 1e-8  # cold-start residual norm target
+INIT_MAX_ITERS = 100  # cold-start Newton iteration cap
 
 
 @dataclass
@@ -67,26 +55,27 @@ class SampleTelemetry:
     gmres_converged: bool
 
 
-def jacobian_vector_product(problem, x0, U, F0, v, h: float) -> np.ndarray:
+def jacobian_vector_product(problem, x0, U, F0, v) -> np.ndarray:
     """Forward-difference directional derivative of the residual along v.
 
-    The step is h scaled by max(1, |U|) and normalized by |v|, so callers
-    may pass unnormalized directions.
+    The step is FD_STEP scaled by max(1, |U|) and normalized by |v|, so
+    callers may pass unnormalized directions.
     """
     v = as_vector(v)
     nv = norm2(v)
     if nv == 0.0:
         raise ValueError("direction must be nonzero")
-    eps = h * max(1.0, norm2(U)) / nv
+    eps = FD_STEP * max(1.0, norm2(U)) / nv
     return (problem.assemble_residual(x0, U + eps * v) - F0) / eps
 
 
-def exact_jacobian(problem, x0, U, h: float) -> np.ndarray:
+def exact_jacobian(problem, x0, U) -> np.ndarray:
     """Materialized forward-difference Jacobian from one batched residual.
 
-    Row 0 of the batch is U itself and row j + 1 is U with h added to
-    entry j, so column j is (F(U + h e_j) - F(U)) / h.
+    Row 0 of the batch is U itself and row j + 1 is U with h = FD_STEP
+    added to entry j, so column j is (F(U + h e_j) - F(U)) / h.
     """
+    h = FD_STEP
     U = as_vector(U)
     rows = problem.assemble_residual(x0, np.vstack([U, U + h * np.eye(U.shape[0])]))
     return (rows[1:] - rows[0]).T / h
@@ -97,7 +86,7 @@ def _clamp_p(problem, U) -> None:
     np.maximum(pblk, P_MIN, out=pblk)
 
 
-def initialize(problem, x0, cfg: SolverConfig, U0) -> np.ndarray:
+def initialize(problem, x0, U0) -> np.ndarray:
     """Solve the optimality system at x0 by damped Newton with dense steps.
 
     Damping halves until the residual norm strictly decreases; failure to
@@ -109,10 +98,10 @@ def initialize(problem, x0, cfg: SolverConfig, U0) -> np.ndarray:
     fvec = problem.assemble_residual(x0, U)
     res = norm2(fvec)
     damping_history = []
-    for _ in range(cfg.init_max_iters):
-        if res <= cfg.init_tol:
+    for _ in range(INIT_MAX_ITERS):
+        if res <= INIT_TOL:
             return U
-        jac = exact_jacobian(problem, x0, U, cfg.fd_step)
+        jac = exact_jacobian(problem, x0, U)
         try:
             step = inverse(jac) @ -fvec
         except SingularMatrix as exc:
@@ -139,11 +128,11 @@ def initialize(problem, x0, cfg: SolverConfig, U0) -> np.ndarray:
             )
         damping_history.append(alpha)
         U, fvec, res = u_try, f_try, r_try
-    if res <= cfg.init_tol:
+    if res <= INIT_TOL:
         return U
     raise InitializationFailure(
-        f"residual {res:.3e} above tolerance {cfg.init_tol:g} "
-        f"after {cfg.init_max_iters} iterations",
+        f"residual {res:.3e} above tolerance {INIT_TOL:g} "
+        f"after {INIT_MAX_ITERS} iterations",
         final_residual=res, damping_history=damping_history,
     )
 
@@ -155,16 +144,14 @@ class NmpcController:
     unpreconditioned.
     """
 
-    def __init__(self, problem, cfg: SolverConfig | None = None,
-                 precondition: bool = True):
+    def __init__(self, problem, precondition: bool = True):
         self.problem = problem
-        self.cfg = cfg if cfg is not None else SolverConfig()
         self.precondition = precondition
         self.U: Optional[np.ndarray] = None
         self.precond = PreconditionerState()
 
     def initialize(self, x0, t0: float, U0) -> np.ndarray:
-        self.U = initialize(self.problem, x0, self.cfg, U0)
+        self.U = initialize(self.problem, x0, U0)
         self.refresh_preconditioner(x0, t0)
         return self.U
 
@@ -172,9 +159,9 @@ class NmpcController:
         if not self.precondition:
             return
         st = self.precond
-        if st.age(t_now) < self.cfg.precond_period:
+        if st.age(t_now) < PRECOND_PERIOD:
             return
-        jac = exact_jacobian(self.problem, x0, self.U, self.cfg.fd_step)
+        jac = exact_jacobian(self.problem, x0, self.U)
         try:
             st.inverse = inverse(jac)
         except SingularMatrix:
@@ -192,10 +179,9 @@ class NmpcController:
         f0 = self.problem.assemble_residual(x, U)
         op = LinearOperator(
             self.problem.dim,
-            lambda v: jacobian_vector_product(
-                self.problem, x, U, f0, v, self.cfg.fd_step),
+            lambda v: jacobian_vector_product(self.problem, x, U, f0, v),
         )
-        report = gmres_solve(op, -f0, precond_op, self.cfg.gmres_cfg)
+        report = gmres_solve(op, -f0, precond_op)
         self.U = U + report.solution
         _clamp_p(self.problem, self.U)
 

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import geonmpc.gmres
 from conftest import discrete_lagrangian, fd_gradient, make_cart_problem
 from geonmpc.config import SimConfig
-from geonmpc.gmres import GmresConfig, gmres_solve, matrix_operator
+from geonmpc.gmres import gmres_solve, matrix_operator
 from geonmpc.hemisphere import (HemisphereParams, ambient_dynamics,
                                 hemisphere_chart, initial_guess, lift_to_sphere,
                                 make_problem, residual_rows, sphere_constraint)
@@ -23,7 +24,7 @@ from geonmpc.manifold import (explicit_euler, local_coordinates_step,
                               standard_projection_step,
                               symmetric_projection_step, trapezoidal)
 from geonmpc.simulate import run_simulation
-from geonmpc.solver import (NmpcController, SolverConfig, exact_jacobian,
+from geonmpc.solver import (NmpcController, exact_jacobian,
                             jacobian_vector_product)
 
 EXPECTED_TIME_TO_GO = 1.2332
@@ -54,7 +55,7 @@ def unpreconditioned_run():
 def initialized():
     params = HemisphereParams()
     problem = make_problem(params, 20)
-    controller = NmpcController(problem, SolverConfig())
+    controller = NmpcController(problem)
     x0 = np.array([params.x0, params.y0])
     decision = controller.initialize(
         x0, 0.0, initial_guess(problem.layout, params))
@@ -177,14 +178,13 @@ def test_06a_dual_residual_paths():
 
 def test_06b_jvp_matches_jacobian_columns(initialized):
     problem, x0, decision = initialized
-    h = 1e-8
-    jac = exact_jacobian(problem, x0, decision, h)
+    jac = exact_jacobian(problem, x0, decision)
     f0 = problem.assemble_residual(x0, decision)
     worst = 0.0
     for j in range(problem.dim):
         e_j = np.zeros(problem.dim)
         e_j[j] = 1.0
-        jv = jacobian_vector_product(problem, x0, decision, f0, e_j, h)
+        jv = jacobian_vector_product(problem, x0, decision, f0, e_j)
         col = jac[:, j]
         worst = max(worst,
                     float(np.linalg.norm(jv - col) / np.linalg.norm(col)))
@@ -193,17 +193,18 @@ def test_06b_jvp_matches_jacobian_columns(initialized):
             ok, f"max per-column relative gap {worst:.2e} (<=1e-4)")
 
 
-def test_06c_gmres_matches_lu():
+def test_06c_gmres_matches_lu(monkeypatch):
     rng = np.random.default_rng(7)
     worst = 0.0
+    monkeypatch.setattr(geonmpc.gmres, "ABS_TOL", 1e-13)
     for size in (2, 5, 13, 27, 40):
+        monkeypatch.setattr(geonmpc.gmres, "MAX_ITERS", size)
         for _ in range(4):
             a = np.eye(size) + 0.3 * rng.standard_normal((size, size)) / np.sqrt(size)
             b = rng.standard_normal(size)
             b /= np.linalg.norm(b)
             direct = np.linalg.solve(a, b)
-            report = gmres_solve(matrix_operator(a), b,
-                                 cfg=GmresConfig(max_iters=size, abs_tol=1e-13))
+            report = gmres_solve(matrix_operator(a), b)
             err = float(np.linalg.norm(report.solution - direct)
                         / np.linalg.norm(direct))
             worst = max(worst, err)

@@ -58,6 +58,16 @@ def test_chart_domain_guard():
     chart_dynamics(np.array([np.sqrt(1 - 0.05 ** 2) - 1e-6, 0.0]), 0.5, 1.0)
 
 
+def test_chart_guard_rejects_nan():
+    # NaN is not inside the guarded disk, for the guard as for in_domain
+    nan_point = np.array([np.nan, np.nan])
+    assert not hemisphere_chart().in_domain(nan_point)
+    with pytest.raises(ChartDomainViolation):
+        plant_step(nan_point, 0.5, 0.00625)
+    with pytest.raises(ChartDomainViolation):
+        chart_dynamics(np.array([[0.1, 0.2], [np.nan, 0.0]]), 0.5, 1.0)
+
+
 def test_forward_band_moves_y_upward():
     # dy/dtau = p s sin(u) > 0 for every admissible heading: targets below
     # the start are unreachable, which is why the default start sits at

@@ -12,7 +12,7 @@ from geonmpc.horizon import (
     OcpDefinition,
     euler_stepper,
 )
-from geonmpc.solver import exact_jacobian
+from geonmpc.solver import FD_STEP, exact_jacobian
 
 
 def zeros(*shape):
@@ -269,14 +269,14 @@ def test_batched_rows_match_single_calls(case):
 def test_exact_jacobian_matches_column_loop(case):
     prob, x0, base, spread = case()
     U = base + spread * np.random.default_rng(9).standard_normal(prob.dim)
-    h = 1e-8
+    h = FD_STEP
     f0 = prob.assemble_residual(x0, U)
     loop = np.empty((prob.dim, prob.dim))
     for j in range(prob.dim):
         u_j = U.copy()
         u_j[j] += h
         loop[:, j] = (prob.assemble_residual(x0, u_j) - f0) / h
-    jac = exact_jacobian(prob, x0, U, h)
+    jac = exact_jacobian(prob, x0, U)
     # FD level: the two differ only by round-off in F, amplified by 1/h
     assert np.max(np.abs(jac - loop)) <= 1e-6
 

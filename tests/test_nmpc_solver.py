@@ -13,7 +13,6 @@ from geonmpc.hemisphere import (
 from geonmpc.horizon import DecisionLayout
 from geonmpc.solver import (
     NmpcController,
-    SolverConfig,
     exact_jacobian,
     initialize,
     jacobian_vector_product,
@@ -63,32 +62,16 @@ PARAMS = HemisphereParams()
 def hemi():
     prob = make_problem(PARAMS)
     x0 = np.array([PARAMS.x0, PARAMS.y0])
-    u_star = initialize(prob, x0, SolverConfig(), initial_guess(prob.layout, PARAMS))
+    u_star = initialize(prob, x0, initial_guess(prob.layout, PARAMS))
     return prob, x0, u_star
 
 
-def fresh_controller(hemi, **cfg_overrides):
+def fresh_controller(hemi):
     prob, x0, u_star = hemi
-    ctl = NmpcController(prob, SolverConfig(**cfg_overrides))
+    ctl = NmpcController(prob)
     ctl.U = u_star.copy()
     ctl.refresh_preconditioner(x0, 0.0)
     return ctl
-
-
-# ------------------------------------------------------------------ config
-
-def test_solver_config_defaults_and_validation():
-    cfg = SolverConfig()
-    assert cfg.fd_step == 1e-8
-    assert cfg.gmres_cfg.max_iters == 20
-    assert cfg.gmres_cfg.abs_tol == 1e-5
-    assert cfg.precond_period == 0.2
-    assert cfg.init_tol == 1e-8
-    assert cfg.init_max_iters == 100
-    for bad in (dict(fd_step=0.0), dict(precond_period=-1.0),
-                dict(init_tol=0.0), dict(init_max_iters=0)):
-        with pytest.raises(ValueError):
-            SolverConfig(**bad)
 
 
 # ------------------------------------------------------- directional product
@@ -103,7 +86,7 @@ def test_jvp_linear_problem():
         f0 = prob.assemble_residual(None, U)
         for _ in range(5):
             v = rng.standard_normal(n)
-            jv = jacobian_vector_product(prob, None, U, f0, v, 1e-8)
+            jv = jacobian_vector_product(prob, None, U, f0, v)
             want = a @ v
             assert np.linalg.norm(jv - want) <= 1e-6 * np.linalg.norm(want)
 
@@ -113,7 +96,7 @@ def test_jvp_rejects_zero_direction():
     U = np.ones(8)
     f0 = prob.assemble_residual(None, U)
     with pytest.raises(ValueError):
-        jacobian_vector_product(prob, None, U, f0, np.zeros(8), 1e-8)
+        jacobian_vector_product(prob, None, U, f0, np.zeros(8))
 
 
 def test_exact_jacobian_linear_recovery():
@@ -121,7 +104,7 @@ def test_exact_jacobian_linear_recovery():
     n = 12
     a = rng.standard_normal((n, n))
     prob = StubProblem(np.vstack([a[:8], rng.standard_normal((4, n))]), np.zeros(n))
-    jac = exact_jacobian(prob, None, rng.standard_normal(n), 1e-8)
+    jac = exact_jacobian(prob, None, rng.standard_normal(n))
     assert np.max(np.abs(jac - prob.a)) <= 1e-6
 
 
@@ -129,7 +112,7 @@ def test_exact_jacobian_hemisphere_cross_terms(hemi):
     prob, x0, u_star = hemi
     rng = np.random.default_rng(77)
     U = u_star + 0.01 * rng.standard_normal(prob.dim)
-    jac = exact_jacobian(prob, x0, U, 1e-8)
+    jac = exact_jacobian(prob, x0, U)
     assert jac.shape == (63, 63)
     n = 20
     for i in (0, 7, 19):
@@ -141,11 +124,11 @@ def test_exact_jacobian_hemisphere_cross_terms(hemi):
 def test_jvp_matches_jacobian_columns(hemi):
     prob, x0, u_star = hemi
     f0 = prob.assemble_residual(x0, u_star)
-    jac = exact_jacobian(prob, x0, u_star, 1e-8)
+    jac = exact_jacobian(prob, x0, u_star)
     for j in range(0, prob.dim, 7):
         e = np.zeros(prob.dim)
         e[j] = 1.0
-        col = jacobian_vector_product(prob, x0, u_star, f0, e, 1e-8)
+        col = jacobian_vector_product(prob, x0, u_star, f0, e)
         assert np.linalg.norm(col - jac[:, j]) <= 1e-4 * np.linalg.norm(jac[:, j])
 
 
@@ -153,7 +136,7 @@ def test_jvp_matches_jacobian_columns(hemi):
 
 def test_initialize_cart_problem():
     prob = make_cart_problem(8)
-    U = initialize(prob, np.array([0.3, -0.2]), SolverConfig(), np.zeros(prob.dim))
+    U = initialize(prob, np.array([0.3, -0.2]), np.zeros(prob.dim))
     assert np.linalg.norm(prob.assemble_residual(np.array([0.3, -0.2]), U)) <= 1e-8
 
 
@@ -161,7 +144,7 @@ def test_initialize_reports_no_descent():
     layout = DecisionLayout(n_steps=1, n_u=1, n_mu=0, n_nu=0, n_p=0)
     prob = CallableProblem(lambda U: np.array([U[0] ** 2 + 1.0]), layout)
     with pytest.raises(InitializationFailure) as err:
-        initialize(prob, None, SolverConfig(), np.array([1.0]))
+        initialize(prob, None, np.array([1.0]))
     assert err.value.final_residual is not None
     assert err.value.final_residual >= 1.0
     assert len(err.value.damping_history) >= 1
@@ -171,7 +154,7 @@ def test_initialize_reports_singular_jacobian():
     layout = DecisionLayout(n_steps=1, n_u=1, n_mu=0, n_nu=0, n_p=0)
     prob = CallableProblem(lambda U: np.array([1.0]), layout)
     with pytest.raises(InitializationFailure, match="singular"):
-        initialize(prob, None, SolverConfig(), np.array([0.5]))
+        initialize(prob, None, np.array([0.5]))
 
 
 def test_initialize_hemisphere_solution(hemi):
@@ -201,7 +184,7 @@ def test_sample_update_fixed_point(hemi):
 
 def test_sample_update_requires_initialize(hemi):
     prob, x0, _ = hemi
-    ctl = NmpcController(prob, SolverConfig())
+    ctl = NmpcController(prob)
     with pytest.raises(InitializationFailure):
         ctl.sample_update(x0, 0.0)
 
@@ -221,7 +204,7 @@ def singular_controller():
     rng = np.random.default_rng(30)
     a = np.zeros((8, 8))
     a[:4, :4] = rng.standard_normal((4, 4))  # rank-deficient snapshot
-    ctl = NmpcController(StubProblem(a, np.zeros(8)), SolverConfig())
+    ctl = NmpcController(StubProblem(a, np.zeros(8)))
     ctl.U = 0.01 * rng.standard_normal(8)
     return ctl
 
@@ -248,7 +231,7 @@ def test_singular_refresh_waits_one_period(monkeypatch):
 
 def test_unpreconditioned_mode(hemi):
     prob, x0, u_star = hemi
-    ctl = NmpcController(prob, SolverConfig(), precondition=False)
+    ctl = NmpcController(prob, precondition=False)
     ctl.U = u_star.copy()
     ctl.refresh_preconditioner(x0, 0.0)
     assert ctl.precond.inverse is None

@@ -1,3 +1,4 @@
+import ast
 import configparser
 import math
 import re
@@ -10,9 +11,9 @@ import pytest
 import geonmpc
 from geonmpc.cli import main
 from geonmpc.config import KEYS, SimConfig, load_config, with_overrides
-from geonmpc import solver
-from geonmpc.errors import (ConfigError, GeonmpcError, InitializationFailure,
-                            SimulationAborted)
+from geonmpc import gmres, solver
+from geonmpc.errors import (ChartDomainViolation, ConfigError, GeonmpcError,
+                            InitializationFailure, SimulationAborted)
 from geonmpc.simulate import (TrajectoryRecord, compare_preconditioning,
                               emit_plot_data, run_simulation)
 from geonmpc.solver import NmpcController
@@ -35,7 +36,6 @@ class TestLoadConfig:
         assert cfg.p_stop == 0.02
         assert cfg.precond_enabled
         assert cfg.params.c_u == 0.5
-        assert cfg.solver.gmres_cfg.max_iters == 20
 
     def test_full_file_round_trip(self, tmp_path):
         text = """\
@@ -53,12 +53,6 @@ x0 = -0.3
 y0 = -0.4
 x_f = 0.6
 y_f = 0.1
-fd_step = 1e-7
-gmres_max_iters = 15
-gmres_abs_tol = 1e-6
-precond_period = 0.5
-init_tol = 1e-9
-init_max_iters = 50
 """
         path = tmp_path / "sim.ini"
         path.write_text(text)
@@ -74,12 +68,6 @@ init_max_iters = 50
         assert cfg.params.w_s == 0.001
         assert (cfg.params.x0, cfg.params.y0) == (-0.3, -0.4)
         assert (cfg.params.x_f, cfg.params.y_f) == (0.6, 0.1)
-        assert cfg.solver.fd_step == 1e-7
-        assert cfg.solver.gmres_cfg.max_iters == 15
-        assert cfg.solver.gmres_cfg.abs_tol == 1e-6
-        assert cfg.solver.precond_period == 0.5
-        assert cfg.solver.init_tol == 1e-9
-        assert cfg.solver.init_max_iters == 50
 
     def test_comment_only_lines_and_blanks(self, tmp_path):
         path = tmp_path / "sim.ini"
@@ -91,10 +79,17 @@ init_max_iters = 50
         "dt = fast",
         "n = 2.5",
         "precond = sometimes",
-        # the chart guard and the p floor are constants; t_max is not a key
+        # the chart guard, the p floor and the solver's numerical
+        # constants are module constants; t_max is not a key
         "z_min = 0.05",
         "p_min = 1e-3",
         "t_max = 1",
+        "fd_step = 1e-8",
+        "gmres_max_iters = 20",
+        "gmres_abs_tol = 1e-5",
+        "precond_period = 0.2",
+        "init_tol = 1e-8",
+        "init_max_iters = 100",
     ])
     def test_unknown_key_or_bad_value(self, tmp_path, line):
         path = tmp_path / "sim.ini"
@@ -109,11 +104,15 @@ init_max_iters = 50
         "p_stop = 0",
         "max_samples = 0",
         "r_u = -0.1",   # problem-parameter validation surfaces as ConfigError
-        "init_tol = 0",
-        "init_max_iters = 0",
         # inside the unit disc (0.99829 < 1) but past the chart guard (0.9975)
         "x0 = -0.706\ny0 = -0.707",
         "x_f = -0.706\ny_f = -0.707",
+        # NaN fails every check, not only the chart guard
+        "dt = nan",
+        "p_stop = nan",
+        "r_u = nan",
+        "x0 = nan",
+        "y_f = nan",
     ])
     def test_invariant_violations(self, tmp_path, line):
         path = tmp_path / "sim.ini"
@@ -272,6 +271,25 @@ class TestRunSimulation:
         assert len(records) == 5
         assert all(math.isnan(r.precond_age) for r in records)
 
+    def test_nan_step_aborts_at_the_chart_guard(self, monkeypatch):
+        # a GMRES step that turns NaN at sample 3 makes the horizon rollout
+        # leave the chart, so the run stops there instead of logging NaN
+        real = solver.gmres_solve
+        calls = {"n": 0}
+
+        def poisoned(*args):
+            report = real(*args)
+            calls["n"] += 1
+            if calls["n"] == 3:
+                report.solution = np.full_like(report.solution, np.nan)
+            return report
+
+        monkeypatch.setattr(solver, "gmres_solve", poisoned)
+        with pytest.raises(SimulationAborted) as info:
+            run_simulation(short_config(max_samples=50), write_output=False)
+        assert len(info.value.records) == 2
+        assert isinstance(info.value.cause, ChartDomainViolation)
+
 
 # ---------------------------------------------------------- emit_plot_data
 
@@ -333,19 +351,18 @@ class TestComparePreconditioning:
         cfg = short_config(tmp_path, max_samples=40)
         summary = compare_preconditioning(cfg)
         assert summary.mean_with < summary.mean_without
-        assert max(summary.iters_without) <= cfg.solver.gmres_cfg.max_iters
+        assert max(summary.iters_without) <= gmres.MAX_ITERS
         assert summary.max_state_gap <= 1e-3
         lines = (tmp_path / "compare_precond.csv").read_text().splitlines()
         assert lines[0] == "sample,iters_precond,iters_noprecond"
         assert len(lines) == 1 + max(len(summary.iters_with),
                                      len(summary.iters_without))
 
-    def test_refresh_every_sample_makes_gmres_trivial(self):
-        # near-perfect preconditioner: rebuild the exact-Jacobian LU at
+    def test_refresh_every_sample_makes_gmres_trivial(self, monkeypatch):
+        # near-perfect preconditioner: rebuild the exact-Jacobian inverse at
         # every sample, so each solve starts essentially converged
-        cfg = short_config(max_samples=30)
-        cfg = replace(cfg, solver=replace(cfg.solver, precond_period=1e-6))
-        records = run_simulation(cfg, write_output=False)
+        monkeypatch.setattr(solver, "PRECOND_PERIOD", 1e-6)
+        records = run_simulation(short_config(max_samples=30), write_output=False)
         assert all(r.gmres_iters <= 3 for r in records)
 
     def test_raises_when_no_improvement(self):
@@ -429,3 +446,18 @@ def test_package_all_resolves():
     namespace = {}
     exec("from geonmpc import *", namespace)
     assert set(geonmpc.__all__) <= namespace.keys()
+
+
+def test_readme_constants_match_the_code():
+    # every code span ending in `module.NAME = value` is the module's value
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quoted = re.findall(r"`[^`\n]*?\b(\w+)\.([A-Z][A-Z0-9_]*) = ([^`\n]+)`",
+                        readme)
+    assert {(module, name) for module, name, _ in quoted} >= {
+        ("hemisphere", "Z_MIN"), ("solver", "P_MIN"),
+        ("solver", "FD_STEP"), ("solver", "PRECOND_PERIOD"),
+        ("solver", "INIT_TOL"), ("solver", "INIT_MAX_ITERS"),
+        ("gmres", "MAX_ITERS"), ("gmres", "ABS_TOL")}
+    for module, name, value in quoted:
+        actual = getattr(getattr(geonmpc, module), name)
+        assert actual == ast.literal_eval(value), f"{module}.{name}"

@@ -35,7 +35,6 @@ from .hemisphere import (
 )
 from .horizon import (
     DecisionLayout,
-    HorizonGrid,
     HorizonProblem,
     OcpDefinition,
     euler_stepper,
@@ -69,7 +68,6 @@ __all__ = [
     "GeonmpcError",
     "GmresReport",
     "HemisphereParams",
-    "HorizonGrid",
     "HorizonProblem",
     "InitializationFailure",
     "LinearOperator",

@@ -8,6 +8,7 @@ defaults.
 """
 
 import configparser
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -34,10 +35,10 @@ class SimConfig:
         # the float checks are negated so that NaN fails them too
         if self.n_steps < 2:
             raise ConfigError("n must be >= 2")
-        if not self.dt > 0:
-            raise ConfigError("dt must be positive")
-        if not self.p_stop > 0:
-            raise ConfigError("p_stop must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ConfigError("dt must be positive and finite")
+        if not 0 < self.p_stop < math.inf:
+            raise ConfigError("p_stop must be positive and finite")
         if self.max_samples < 1:
             raise ConfigError("max_samples must be >= 1")
 

@@ -19,12 +19,13 @@ the y-mirrored start (-0.5, -0.5), which produces the mirror-image
 trajectory and the same minimum time.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ChartDomainViolation
-from .horizon import HorizonGrid, HorizonProblem, OcpDefinition, euler_stepper
+from .horizon import HorizonProblem, OcpDefinition, euler_stepper
 from .manifold import ManifoldChart, ManifoldConstraint
 
 Z_MIN = 0.05  # chart guard: the chart keeps z >= Z_MIN, away from the equator
@@ -43,8 +44,12 @@ class HemisphereParams:
 
     def __post_init__(self):
         # each check is negated so that NaN fails it too
-        if not self.r_u > 0:
-            raise ValueError("r_u must be positive")
+        if not math.isfinite(self.c_u):
+            raise ValueError("c_u must be finite")
+        if not 0 < self.r_u < math.inf:
+            raise ValueError("r_u must be positive and finite")
+        if not math.isfinite(self.w_s):
+            raise ValueError("w_s must be finite")
         if not self.x0 ** 2 + self.y0 ** 2 <= CHART_R2_MAX:
             raise ValueError("start point must lie inside the chart guard")
         if not self.x_f ** 2 + self.y_f ** 2 <= CHART_R2_MAX:
@@ -142,11 +147,11 @@ def make_ocp(params: HemisphereParams) -> OcpDefinition:
     def drift(lt, u0):
         return np.cos(u0) * lt[0] + np.sin(u0) * lt[1]
 
-    def C(tau, x, u, p):
+    def C(x, u, p):
         ut = u.T
         return np.array([p.T[0] * constraint_C(ut[0], ut[1], params)]).T
 
-    def H_u(tau, x, lam, u, mu, p):
+    def H_u(x, lam, u, mu, p):
         lt, ut, m0, p0 = lam.T, u.T, mu.T[0], p.T[0]
         steer = _height(x.T) * (-np.sin(ut[0]) * lt[0] + np.cos(ut[0]) * lt[1])
         return np.array([
@@ -154,11 +159,11 @@ def make_ocp(params: HemisphereParams) -> OcpDefinition:
             p0 * (2.0 * m0 * ut[1] - w_s),
         ]).T
 
-    def H_x(tau, x, lam, u, mu, p):
+    def H_x(x, lam, u, mu, p):
         xt = x.T
         return (-(p.T[0] / _height(xt)) * drift(lam.T, u.T[0]) * xt).T
 
-    def H_p(tau, x, lam, u, mu, p):
+    def H_p(x, lam, u, mu, p):
         ut = u.T
         return np.array([
             _height(x.T) * drift(lam.T, ut[0])
@@ -167,7 +172,7 @@ def make_ocp(params: HemisphereParams) -> OcpDefinition:
 
     return OcpDefinition(
         n_x=2, n_u=2, n_mu=1, n_nu=2, n_p=1,
-        L=lambda tau, x, u, p: (-p.T[0] * w_s * u.T[1]).T,
+        L=lambda x, u, p: (-p.T[0] * w_s * u.T[1]).T,
         phi=lambda xn, p: p[..., 0],
         C=C,
         psi=lambda xn, p: terminal_psi(xn, params),
@@ -178,8 +183,7 @@ def make_ocp(params: HemisphereParams) -> OcpDefinition:
         phi_p=lambda xn, p: np.ones_like(p),
         psi_x=lambda xn, p: np.broadcast_to(np.eye(2), xn.shape[:-1] + (2, 2)),
         psi_p=lambda xn, p: np.zeros(xn.shape[:-1] + (2, 1)),
-        stepper=euler_stepper(
-            lambda tau, x, u, p: chart_dynamics(x, u.T[0], p.T[0])),
+        stepper=euler_stepper(lambda x, u, p: chart_dynamics(x, u.T[0], p.T[0])),
     )
 
 
@@ -189,27 +193,27 @@ def make_problem(params: HemisphereParams | None = None,
         params = HemisphereParams()
     probe = (np.array([params.x0, params.y0]), np.array([params.c_u, params.r_u]),
              np.array([0.1, -0.1]), np.array([0.02]), np.zeros(2), np.array([1.2]))
-    return HorizonProblem(make_ocp(params), HorizonGrid.uniform(n_steps), probe)
+    return HorizonProblem(make_ocp(params), np.full(n_steps, 1.0 / n_steps), probe)
 
 
 def initial_guess(layout, params: HemisphereParams) -> np.ndarray:
     """Stationary-in-the-band guess: controls at the band center, slack at
     full radius, mu canceling the slack row, p at the great-circle length."""
-    U = layout.zeros()
+    U = np.zeros(layout.dim)
     layout.controls(U)[:] = (params.c_u, params.r_u)
     layout.mus(U)[:] = params.w_s / (2.0 * params.r_u)
     layout.p(U)[:] = great_circle_distance(params)
     return U
 
 
-def residual_rows(U, x0, grid: HorizonGrid, params: HemisphereParams) -> np.ndarray:
+def residual_rows(U, x0, dtau, params: HemisphereParams) -> np.ndarray:
     """Independent, fully written-out optimality rows for the hemisphere.
 
     Hand-indexed layout [u | u_s | mu | nu | p]; kept free of the generic
     assembly machinery so the two paths can check each other.
     """
     U = np.asarray(U, dtype=float)
-    n = grid.n_steps
+    n = len(dtau)
     if U.shape[0] != 3 * n + 3:
         raise ValueError(f"expected length {3 * n + 3}, got {U.shape[0]}")
     u = U[0:n]
@@ -224,20 +228,20 @@ def residual_rows(U, x0, grid: HorizonGrid, params: HemisphereParams) -> np.ndar
     xs[0] = np.asarray(x0, dtype=float)
     for i in range(n):
         ss[i] = chart_height(xs[i])
-        xs[i + 1, 0] = xs[i, 0] + grid.dtau[i] * p * ss[i] * np.cos(u[i])
-        xs[i + 1, 1] = xs[i, 1] + grid.dtau[i] * p * ss[i] * np.sin(u[i])
+        xs[i + 1, 0] = xs[i, 0] + dtau[i] * p * ss[i] * np.cos(u[i])
+        xs[i + 1, 1] = xs[i, 1] + dtau[i] * p * ss[i] * np.sin(u[i])
 
     lam = np.empty((n + 1, 2))
     lam[n] = nu
     for i in range(n - 1, -1, -1):
         drift = np.cos(u[i]) * lam[i + 1, 0] + np.sin(u[i]) * lam[i + 1, 1]
-        lam[i, 0] = lam[i + 1, 0] - grid.dtau[i] * p * (xs[i, 0] / ss[i]) * drift
-        lam[i, 1] = lam[i + 1, 1] - grid.dtau[i] * p * (xs[i, 1] / ss[i]) * drift
+        lam[i, 0] = lam[i + 1, 0] - dtau[i] * p * (xs[i, 0] / ss[i]) * drift
+        lam[i, 1] = lam[i + 1, 1] - dtau[i] * p * (xs[i, 1] / ss[i]) * drift
 
     out = np.empty(3 * n + 3)
     p_row = 1.0
     for i in range(n):
-        dt = grid.dtau[i]
+        dt = dtau[i]
         band = (u[i] - c_u) ** 2 + u_s[i] ** 2 - r_u ** 2
         steer = ss[i] * (-np.sin(u[i]) * lam[i + 1, 0] + np.cos(u[i]) * lam[i + 1, 1])
         advance = ss[i] * (np.cos(u[i]) * lam[i + 1, 0] + np.sin(u[i]) * lam[i + 1, 1])

@@ -1,7 +1,9 @@
 """Discretized finite-horizon optimal control problems.
 
-A problem is defined by callbacks for the dynamics, costs and constraints
-plus their partials, a horizon grid, and a decision-vector layout.  The
+A problem is defined by autonomous callbacks for the dynamics, costs and
+constraints plus their partials, the step lengths of the normalized
+horizon, and a decision-vector layout.  No callback takes a time argument:
+with a free horizon length the normalized time is not physical time.  The
 residual assembly runs the forward state recursion with the caller's
 structure-preserving stepper, the backward costate recursion, and stacks
 the optimality conditions into one vector F whose zero is the discrete
@@ -23,28 +25,6 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import as_vector
-
-
-@dataclass(frozen=True)
-class HorizonGrid:
-    """Grid 0 = tau_0 < ... < tau_N over the (possibly rescaled) horizon."""
-
-    dtau: np.ndarray
-    tau: np.ndarray
-
-    @staticmethod
-    def uniform(n_steps: int) -> "HorizonGrid":
-        """Equal steps over the normalized horizon [0, 1]."""
-        if n_steps < 1:
-            raise DimensionMismatch("grid needs at least one step")
-        return HorizonGrid(
-            dtau=np.full(n_steps, 1.0 / n_steps),
-            tau=np.linspace(0.0, 1.0, n_steps + 1),
-        )
-
-    @property
-    def n_steps(self) -> int:
-        return self.dtau.shape[0]
 
 
 @dataclass(frozen=True)
@@ -98,9 +78,6 @@ class DecisionLayout:
     def p(self, vec: np.ndarray) -> np.ndarray:
         return vec[..., self.p_offset :]
 
-    def zeros(self) -> np.ndarray:
-        return np.zeros(self.dim)
-
 
 # validate_at probes one point, a stage stack and a batch of stage stacks;
 # row k of a stack sits at the point + k * PROBE_SHIFT.
@@ -115,9 +92,8 @@ class OcpDefinition:
     Callbacks take arrays whose last axis is the component and broadcast
     over any leading stage or batch axes: all array arguments of one call
     share those axes, and each output carries them in front of the shapes
-    below (tau is a scalar or has the leading shape).  The recursions call
-    their callbacks on (..., n_x) slices one stage at a time; H_u, C and
-    H_p see whole (..., n_steps, n) stage stacks.
+    below.  The recursions call their callbacks on (..., n_x) slices one
+    stage at a time; H_u, C and H_p see whole (..., n_steps, n) stage stacks.
 
     The Hamiltonian behind H_u/H_x/H_p is L + lam . f + mu . C, with f the
     dynamics the stepper integrates; the costate recursion deliberately
@@ -132,49 +108,49 @@ class OcpDefinition:
     n_mu: int
     n_nu: int
     n_p: int
-    L: Callable            # (tau, x, u, p) -> scalar
+    L: Callable            # (x, u, p) -> scalar
     phi: Callable          # (x_N, p) -> scalar
-    C: Callable            # (tau, x, u, p) -> (n_mu,)
+    C: Callable            # (x, u, p) -> (n_mu,)
     psi: Callable          # (x_N, p) -> (n_nu,)
-    H_u: Callable          # (tau, x, lam, u, mu, p) -> (n_u,)
-    H_x: Callable          # (tau, x, lam, u, mu, p) -> (n_x,)
-    H_p: Callable          # (tau, x, lam, u, mu, p) -> (n_p,)
+    H_u: Callable          # (x, lam, u, mu, p) -> (n_u,)
+    H_x: Callable          # (x, lam, u, mu, p) -> (n_x,)
+    H_p: Callable          # (x, lam, u, mu, p) -> (n_p,)
     phi_x: Callable        # (x_N, p) -> (n_x,)
     phi_p: Callable        # (x_N, p) -> (n_p,)
     psi_x: Callable        # (x_N, p) -> (n_nu, n_x)
     psi_p: Callable        # (x_N, p) -> (n_nu, n_p)
-    stepper: Callable      # (tau, x, u, p, dtau) -> next x
+    stepper: Callable      # (x, u, p, dtau) -> next x
 
-    def _probe(self, tau, x, u, lam, mu, nu, p) -> dict:
+    def _probe(self, x, u, lam, mu, nu, p) -> dict:
         """name -> (output, component shape) of every callback at one input."""
         return {
-            "L": (self.L(tau, x, u, p), ()),
+            "L": (self.L(x, u, p), ()),
             "phi": (self.phi(x, p), ()),
-            "C": (self.C(tau, x, u, p), (self.n_mu,)),
+            "C": (self.C(x, u, p), (self.n_mu,)),
             "psi": (self.psi(x, p), (self.n_nu,)),
-            "H_u": (self.H_u(tau, x, lam, u, mu, p), (self.n_u,)),
-            "H_x": (self.H_x(tau, x, lam, u, mu, p), (self.n_x,)),
-            "H_p": (self.H_p(tau, x, lam, u, mu, p), (self.n_p,)),
+            "H_u": (self.H_u(x, lam, u, mu, p), (self.n_u,)),
+            "H_x": (self.H_x(x, lam, u, mu, p), (self.n_x,)),
+            "H_p": (self.H_p(x, lam, u, mu, p), (self.n_p,)),
             "phi_x": (self.phi_x(x, p), (self.n_x,)),
             "phi_p": (self.phi_p(x, p), (self.n_p,)),
             "psi_x": (self.psi_x(x, p), (self.n_nu, self.n_x)),
             "psi_p": (self.psi_p(x, p), (self.n_nu, self.n_p)),
-            "stepper": (self.stepper(tau, x, u, p, 1e-3), (self.n_x,)),
+            "stepper": (self.stepper(x, u, p, 1e-3), (self.n_x,)),
         }
 
-    def validate_at(self, tau, x, u, lam, mu, nu, p) -> None:
+    def validate_at(self, x, u, lam, mu, nu, p) -> None:
         """Probe every callback at one point and on stacks of nearby points.
 
         Raise DimensionMismatch naming a callback whose output lacks the
         leading axes, or whose stacked rows differ from single-point calls.
         """
         point = [as_vector(v) for v in (x, u, lam, mu, nu, p)]
-        singles = [self._probe(tau, *(v + PROBE_SHIFT * k for v in point))
+        singles = [self._probe(*(v + PROBE_SHIFT * k for v in point))
                    for k in range(int(np.prod(PROBE_LEADS[-1])))]
         for lead in PROBE_LEADS:
             rows = int(np.prod(lead))
             shift = PROBE_SHIFT * np.arange(rows).reshape(lead + (1,))
-            outputs = self._probe(np.full(lead, float(tau)), *(v + shift for v in point))
+            outputs = self._probe(*(v + shift for v in point))
             for name, (out, want) in outputs.items():
                 if np.shape(out) != lead + want:
                     raise DimensionMismatch(f"{name} returned shape {np.shape(out)} "
@@ -187,7 +163,7 @@ class OcpDefinition:
 
 def euler_stepper(f) -> Callable:
     """Plain explicit-Euler stepper over the given dynamics callback."""
-    return lambda tau, x, u, p, dtau: x + dtau * f(tau, x, u, p)
+    return lambda x, u, p, dtau: x + dtau * f(x, u, p)
 
 
 def _transposed_times(jac, vec) -> np.ndarray:
@@ -201,19 +177,22 @@ def _component_major(stages) -> np.ndarray:
 
 
 class HorizonProblem:
-    """An OCP definition bound to a grid and decision layout.
+    """An OCP definition bound to step lengths and a decision layout.
 
-    probe is a point (x, u, lam, mu, nu, p) inside the callbacks' domain;
-    the constructor runs OcpDefinition.validate_at there, so callbacks that
-    do not broadcast are rejected before any assembly.
+    dtau is the 1-d array of step lengths over the normalized horizon, one
+    per stage.  probe is a point (x, u, lam, mu, nu, p) inside the
+    callbacks' domain; the constructor runs OcpDefinition.validate_at there,
+    so callbacks that do not broadcast are rejected before any assembly.
     """
 
-    def __init__(self, ocp: OcpDefinition, grid: HorizonGrid, probe):
-        ocp.validate_at(grid.tau[0], *probe)
+    def __init__(self, ocp: OcpDefinition, dtau, probe):
+        if len(dtau) < 1:
+            raise DimensionMismatch("dtau needs at least one step")
+        ocp.validate_at(*probe)
         self.ocp = ocp
-        self.grid = grid
+        self.dtau = dtau
         self.layout = DecisionLayout(
-            n_steps=grid.n_steps, n_u=ocp.n_u, n_mu=ocp.n_mu,
+            n_steps=len(dtau), n_u=ocp.n_u, n_mu=ocp.n_mu,
             n_nu=ocp.n_nu, n_p=ocp.n_p,
         )
 
@@ -224,9 +203,9 @@ class HorizonProblem:
     def trajectory(self, x0, U) -> tuple:
         """(states, costates) of U, each (..., N+1, n_x); U may be a
         (..., dim) stack.  Both recursions run in order over the stages."""
-        ocp, grid, layout = self.ocp, self.grid, self.layout
+        ocp, dtau, layout = self.ocp, self.dtau, self.layout
         U = np.asarray(U, dtype=float)
-        n = grid.n_steps
+        n = layout.n_steps
         p = layout.p(U)
         controls, mus = layout.controls(U), layout.mus(U)
         states = np.empty(U.shape[:-1] + (n + 1, ocp.n_x))
@@ -234,15 +213,14 @@ class HorizonProblem:
         states[..., 0, :] = x0
         for i in range(n):
             states[..., i + 1, :] = ocp.stepper(
-                grid.tau[i], states[..., i, :], controls[..., i, :], p, grid.dtau[i])
+                states[..., i, :], controls[..., i, :], p, dtau[i])
         x_n = states[..., n, :]
         costates[..., n, :] = ocp.phi_x(x_n, p) + _transposed_times(
             ocp.psi_x(x_n, p), layout.nu(U))
         for i in range(n - 1, -1, -1):
             lam = costates[..., i + 1, :]
-            hx = ocp.H_x(grid.tau[i], states[..., i, :], lam, controls[..., i, :],
-                         mus[..., i, :], p)
-            costates[..., i, :] = lam + hx * grid.dtau[i]
+            hx = ocp.H_x(states[..., i, :], lam, controls[..., i, :], mus[..., i, :], p)
+            costates[..., i, :] = lam + hx * dtau[i]
         return states, costates
 
     def assemble_residual(self, x0, U) -> np.ndarray:
@@ -252,28 +230,26 @@ class HorizonProblem:
         parameter stationarity rows.  U may carry leading batch axes; the
         result then has the same leading axes.
         """
-        ocp, grid, layout = self.ocp, self.grid, self.layout
+        ocp, layout = self.ocp, self.layout
         U = np.asarray(U, dtype=float)
         if U.ndim < 1 or U.shape[-1] != layout.dim:
             raise DimensionMismatch(f"U has shape {U.shape}, layout dim {layout.dim}")
         states, costates = self.trajectory(x0, U)
 
-        n = grid.n_steps
-        stage_lead = U.shape[:-1] + (n,)
+        n = layout.n_steps
         p = layout.p(U)
         x_n = states[..., n, :]
         x = states[..., :n, :]
         lam_next = costates[..., 1:, :]
         u, mu = layout.controls(U), layout.mus(U)
-        p_stages = np.broadcast_to(p[..., None, :], stage_lead + (layout.n_p,))
-        tau = np.broadcast_to(grid.tau[:n], stage_lead)
-        dtau = grid.dtau[:, None]
+        p_stages = np.broadcast_to(p[..., None, :], U.shape[:-1] + (n, layout.n_p))
+        dtau = self.dtau[:, None]
         p_rows = (ocp.phi_p(x_n, p)
                   + _transposed_times(ocp.psi_p(x_n, p), layout.nu(U))
-                  + grid.dtau @ ocp.H_p(tau, x, lam_next, u, mu, p_stages))
+                  + self.dtau @ ocp.H_p(x, lam_next, u, mu, p_stages))
         return np.concatenate([
-            _component_major(dtau * ocp.H_u(tau, x, lam_next, u, mu, p_stages)),
-            _component_major(dtau * ocp.C(tau, x, u, p_stages)),
+            _component_major(dtau * ocp.H_u(x, lam_next, u, mu, p_stages)),
+            _component_major(dtau * ocp.C(x, u, p_stages)),
             ocp.psi(x_n, p),
             p_rows,
         ], axis=-1)

@@ -8,12 +8,7 @@ Lagrangian; the oracle below evaluates that Lagrangian from scratch
 
 import numpy as np
 
-from geonmpc.horizon import (
-    HorizonGrid,
-    HorizonProblem,
-    OcpDefinition,
-    euler_stepper,
-)
+from geonmpc.horizon import HorizonProblem, OcpDefinition, euler_stepper
 
 
 def make_cart_problem(n_steps=10):
@@ -23,11 +18,11 @@ def make_cart_problem(n_steps=10):
     with ``.T``, so they broadcast over stage and batch axes.
     """
 
-    def f(tau, x, u, p):
+    def f(x, u, p):
         x0, x1 = x.T
         return np.array([x1, u.T[0] - 0.3 * np.sin(x0) + 0.2 * p.T[0]]).T
 
-    def H_x(tau, x, lam, u, mu, p):
+    def H_x(x, lam, u, mu, p):
         x0 = x.T[0]
         l0, l1 = lam.T
         return np.array([0.1 * x0 - 0.3 * np.cos(x0) * l1, l0 + 0.2 * mu.T[0]]).T
@@ -37,14 +32,14 @@ def make_cart_problem(n_steps=10):
 
     ocp = OcpDefinition(
         n_x=2, n_u=1, n_mu=1, n_nu=1, n_p=1,
-        L=lambda tau, x, u, p: (0.5 * (u.T[0] ** 2 + 0.1 * x.T[0] ** 2)
-                                + 0.05 * p.T[0] ** 2).T,
+        L=lambda x, u, p: (0.5 * (u.T[0] ** 2 + 0.1 * x.T[0] ** 2)
+                           + 0.05 * p.T[0] ** 2).T,
         phi=lambda xn, p: 0.5 * (xn * xn).sum(axis=-1) + 0.1 * p[..., 0],
-        C=lambda tau, x, u, p: np.array([u.T[0] + 0.2 * x.T[1] - 0.1 * p.T[0]]).T,
+        C=lambda x, u, p: np.array([u.T[0] + 0.2 * x.T[1] - 0.1 * p.T[0]]).T,
         psi=lambda xn, p: xn[..., :1] - 0.3,
-        H_u=lambda tau, x, lam, u, mu, p: np.array([u.T[0] + lam.T[1] + mu.T[0]]).T,
+        H_u=lambda x, lam, u, mu, p: np.array([u.T[0] + lam.T[1] + mu.T[0]]).T,
         H_x=H_x,
-        H_p=lambda tau, x, lam, u, mu, p: np.array([
+        H_p=lambda x, lam, u, mu, p: np.array([
             0.1 * p.T[0] + 0.2 * lam.T[1] - 0.1 * mu.T[0],
         ]).T,
         phi_x=lambda xn, p: xn.copy(),
@@ -53,7 +48,7 @@ def make_cart_problem(n_steps=10):
         psi_p=lambda xn, p: terminal(xn, (1, 1)),
         stepper=euler_stepper(f),
     )
-    return HorizonProblem(ocp, HorizonGrid.uniform(n_steps), origin_probe(ocp))
+    return HorizonProblem(ocp, np.full(n_steps, 1.0 / n_steps), origin_probe(ocp))
 
 
 def origin_probe(ocp):
@@ -64,18 +59,18 @@ def origin_probe(ocp):
 
 def discrete_lagrangian(problem, x0, U):
     """phi + sum L dtau + sum mu.C dtau + nu.psi with states regenerated."""
-    ocp, grid, layout = problem.ocp, problem.grid, problem.layout
+    ocp, layout = problem.ocp, problem.layout
     p = layout.p(U)
     nu = layout.nu(U)
     states, _ = problem.trajectory(x0, U)
-    x_n = states[grid.n_steps]
+    x_n = states[layout.n_steps]
     total = float(ocp.phi(x_n, p)) + float(nu @ ocp.psi(x_n, p))
-    for i in range(grid.n_steps):
+    for i in range(layout.n_steps):
         u_i = layout.controls(U)[i]
         mu_i = layout.mus(U)[i]
-        stage = float(ocp.L(grid.tau[i], states[i], u_i, p))
-        stage += float(mu_i @ ocp.C(grid.tau[i], states[i], u_i, p))
-        total += stage * grid.dtau[i]
+        stage = float(ocp.L(states[i], u_i, p))
+        stage += float(mu_i @ ocp.C(states[i], u_i, p))
+        total += stage * problem.dtau[i]
     return total
 
 

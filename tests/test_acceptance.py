@@ -169,7 +169,7 @@ def test_06a_dual_residual_paths():
         layout.p(decision)[:] += rng.uniform(-0.1, 0.1, 1)
         x0 = np.array([params.x0, params.y0]) + rng.uniform(-0.05, 0.05, 2)
         generic = problem.assemble_residual(x0, decision)
-        direct = residual_rows(decision, x0, problem.grid, params)
+        direct = residual_rows(decision, x0, problem.dtau, params)
         worst = max(worst, float(np.max(np.abs(generic - direct))))
     ok = worst <= 1e-12
     verdict("06a dual-residual-paths",
@@ -220,7 +220,7 @@ def test_06d_control_rows_match_lagrangian_gradient():
     x0 = np.array([0.2, -0.1])
     residual = problem.assemble_residual(x0, decision)
     grad = fd_gradient(lambda v: discrete_lagrangian(problem, x0, v), decision)
-    n_controls = problem.grid.n_steps * problem.ocp.n_u
+    n_controls = problem.layout.n_steps * problem.ocp.n_u
     gap = float(np.max(np.abs(residual[:n_controls] - grad[:n_controls])))
     ok = gap <= 1e-6
     verdict("06d control-rows-vs-lagrangian-gradient",

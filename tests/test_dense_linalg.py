@@ -5,11 +5,11 @@ from geonmpc.errors import DimensionMismatch, SingularMatrix
 from geonmpc.linalg import MIN_RCOND, as_matrix, as_vector, inverse, norm2
 
 
-def test_identity_factors_trivially():
+def test_inverse_of_identity_is_identity():
     assert np.array_equal(inverse(np.eye(3)), np.eye(3))
 
 
-def test_swap_matrix_pivots():
+def test_inverse_of_zero_diagonal_permutation():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     x = inverse(a) @ np.array([2.0, 3.0])
     assert np.allclose(a @ x, [2.0, 3.0], rtol=0, atol=1e-15)
@@ -42,7 +42,7 @@ def test_solve_roundtrip_property(n, seed):
     assert norm2(a @ x - b) <= 1e-9 * max(1.0, norm2(b))
 
 
-def test_factorization_deterministic():
+def test_inverse_deterministic():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((12, 12))
     assert np.array_equal(inverse(a), inverse(a.copy()))
@@ -68,7 +68,7 @@ def test_non_finite_matrix_raises():
         inverse(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
-def test_factor_does_not_mutate_input():
+def test_inverse_does_not_mutate_input():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     keep = a.copy()
     inverse(a)

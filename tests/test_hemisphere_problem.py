@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import discrete_lagrangian, fd_gradient
+from conftest import discrete_lagrangian, fd_gradient, origin_probe
 from geonmpc.errors import ChartDomainViolation
 from geonmpc.hemisphere import (
     Z_MIN,
@@ -19,6 +19,7 @@ from geonmpc.hemisphere import (
     sphere_constraint,
     terminal_psi,
 )
+from geonmpc.horizon import HorizonProblem
 from geonmpc.manifold import explicit_euler, local_coordinates_step, standard_projection_step
 
 PARAMS = HemisphereParams()
@@ -140,7 +141,7 @@ def test_initial_guess_structure():
 
 def test_residual_constant_row_without_multipliers():
     prob = make_problem(PARAMS)
-    U = prob.layout.zeros()
+    U = np.zeros(prob.dim)
     prob.layout.controls(U)[:] = (0.37, 0.0)  # u_s = 0
     prob.layout.p(U)[:] = 0.8
     fvec = prob.assemble_residual(np.array([PARAMS.x0, PARAMS.y0]), U)
@@ -164,12 +165,16 @@ def random_decision_vectors(layout, count, seed=101):
 
 
 def test_dual_path_residual_equality():
-    prob = make_problem(PARAMS)
+    uniform = make_problem(PARAMS)
+    # steps growing linearly from 0.5/N to 1.5/N; they still sum to 1
+    graded = np.linspace(0.5, 1.5, uniform.layout.n_steps)
+    graded /= graded.sum()
     x0 = np.array([PARAMS.x0, PARAMS.y0])
-    for U in random_decision_vectors(prob.layout, 100):
-        generic = prob.assemble_residual(x0, U)
-        analytic = residual_rows(U, x0, prob.grid, PARAMS)
-        assert np.max(np.abs(generic - analytic)) <= 1e-12
+    for prob in (uniform, HorizonProblem(uniform.ocp, graded, origin_probe(uniform.ocp))):
+        for U in random_decision_vectors(prob.layout, 100):
+            generic = prob.assemble_residual(x0, U)
+            analytic = residual_rows(U, x0, prob.dtau, PARAMS)
+            assert np.max(np.abs(generic - analytic)) <= 1e-12
 
 
 def test_residual_is_lagrangian_gradient():
@@ -186,7 +191,7 @@ def test_residual_is_lagrangian_gradient():
 def test_residual_rows_rejects_wrong_length():
     prob = make_problem(PARAMS)
     with pytest.raises(ValueError):
-        residual_rows(np.zeros(10), np.zeros(2), prob.grid, PARAMS)
+        residual_rows(np.zeros(10), np.zeros(2), prob.dtau, PARAMS)
 
 
 # -------------------------------------------------- chart/ambient agreement

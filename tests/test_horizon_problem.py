@@ -7,7 +7,6 @@ from geonmpc.errors import DimensionMismatch
 from geonmpc.hemisphere import HemisphereParams, initial_guess, make_problem
 from geonmpc.horizon import (
     DecisionLayout,
-    HorizonGrid,
     HorizonProblem,
     OcpDefinition,
     euler_stepper,
@@ -17,11 +16,14 @@ from geonmpc.solver import FD_STEP, exact_jacobian
 
 def zeros(*shape):
     """Callback returning zeros of the given shape behind the leading axes
-    of its state argument (the second one, or the first for terminal maps)."""
-    def callback(*args):
-        state = args[1] if len(args) > 2 else args[0]
+    of its first argument, the state."""
+    def callback(state, *args):
         return np.zeros(np.shape(state)[:-1] + shape)
     return callback
+
+
+def uniform(n_steps):
+    return np.full(n_steps, 1.0 / n_steps)
 
 
 def zero_like_callbacks(n_x, n_u, n_mu, n_nu, n_p, f, stepper=None):
@@ -46,17 +48,16 @@ def zero_like_callbacks(n_x, n_u, n_mu, n_nu, n_p, f, stepper=None):
 # ------------------------------------------------------------------- grid
 
 def test_uniform_grid():
-    g = HorizonGrid.uniform(20)
-    assert g.n_steps == 20
-    assert g.tau[0] == 0.0
-    assert g.tau[-1] == 1.0
-    assert abs(g.dtau.sum() - 1.0) <= 1e-12
-    assert np.allclose(np.diff(g.tau), g.dtau, rtol=0, atol=1e-15)
+    prob = make_problem(HemisphereParams(), 20)
+    assert prob.layout.n_steps == 20
+    assert np.all(prob.dtau == 1.0 / 20)
+    assert abs(prob.dtau.sum() - 1.0) <= 1e-12
 
 
 def test_grid_rejects_empty():
+    ocp = make_cart_problem(4).ocp
     with pytest.raises(DimensionMismatch):
-        HorizonGrid.uniform(0)
+        HorizonProblem(ocp, np.array([]), origin_probe(ocp))
 
 
 # ----------------------------------------------------------------- layout
@@ -112,9 +113,9 @@ def test_layout_offsets_reproducible():
 
 def test_forward_zero_dynamics_keeps_state():
     ocp = zero_like_callbacks(2, 1, 1, 1, 1, f=zeros(2))
-    prob = HorizonProblem(ocp, HorizonGrid.uniform(6), origin_probe(ocp))
+    prob = HorizonProblem(ocp, uniform(6), origin_probe(ocp))
     x0 = np.array([0.4, -1.2])
-    U = prob.layout.zeros()
+    U = np.zeros(prob.dim)
     states, _ = prob.trajectory(x0, U)
     assert np.all(states == x0)
 
@@ -122,15 +123,15 @@ def test_forward_zero_dynamics_keeps_state():
 def test_forward_hand_iterated_two_steps():
     # reduced hemisphere flow with u = 0, p = 1: two Euler half-steps from
     # the apex land at x = 0.5 + 0.5*sqrt(0.75)
-    def f(tau, x, u, p):
+    def f(x, u, p):
         x0, x1 = x.T
         s = np.sqrt(1.0 - x0 ** 2 - x1 ** 2)
         u0 = u.T[0]
         return (p.T[0] * s * np.array([np.cos(u0), np.sin(u0)])).T
 
     ocp = zero_like_callbacks(2, 1, 1, 2, 1, f=f)
-    prob = HorizonProblem(ocp, HorizonGrid.uniform(2), origin_probe(ocp))
-    U = prob.layout.zeros()
+    prob = HorizonProblem(ocp, uniform(2), origin_probe(ocp))
+    U = np.zeros(prob.dim)
     prob.layout.p(U)[:] = 1.0
     states, _ = prob.trajectory(np.zeros(2), U)
     assert np.allclose(states[1], [0.5, 0.0], rtol=0, atol=1e-15)
@@ -144,8 +145,8 @@ def test_terminal_costate_equals_nu():
         "psi": lambda xn, p: xn.copy(),
         "psi_x": lambda xn, p: zeros(2, 2)(xn, p) + np.eye(2),
     })
-    prob = HorizonProblem(ocp, HorizonGrid.uniform(4), origin_probe(ocp))
-    U = prob.layout.zeros()
+    prob = HorizonProblem(ocp, uniform(4), origin_probe(ocp))
+    U = np.zeros(prob.dim)
     nu = np.array([0.7, -0.3])
     prob.layout.nu(U)[:] = nu
     _, costates = prob.trajectory(np.zeros(2), U)
@@ -177,7 +178,7 @@ def test_residual_matches_lagrangian_gradient():
     grad = fd_gradient(lambda v: discrete_lagrangian(prob, x0, v), U)
     assert np.max(np.abs(fvec - grad)) <= 1e-6
     # the control block alone, at the same tolerance
-    n = prob.grid.n_steps
+    n = prob.layout.n_steps
     assert np.max(np.abs(fvec[:n] - grad[:n])) <= 1e-6
 
 
@@ -186,18 +187,16 @@ def test_dtau_scaling_doubles_stage_blocks():
     # explicit dtau factor is the only change
     ocp = OcpDefinition(**{
         **zero_like_callbacks(2, 1, 1, 1, 1, f=zeros(2)).__dict__,
-        "L": lambda tau, x, u, p: u[..., 0] ** 2,
-        "C": lambda tau, x, u, p: u - 0.3,
+        "L": lambda x, u, p: u[..., 0] ** 2,
+        "C": lambda x, u, p: u - 0.3,
         "psi": lambda xn, p: xn[..., :1],
-        "H_u": lambda tau, x, lam, u, mu, p: 2.0 * u + mu,
+        "H_u": lambda x, lam, u, mu, p: 2.0 * u + mu,
         "psi_x": lambda xn, p: zeros(1, 2)(xn, p) + [[1.0, 0.0]],
     })
     rng = np.random.default_rng(4)
     n = 5
     prob1, prob2 = (
-        HorizonProblem(ocp, HorizonGrid(dtau=np.full(n, length / n),
-                                        tau=np.linspace(0.0, length, n + 1)),
-                       origin_probe(ocp))
+        HorizonProblem(ocp, np.full(n, length / n), origin_probe(ocp))
         for length in (1.0, 2.0))
     U = rng.standard_normal(prob1.dim)
     x0 = np.array([0.5, 0.5])
@@ -227,13 +226,13 @@ def test_assemble_rejects_wrong_length():
 
 def test_validate_at_accepts_and_rejects():
     prob = make_cart_problem(4)
-    prob.ocp.validate_at(0.0, np.zeros(2), np.zeros(1), np.zeros(2),
+    prob.ocp.validate_at(np.zeros(2), np.zeros(1), np.zeros(2),
                          np.zeros(1), np.zeros(1), np.ones(1))
     bad = OcpDefinition(
         **{**prob.ocp.__dict__,
-           "H_u": lambda tau, x, lam, u, mu, p: np.zeros(3)})
+           "H_u": lambda x, lam, u, mu, p: np.zeros(3)})
     with pytest.raises(DimensionMismatch):
-        bad.validate_at(0.0, np.zeros(2), np.zeros(1), np.zeros(2),
+        bad.validate_at(np.zeros(2), np.zeros(1), np.zeros(2),
                         np.zeros(1), np.zeros(1), np.ones(1))
 
 
@@ -283,19 +282,19 @@ def test_exact_jacobian_matches_column_loop(case):
 
 def test_validate_at_rejects_callbacks_that_do_not_broadcast():
     prob = make_cart_problem(4)
-    args = (0.0, np.zeros(2), np.zeros(1), np.zeros(2),
+    args = (np.zeros(2), np.zeros(1), np.zeros(2),
             np.zeros(1), np.zeros(1), np.ones(1))
     prob.ocp.validate_at(*args)
     # right at one point, wrong shape for a stage stack
     indexed = OcpDefinition(**{
         **prob.ocp.__dict__,
-        "H_u": lambda tau, x, lam, u, mu, p: np.array([u[0] + lam[1] + mu[0]])})
+        "H_u": lambda x, lam, u, mu, p: np.array([u[0] + lam[1] + mu[0]])})
     with pytest.raises(DimensionMismatch, match="H_u"):
         indexed.validate_at(*args)
     # right shape for a stack, but every row reads the first stage's mu
     first_row = OcpDefinition(**{
         **prob.ocp.__dict__,
-        "H_p": lambda tau, x, lam, u, mu, p: 0.1 * p + 0.2 * lam[..., 1:] - 0.1 * mu[0]})
+        "H_p": lambda x, lam, u, mu, p: 0.1 * p + 0.2 * lam[..., 1:] - 0.1 * mu[0]})
     with pytest.raises(DimensionMismatch, match="H_p"):
         first_row.validate_at(*args)
 
@@ -305,6 +304,6 @@ def test_problem_rejects_callbacks_that_do_not_broadcast():
     # every stage row of H_p reads the first stage's mu
     first_row = OcpDefinition(**{
         **ocp.__dict__,
-        "H_p": lambda tau, x, lam, u, mu, p: 0.1 * p + 0.2 * lam[..., 1:] - 0.1 * mu[0]})
+        "H_p": lambda x, lam, u, mu, p: 0.1 * p + 0.2 * lam[..., 1:] - 0.1 * mu[0]})
     with pytest.raises(DimensionMismatch, match="H_p"):
-        HorizonProblem(first_row, HorizonGrid.uniform(4), origin_probe(first_row))
+        HorizonProblem(first_row, uniform(4), origin_probe(first_row))

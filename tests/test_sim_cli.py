@@ -113,6 +113,13 @@ y_f = 0.1
         "r_u = nan",
         "x0 = nan",
         "y_f = nan",
+        # non-finite problem and loop parameters are config errors, not solver runs
+        "c_u = nan",
+        "c_u = inf",
+        "r_u = inf",
+        "w_s = nan",
+        "dt = inf",
+        "p_stop = inf",
     ])
     def test_invariant_violations(self, tmp_path, line):
         path = tmp_path / "sim.ini"

@@ -35,7 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH",
                         help="flat key = value config file")
     parser.add_argument("--no-precond", action="store_true",
-                        help="disable the frozen Jacobian-inverse preconditioner")
+                        help="disable the Broyden-updated Jacobian-inverse "
+                             "preconditioner")
     parser.add_argument("--out", metavar="DIR",
                         help="output directory for CSV artifacts")
     parser.add_argument("--max-samples", type=int, metavar="K",

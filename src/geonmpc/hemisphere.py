@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartDomainViolation
+from .errors import ChartDomainViolation, DimensionMismatch
 from .horizon import HorizonProblem, OcpDefinition, euler_stepper
 from .manifold import ManifoldChart, ManifoldConstraint
 
@@ -191,6 +191,8 @@ def make_problem(params: HemisphereParams | None = None,
                  n_steps: int = 20) -> HorizonProblem:
     if params is None:
         params = HemisphereParams()
+    if not n_steps >= 1:
+        raise DimensionMismatch(f"n_steps must be >= 1, got {n_steps}")
     probe = (np.array([params.x0, params.y0]), np.array([params.c_u, params.r_u]),
              np.array([0.1, -0.1]), np.array([0.02]), np.zeros(2), np.array([1.2]))
     return HorizonProblem(make_ocp(params), np.full(n_steps, 1.0 / n_steps), probe)

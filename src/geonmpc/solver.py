@@ -4,9 +4,12 @@ Each sample performs one Newton iteration (the real-time iteration scheme)
 on the stacked optimality residual, solving the linear step with
 matrix-free GMRES.  Jacobian-vector products are forward differences of
 the residual; a fully materialized FD Jacobian is inverted periodically
-and its inverse reused as a frozen left preconditioner in between
-refreshes.  A refresh that finds the Jacobian singular leaves GMRES
-unpreconditioned until the next period.
+and its inverse used as a left preconditioner.  In between refreshes each
+sample's step s and residual change y (both residuals are computed
+anyway) give the inverse a good-Broyden rank-one update, so it tracks the
+Jacobian without extra residual calls; a refresh replaces it.  A refresh
+that finds the Jacobian singular leaves GMRES unpreconditioned until the
+next period.
 
 Cold start solves the residual to tight tolerance with damped Newton and
 dense LAPACK steps, from a caller-supplied structured guess.
@@ -33,6 +36,8 @@ FD_STEP = 1e-8  # forward-difference step h of the Jacobian and its products
 PRECOND_PERIOD = 0.2  # seconds between preconditioner refreshes
 INIT_TOL = 1e-8  # cold-start residual norm target
 INIT_MAX_ITERS = 100  # cold-start Newton iteration cap
+# Skip the Broyden update unless |s.Hy| exceeds this times |s| |Hy|.
+BROYDEN_TOL = 1e-10
 
 
 @dataclass
@@ -53,6 +58,7 @@ class SampleTelemetry:
     precond_age: float
     precond_used: bool
     gmres_converged: bool
+    broyden_skipped: bool         # preconditioned, but the update was skipped
 
 
 def jacobian_vector_product(problem, x0, U, F0, v) -> np.ndarray:
@@ -79,6 +85,22 @@ def exact_jacobian(problem, x0, U) -> np.ndarray:
     U = as_vector(U)
     rows = problem.assemble_residual(x0, np.vstack([U, U + h * np.eye(U.shape[0])]))
     return (rows[1:] - rows[0]).T / h
+
+
+def broyden_update(h: np.ndarray, s, y) -> bool:
+    """Good-Broyden update of an inverse Jacobian, in place.
+
+    H <- H + (s - Hy)(s^T H) / (s^T Hy), after which H y = s.  Returns
+    False and leaves H untouched when s^T Hy is not safely nonzero; the
+    test is negated so that NaN and inf also skip, without a warning.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        hy = h @ y
+        denom = float(s @ hy)
+        if not abs(denom) > BROYDEN_TOL * norm2(s) * norm2(hy):
+            return False
+    h += np.outer(s - hy, s @ h) / denom
+    return True
 
 
 def _clamp_p(problem, U) -> None:
@@ -185,15 +207,19 @@ class NmpcController:
         self.U = U + report.solution
         _clamp_p(self.problem, self.U)
 
-        res_post = norm2(self.problem.assemble_residual(x, self.U))
+        f_post = self.problem.assemble_residual(x, self.U)
+        # GMRES is done with H, so the secant update may change it in place
+        broyden_skipped = precond_used and not broyden_update(
+            self.precond.inverse, self.U - U, f_post - f0)
         u_apply = self.problem.layout.controls(self.U)[0].copy()
         telemetry = SampleTelemetry(
             t=t_now,
             gmres_iters=report.iters_used,
-            residual_norm=res_post,
+            residual_norm=norm2(f_post),
             residual_norm_pre=norm2(f0),
             precond_age=self.precond.age(t_now) if precond_used else float("nan"),
             precond_used=precond_used,
             gmres_converged=report.converged,
+            broyden_skipped=broyden_skipped,
         )
         return u_apply, telemetry

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import discrete_lagrangian, fd_gradient, origin_probe
-from geonmpc.errors import ChartDomainViolation
+from geonmpc.errors import ChartDomainViolation, DimensionMismatch
 from geonmpc.hemisphere import (
     Z_MIN,
     HemisphereParams,
@@ -124,6 +124,12 @@ def test_problem_dimension():
     prob = make_problem(PARAMS, n_steps=20)
     assert prob.dim == 63
     assert prob.layout.n_u == 2 and prob.layout.n_mu == 1
+
+
+@pytest.mark.parametrize("n_steps", [0, -1])
+def test_problem_rejects_an_empty_horizon(n_steps):
+    with pytest.raises(DimensionMismatch, match="n_steps"):
+        make_problem(PARAMS, n_steps)
 
 
 def test_initial_guess_structure():

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import geonmpc.solver
 from conftest import make_cart_problem
+from geonmpc.config import SimConfig
 from geonmpc.errors import InitializationFailure
 from geonmpc.hemisphere import (
     HemisphereParams,
@@ -11,8 +14,12 @@ from geonmpc.hemisphere import (
     plant_step,
 )
 from geonmpc.horizon import DecisionLayout
+from geonmpc.linalg import inverse
+from geonmpc.simulate import run_simulation
 from geonmpc.solver import (
     NmpcController,
+    PreconditionerState,
+    broyden_update,
     exact_jacobian,
     initialize,
     jacobian_vector_product,
@@ -70,6 +77,15 @@ def fresh_controller(hemi):
     prob, x0, u_star = hemi
     ctl = NmpcController(prob)
     ctl.U = u_star.copy()
+    ctl.refresh_preconditioner(x0, 0.0)
+    return ctl
+
+
+def perturbed_controller(hemi, precondition=True):
+    """Off the solution, so every sample takes a nonzero step."""
+    prob, x0, u_star = hemi
+    ctl = NmpcController(prob, precondition=precondition)
+    ctl.U = u_star + 0.01 * np.random.default_rng(5).standard_normal(prob.dim)
     ctl.refresh_preconditioner(x0, 0.0)
     return ctl
 
@@ -191,10 +207,14 @@ def test_sample_update_requires_initialize(hemi):
 
 def test_preconditioner_refresh_period(hemi):
     prob, x0, _ = hemi
-    ctl = fresh_controller(hemi)
+    ctl = perturbed_controller(hemi)
     built = ctl.precond.inverse
+    before = built.copy()
     ctl.sample_update(x0, 0.1)
-    assert ctl.precond.inverse is built  # inside the period: reused
+    # inside the period: the same array, Broyden-updated in place
+    assert ctl.precond.inverse is built
+    assert not np.array_equal(ctl.precond.inverse, before)
+    assert ctl.precond.built_at == 0.0
     ctl.sample_update(x0, 0.25)
     assert ctl.precond.inverse is not built  # period elapsed: rebuilt
     assert ctl.precond.built_at == 0.25
@@ -214,6 +234,7 @@ def test_singular_preconditioner_falls_back():
     u_apply, tel = ctl.sample_update(np.zeros(2), 0.0)
     assert ctl.precond.inverse is None
     assert not tel.precond_used
+    assert not tel.broyden_skipped
     assert np.isnan(tel.precond_age)
     assert np.isfinite(tel.residual_norm)
 
@@ -229,14 +250,109 @@ def test_singular_refresh_waits_one_period(monkeypatch):
     assert ctl.precond.inverse is None
 
 
-def test_unpreconditioned_mode(hemi):
-    prob, x0, u_star = hemi
-    ctl = NmpcController(prob, precondition=False)
-    ctl.U = u_star.copy()
-    ctl.refresh_preconditioner(x0, 0.0)
+# ------------------------------------------------------- Broyden update
+
+def stale_stub_controller(seed=21, n=12):
+    """A linear problem whose stored inverse is that of a nearby matrix."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 6.0 * np.eye(n)
+    prob = StubProblem(a, rng.standard_normal(n))
+    ctl = NmpcController(prob)
+    ctl.U = rng.standard_normal(n)
+    stale = inverse(a + 0.3 * rng.standard_normal((n, n)))
+    ctl.precond = PreconditionerState(inverse=stale, built_at=0.0)
+    return ctl
+
+
+def test_broyden_secant_property():
+    ctl = stale_stub_controller()
+    prob, U = ctl.problem, ctl.U.copy()
+    _, tel = ctl.sample_update(None, 0.0)
+    s = ctl.U - U
+    y = prob.assemble_residual(None, ctl.U) - prob.assemble_residual(None, U)
+    assert tel.precond_used and not tel.broyden_skipped
+    assert np.linalg.norm(s) > 0.0
+    assert np.linalg.norm(ctl.precond.inverse @ y - s) <= 1e-12 * np.linalg.norm(s)
+
+
+def test_broyden_update_is_rank_one():
+    rng = np.random.default_rng(22)
+    n = 9
+    h = np.eye(n) + 0.1 * rng.standard_normal((n, n))
+    before = h.copy()
+    s, y = rng.standard_normal(n), rng.standard_normal(n)
+    assert broyden_update(h, s, y)
+    assert np.linalg.matrix_rank(h - before) == 1
+    assert np.linalg.norm(h @ y - s) <= 1e-12 * np.linalg.norm(s)
+
+
+def test_broyden_skips_a_zero_step():
+    ctl = stale_stub_controller()
+    prob = ctl.problem
+    ctl.U = np.linalg.solve(prob.a, prob.b)  # converged: GMRES returns 0
+    before = ctl.precond.inverse.copy()
+    _, tel = ctl.sample_update(None, 0.0)
+    assert tel.precond_used and tel.broyden_skipped
+    assert ctl.precond.inverse.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("y", [
+    np.array([0.0, 1.0, 0.0]),          # s^T H y = 0
+    np.array([np.nan, 0.0, 0.0]),
+    np.array([np.inf, 1.0, 0.0]),
+    np.array([-np.inf, np.inf, 0.0]),
+])
+def test_broyden_skips_a_degenerate_secant(y):
+    h = np.eye(3)
+    before = h.copy()
+    assert not broyden_update(h, np.array([1.0, 0.0, 0.0]), y)
+    assert h.tobytes() == before.tobytes()
+
+
+def test_refresh_sample_sees_the_fresh_inverse(hemi, monkeypatch):
+    prob, x0, _ = hemi
+    ctl = perturbed_controller(hemi)
+    ctl.sample_update(x0, 0.1)
+    updated = ctl.precond.inverse.copy()
+    U = ctl.U.copy()
+    seen = []
+
+    def recording_gmres(op, rhs, precond=None):
+        seen.append(np.column_stack([precond.apply(e) for e in np.eye(prob.dim)]))
+        return gmres_solve(op, rhs, precond)
+
+    gmres_solve = geonmpc.solver.gmres_solve
+    monkeypatch.setattr(geonmpc.solver, "gmres_solve", recording_gmres)
+    _, tel = ctl.sample_update(x0, 0.25)
+    assert tel.precond_age == 0.0
+    fresh = inverse(exact_jacobian(prob, x0, U))
+    assert np.array_equal(seen[0], fresh)
+    assert not np.array_equal(seen[0], updated)
+
+
+def test_default_run_gmres_counts():
+    # counts are deterministic: the Broyden update keeps them this low
+    records = run_simulation(replace(SimConfig(), output_dir=None),
+                             write_output=False)
+    iters = [r.gmres_iters for r in records]
+    assert np.mean(iters) <= 3.0
+    assert max(iters) <= 7
+
+
+def test_unpreconditioned_mode(hemi, monkeypatch):
+    prob, x0, _ = hemi
+
+    def forbidden(*args):
+        raise AssertionError("Broyden update without a preconditioner")
+
+    monkeypatch.setattr(geonmpc.solver, "broyden_update", forbidden)
+    ctl = perturbed_controller(hemi, precondition=False)
     assert ctl.precond.inverse is None
-    _, tel = ctl.sample_update(x0, 0.0)
-    assert not tel.precond_used
+    for k in range(3):
+        _, tel = ctl.sample_update(x0, 0.1 * k)
+        assert not tel.precond_used
+        assert not tel.broyden_skipped
+        assert ctl.precond.inverse is None
 
 
 def test_post_refresh_sample_is_cheap(hemi):
@@ -281,3 +397,4 @@ def test_telemetry_fields(hemi):
     assert tel.precond_age == 0.0
     assert tel.precond_used
     assert isinstance(tel.gmres_converged, bool)
+    assert isinstance(tel.broyden_skipped, bool)

@@ -463,6 +463,7 @@ def test_readme_constants_match_the_code():
     assert {(module, name) for module, name, _ in quoted} >= {
         ("hemisphere", "Z_MIN"), ("solver", "P_MIN"),
         ("solver", "FD_STEP"), ("solver", "PRECOND_PERIOD"),
+        ("solver", "BROYDEN_TOL"),
         ("solver", "INIT_TOL"), ("solver", "INIT_MAX_ITERS"),
         ("gmres", "MAX_ITERS"), ("gmres", "ABS_TOL")}
     for module, name, value in quoted:

@@ -35,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH",
                         help="flat key = value config file")
     parser.add_argument("--no-precond", action="store_true",
-                        help="disable the Broyden-updated Jacobian-inverse "
+                        help="disable the block-updated Jacobian-inverse "
                              "preconditioner")
     parser.add_argument("--out", metavar="DIR",
                         help="output directory for CSV artifacts")

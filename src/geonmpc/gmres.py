@@ -9,9 +9,14 @@ problem sizes this package produces.
 Left preconditioning solves M^-1 A x = M^-1 b, and the convergence test
 applies to the preconditioned residual norm.  The closed-loop simulator
 logs the true nonlinear residual separately.
+
+The report carries the Arnoldi basis V_{k+1} and the Hessenberg matrix
+Hbar_k as built, before any rotation, so M^-1 A V_k = V_{k+1} Hbar_k gives
+the operator's products on the whole Krylov subspace without applying it
+again.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +60,12 @@ class GmresReport:
     final_residual_norm: float
     converged: bool
     # Preconditioned residual norm after 0, 1, ..., iters_used iterations.
-    residual_history: list = field(default_factory=list)
+    residual_history: list
+    # Arnoldi basis V_{k+1} as rows, shape (k + 1, n) for k = iters_used
+    # (a zero last row after a breakdown), and the unrotated Hessenberg
+    # Hbar_k, shape (k + 1, k).
+    basis: np.ndarray
+    hessenberg: np.ndarray
 
 
 def gmres_solve(op: LinearOperator, rhs, precond=None) -> GmresReport:
@@ -81,11 +91,13 @@ def gmres_solve(op: LinearOperator, rhs, precond=None) -> GmresReport:
     beta = norm2(r)
     history = [beta]
     if beta <= ABS_TOL:
-        return GmresReport(np.zeros(n), 0, beta, True, history)
+        return GmresReport(np.zeros(n), 0, beta, True, history,
+                           np.zeros((1, n)), np.zeros((1, 0)))
 
     m = MAX_ITERS
     basis = np.zeros((m + 1, n))
     hess = np.zeros((m + 1, m))
+    arnoldi = np.zeros((m + 1, m))  # hess before the rotations
     cs = np.zeros(m)
     sn = np.zeros(m)
     g = np.zeros(m + 1)
@@ -105,6 +117,7 @@ def gmres_solve(op: LinearOperator, rhs, precond=None) -> GmresReport:
         breakdown = hess[j + 1, j] < BREAKDOWN_TOL
         if not breakdown:
             basis[j + 1] = w / hess[j + 1, j]
+        arnoldi[: j + 2, j] = hess[: j + 2, j]
 
         # fold previous rotations into the new column, then zero its subdiagonal
         for i in range(j):
@@ -133,4 +146,5 @@ def gmres_solve(op: LinearOperator, rhs, precond=None) -> GmresReport:
         y[i] = (g[i] - hess[i, i + 1 : iters] @ y[i + 1 : iters]) / hess[i, i]
     x = basis[:iters].T @ y
     res = history[-1]
-    return GmresReport(x, iters, res, res <= ABS_TOL, history)
+    return GmresReport(x, iters, res, res <= ABS_TOL, history,
+                       basis[: iters + 1], arnoldi[: iters + 1, :iters])

@@ -47,7 +47,8 @@ def inverse(a) -> np.ndarray:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(str(exc)) from exc
-    rcond = 1.0 / (_norm1(a) * _norm1(inv))
+    # in Python floats, the inf * 0 of an infinite entry is NaN without a warning
+    rcond = 1.0 / (float(_norm1(a)) * float(_norm1(inv)))
     if not rcond >= MIN_RCOND:  # also rejects NaN, from non-finite entries
         raise SingularMatrix(
             f"reciprocal condition number {rcond:.3e} below {MIN_RCOND:g}")

@@ -4,12 +4,12 @@ Each sample performs one Newton iteration (the real-time iteration scheme)
 on the stacked optimality residual, solving the linear step with
 matrix-free GMRES.  Jacobian-vector products are forward differences of
 the residual; a fully materialized FD Jacobian is inverted periodically
-and its inverse used as a left preconditioner.  In between refreshes each
-sample's step s and residual change y (both residuals are computed
-anyway) give the inverse a good-Broyden rank-one update, so it tracks the
-Jacobian without extra residual calls; a refresh replaces it.  A refresh
-that finds the Jacobian singular leaves GMRES unpreconditioned until the
-next period.
+and its inverse H used as a left preconditioner.  In between refreshes
+each sample's GMRES report gives H a Krylov block update: GMRES has
+already formed H J V_k on its basis V_k, and the update makes H J = I on
+that whole subspace, so H tracks the Jacobian without extra residual
+calls; a refresh replaces it.  A refresh that finds the Jacobian singular
+leaves GMRES unpreconditioned until the next period.
 
 Cold start solves the residual to tight tolerance with damped Newton and
 dense LAPACK steps, from a caller-supplied structured guess.
@@ -36,8 +36,6 @@ FD_STEP = 1e-8  # forward-difference step h of the Jacobian and its products
 PRECOND_PERIOD = 0.2  # seconds between preconditioner refreshes
 INIT_TOL = 1e-8  # cold-start residual norm target
 INIT_MAX_ITERS = 100  # cold-start Newton iteration cap
-# Skip the Broyden update unless |s.Hy| exceeds this times |s| |Hy|.
-BROYDEN_TOL = 1e-10
 
 
 @dataclass
@@ -58,7 +56,7 @@ class SampleTelemetry:
     precond_age: float
     precond_used: bool
     gmres_converged: bool
-    broyden_skipped: bool         # preconditioned, but the update was skipped
+    update_skipped: bool          # preconditioned, but the update was skipped
 
 
 def jacobian_vector_product(problem, x0, U, F0, v) -> np.ndarray:
@@ -87,19 +85,26 @@ def exact_jacobian(problem, x0, U) -> np.ndarray:
     return (rows[1:] - rows[0]).T / h
 
 
-def broyden_update(h: np.ndarray, s, y) -> bool:
-    """Good-Broyden update of an inverse Jacobian, in place.
+def krylov_update(h: np.ndarray, report) -> bool:
+    """Krylov block update of an inverse Jacobian H, in place.
 
-    H <- H + (s - Hy)(s^T H) / (s^T Hy), after which H y = s.  Returns
-    False and leaves H untouched when s^T Hy is not safely nonzero; the
-    test is negated so that NaN and inf also skip, without a warning.
+    By the Arnoldi relation Z = V_{k+1} Hbar_k equals H J V_k, so
+    H <- H + (V_k - Z) H_k^-1 (V_k^T H), with H_k the top k x k block of
+    Hbar_k, gives H J V_k = V_k on the whole subspace the report's GMRES
+    solve built: the multiple-secant (block) good-Broyden update with the
+    secant pairs (V_k, J V_k).  Returns False and leaves H untouched when
+    k = 0 or H_k fails the linalg.inverse guard (singular, NaN or inf).
     """
-    with np.errstate(invalid="ignore", over="ignore"):
-        hy = h @ y
-        denom = float(s @ hy)
-        if not abs(denom) > BROYDEN_TOL * norm2(s) * norm2(hy):
-            return False
-    h += np.outer(s - hy, s @ h) / denom
+    k = report.iters_used
+    if k == 0:
+        return False
+    try:
+        hk_inv = inverse(report.hessenberg[:k])
+    except SingularMatrix:
+        return False
+    v = report.basis[:k]
+    z = report.hessenberg.T @ report.basis
+    h += (v - z).T @ (hk_inv @ (v @ h))
     return True
 
 
@@ -208,9 +213,9 @@ class NmpcController:
         _clamp_p(self.problem, self.U)
 
         f_post = self.problem.assemble_residual(x, self.U)
-        # GMRES is done with H, so the secant update may change it in place
-        broyden_skipped = precond_used and not broyden_update(
-            self.precond.inverse, self.U - U, f_post - f0)
+        # GMRES is done with H, so the block update may change it in place
+        update_skipped = precond_used and not krylov_update(
+            self.precond.inverse, report)
         u_apply = self.problem.layout.controls(self.U)[0].copy()
         telemetry = SampleTelemetry(
             t=t_now,
@@ -220,6 +225,6 @@ class NmpcController:
             precond_age=self.precond.age(t_now) if precond_used else float("nan"),
             precond_used=precond_used,
             gmres_converged=report.converged,
-            broyden_skipped=broyden_skipped,
+            update_skipped=update_skipped,
         )
         return u_apply, telemetry

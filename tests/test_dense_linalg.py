@@ -63,9 +63,11 @@ def test_condition_guard_sits_at_the_named_constant():
         inverse(np.diag([1.0, 0.5 * MIN_RCOND]))
 
 
+@pytest.mark.filterwarnings("error")
 def test_non_finite_matrix_raises():
-    with pytest.raises(SingularMatrix):
-        inverse(np.array([[1.0, np.nan], [0.0, 1.0]]))
+    for a in ([[1.0, np.nan], [0.0, 1.0]], [[np.inf]], [[1.0, np.inf], [0.0, 1.0]]):
+        with pytest.raises(SingularMatrix):
+            inverse(np.array(a))
 
 
 def test_inverse_does_not_mutate_input():

@@ -149,3 +149,48 @@ def test_report_shape():
     assert isinstance(rep, GmresReport)
     assert rep.iters_used <= 20
     assert len(rep.residual_history) == rep.iters_used + 1
+
+
+@pytest.mark.parametrize("precondition", [False, True])
+def test_report_satisfies_the_arnoldi_relation(precondition, set_limits):
+    # an orthonormal basis and M A V_k = V_{k+1} Hbar_k with the Hessenberg
+    # as built, not rotated
+    rng = np.random.default_rng(41)
+    n = 15
+    a = rng.standard_normal((n, n)) + 4.0 * np.eye(n)
+    m = np.linalg.inv(a + 0.5 * rng.standard_normal((n, n))) if precondition else np.eye(n)
+    # modified Gram-Schmidt keeps the basis orthonormal to rounding while
+    # the residual stays far above rounding, as in the controller's solves
+    set_limits(8, 1e-2)
+    rep = gmres_solve(matrix_operator(a), rng.standard_normal(n),
+                      matrix_operator(m) if precondition else None)
+    k = rep.iters_used
+    assert k >= 3
+    assert rep.basis.shape == (k + 1, n) and rep.hessenberg.shape == (k + 1, k)
+    assert np.max(np.abs(rep.basis @ rep.basis.T - np.eye(k + 1))) <= 1e-12
+    v = rep.basis.T
+    gap = m @ a @ v[:, :k] - v @ rep.hessenberg
+    assert np.max(np.abs(gap)) <= 1e-12 * np.max(np.abs(m @ a))
+
+
+def test_report_on_a_happy_breakdown(set_limits):
+    # the breakdown leaves a zero last basis row and a negligible subdiagonal
+    a = np.diag([2.0, 3.0, 4.0, 5.0])
+    set_limits(4, 1e-13)
+    rep = gmres_solve(matrix_operator(a), np.array([1.0, 1.0, 0.0, 0.0]))
+    assert rep.iters_used == 2
+    assert rep.basis.shape == (3, 4) and rep.hessenberg.shape == (3, 2)
+    assert np.array_equal(rep.basis[2], np.zeros(4))
+    gap = a @ rep.basis[:2].T - rep.basis.T @ rep.hessenberg
+    assert np.max(np.abs(gap)) <= 1e-12
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.eye(4), np.zeros(4)),                  # converged before iterating
+    (np.diag([1.0, 0.0]), np.array([0.0, 1.0])),  # singular breakdown
+])
+def test_report_without_iterations(a, b):
+    rep = gmres_solve(matrix_operator(a), b)
+    assert rep.iters_used == 0
+    assert rep.basis.shape == (1, b.shape[0])
+    assert rep.hessenberg.shape == (1, 0)

@@ -3,10 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import geonmpc.gmres
 import geonmpc.solver
 from conftest import make_cart_problem
 from geonmpc.config import SimConfig
 from geonmpc.errors import InitializationFailure
+from geonmpc.gmres import GmresReport, gmres_solve, matrix_operator
 from geonmpc.hemisphere import (
     HemisphereParams,
     initial_guess,
@@ -19,10 +21,10 @@ from geonmpc.simulate import run_simulation
 from geonmpc.solver import (
     NmpcController,
     PreconditionerState,
-    broyden_update,
     exact_jacobian,
     initialize,
     jacobian_vector_product,
+    krylov_update,
 )
 
 
@@ -211,7 +213,7 @@ def test_preconditioner_refresh_period(hemi):
     built = ctl.precond.inverse
     before = built.copy()
     ctl.sample_update(x0, 0.1)
-    # inside the period: the same array, Broyden-updated in place
+    # inside the period: the same array, block-updated in place
     assert ctl.precond.inverse is built
     assert not np.array_equal(ctl.precond.inverse, before)
     assert ctl.precond.built_at == 0.0
@@ -234,7 +236,7 @@ def test_singular_preconditioner_falls_back():
     u_apply, tel = ctl.sample_update(np.zeros(2), 0.0)
     assert ctl.precond.inverse is None
     assert not tel.precond_used
-    assert not tel.broyden_skipped
+    assert not tel.update_skipped
     assert np.isnan(tel.precond_age)
     assert np.isfinite(tel.residual_norm)
 
@@ -250,7 +252,7 @@ def test_singular_refresh_waits_one_period(monkeypatch):
     assert ctl.precond.inverse is None
 
 
-# ------------------------------------------------------- Broyden update
+# ------------------------------------------------- block Broyden update
 
 def stale_stub_controller(seed=21, n=12):
     """A linear problem whose stored inverse is that of a nearby matrix."""
@@ -264,26 +266,37 @@ def stale_stub_controller(seed=21, n=12):
     return ctl
 
 
-def test_broyden_secant_property():
+def test_broyden_secant_property(monkeypatch):
+    # after the update H a v = v on every basis vector GMRES built; the
+    # products were forward differences, so this holds to their accuracy
     ctl = stale_stub_controller()
-    prob, U = ctl.problem, ctl.U.copy()
+    reports = []
+    monkeypatch.setattr(geonmpc.solver, "gmres_solve",
+                        lambda *args: reports.append(gmres_solve(*args)) or reports[-1])
     _, tel = ctl.sample_update(None, 0.0)
-    s = ctl.U - U
-    y = prob.assemble_residual(None, ctl.U) - prob.assemble_residual(None, U)
-    assert tel.precond_used and not tel.broyden_skipped
-    assert np.linalg.norm(s) > 0.0
-    assert np.linalg.norm(ctl.precond.inverse @ y - s) <= 1e-12 * np.linalg.norm(s)
+    assert tel.precond_used and not tel.update_skipped
+    k = reports[0].iters_used
+    assert k >= 2
+    v = reports[0].basis[:k].T
+    gap = ctl.precond.inverse @ ctl.problem.a @ v - v
+    assert np.linalg.norm(gap) <= 1e-6 * np.linalg.norm(v)
 
 
-def test_broyden_update_is_rank_one():
+def test_broyden_update_has_rank_at_most_k(monkeypatch):
     rng = np.random.default_rng(22)
     n = 9
+    a = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
     h = np.eye(n) + 0.1 * rng.standard_normal((n, n))
+    monkeypatch.setattr(geonmpc.gmres, "MAX_ITERS", 4)
+    report = gmres_solve(matrix_operator(a), rng.standard_normal(n),
+                         matrix_operator(h))
+    k = report.iters_used
+    assert k == 4
     before = h.copy()
-    s, y = rng.standard_normal(n), rng.standard_normal(n)
-    assert broyden_update(h, s, y)
-    assert np.linalg.matrix_rank(h - before) == 1
-    assert np.linalg.norm(h @ y - s) <= 1e-12 * np.linalg.norm(s)
+    assert krylov_update(h, report)
+    assert np.linalg.matrix_rank(h - before) <= k
+    v = report.basis[:k].T
+    assert np.linalg.norm(h @ a @ v - v) <= 1e-12 * np.linalg.norm(v)
 
 
 def test_broyden_skips_a_zero_step():
@@ -292,12 +305,24 @@ def test_broyden_skips_a_zero_step():
     ctl.U = np.linalg.solve(prob.a, prob.b)  # converged: GMRES returns 0
     before = ctl.precond.inverse.copy()
     _, tel = ctl.sample_update(None, 0.0)
-    assert tel.precond_used and tel.broyden_skipped
+    assert tel.precond_used and tel.update_skipped
     assert ctl.precond.inverse.tobytes() == before.tobytes()
 
 
+def one_step_report(s, z):
+    """The report of one GMRES step from the unit vector s, whose
+    preconditioned product is z; its H_1 is s.z."""
+    with np.errstate(invalid="ignore"):
+        h11 = s @ z
+        w = z - h11 * s
+        h21 = np.linalg.norm(w)
+        basis = np.array([s, w / h21])
+    return GmresReport(np.zeros(s.shape[0]), 1, 0.0, True, [1.0, 0.0],
+                       basis, np.array([[h11], [h21]]))
+
+
 @pytest.mark.parametrize("y", [
-    np.array([0.0, 1.0, 0.0]),          # s^T H y = 0
+    np.array([0.0, 1.0, 0.0]),          # H_1 = s.Hy = 0
     np.array([np.nan, 0.0, 0.0]),
     np.array([np.inf, 1.0, 0.0]),
     np.array([-np.inf, np.inf, 0.0]),
@@ -305,7 +330,7 @@ def test_broyden_skips_a_zero_step():
 def test_broyden_skips_a_degenerate_secant(y):
     h = np.eye(3)
     before = h.copy()
-    assert not broyden_update(h, np.array([1.0, 0.0, 0.0]), y)
+    assert not krylov_update(h, one_step_report(np.array([1.0, 0.0, 0.0]), y))
     assert h.tobytes() == before.tobytes()
 
 
@@ -321,7 +346,6 @@ def test_refresh_sample_sees_the_fresh_inverse(hemi, monkeypatch):
         seen.append(np.column_stack([precond.apply(e) for e in np.eye(prob.dim)]))
         return gmres_solve(op, rhs, precond)
 
-    gmres_solve = geonmpc.solver.gmres_solve
     monkeypatch.setattr(geonmpc.solver, "gmres_solve", recording_gmres)
     _, tel = ctl.sample_update(x0, 0.25)
     assert tel.precond_age == 0.0
@@ -331,7 +355,7 @@ def test_refresh_sample_sees_the_fresh_inverse(hemi, monkeypatch):
 
 
 def test_default_run_gmres_counts():
-    # counts are deterministic: the Broyden update keeps them this low
+    # counts are deterministic: the preconditioner update keeps them this low
     records = run_simulation(replace(SimConfig(), output_dir=None),
                              write_output=False)
     iters = [r.gmres_iters for r in records]
@@ -339,19 +363,29 @@ def test_default_run_gmres_counts():
     assert max(iters) <= 7
 
 
+@pytest.mark.parametrize("n_steps, mean_cap, max_cap", [(20, 2.2, 3), (40, 2.3, 4)])
+def test_block_update_gmres_counts(n_steps, mean_cap, max_cap):
+    # with H J = I on each sample's whole Krylov subspace, the next sample
+    # needs at most a few more directions (measured: 2.05/3 and 2.18/4)
+    cfg = replace(SimConfig(), n_steps=n_steps, output_dir=None)
+    iters = [r.gmres_iters for r in run_simulation(cfg, write_output=False)]
+    assert np.mean(iters) <= mean_cap
+    assert max(iters) <= max_cap
+
+
 def test_unpreconditioned_mode(hemi, monkeypatch):
     prob, x0, _ = hemi
 
     def forbidden(*args):
-        raise AssertionError("Broyden update without a preconditioner")
+        raise AssertionError("block update without a preconditioner")
 
-    monkeypatch.setattr(geonmpc.solver, "broyden_update", forbidden)
+    monkeypatch.setattr(geonmpc.solver, "krylov_update", forbidden)
     ctl = perturbed_controller(hemi, precondition=False)
     assert ctl.precond.inverse is None
     for k in range(3):
         _, tel = ctl.sample_update(x0, 0.1 * k)
         assert not tel.precond_used
-        assert not tel.broyden_skipped
+        assert not tel.update_skipped
         assert ctl.precond.inverse is None
 
 
@@ -397,4 +431,4 @@ def test_telemetry_fields(hemi):
     assert tel.precond_age == 0.0
     assert tel.precond_used
     assert isinstance(tel.gmres_converged, bool)
-    assert isinstance(tel.broyden_skipped, bool)
+    assert isinstance(tel.update_skipped, bool)

@@ -2,8 +2,9 @@
 
 The package layers a matrix-free Newton-Krylov predictive controller on
 top of geometric one-step integrators: guarded LAPACK and GMRES kernels at
-the bottom, manifold-aware steppers and a single-shooting horizon transcription
-in the middle, and a closed-loop simulator with CSV telemetry on top.
+the bottom, manifold-aware steppers and a single- and multiple-shooting
+horizon transcription in the middle, and a closed-loop simulator with CSV
+telemetry on top.
 """
 
 from .config import SimConfig, load_config

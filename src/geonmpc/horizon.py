@@ -4,18 +4,31 @@ A problem is defined by autonomous callbacks for the dynamics, costs and
 constraints plus their partials, the step lengths of the normalized
 horizon, and a decision-vector layout.  No callback takes a time argument:
 with a free horizon length the normalized time is not physical time.  The
-residual assembly runs the forward state recursion with the caller's
-structure-preserving stepper, the backward costate recursion, and stacks
-the optimality conditions into one vector F whose zero is the discrete
-first-order optimum.
+residual stacks the optimality conditions into one vector F whose zero is
+the discrete first-order optimum, in one of two transcriptions:
+
+* condensed (single shooting): the decision vector holds the controls and
+  multipliers only, and the states and costates come from the forward
+  state recursion with the caller's structure-preserving stepper and the
+  backward costate recursion, one stage at a time;
+* lifted (multiple shooting): the states x_1..x_N and the costates
+  lam_1..lam_N are unknowns too, the same rows are evaluated on them, and
+  defect rows tie consecutive stages together.  Every callback then runs
+  once on whole stage stacks, with no stage loop.
 
 Decision vector layout (component-major inside each block):
 
     [ u^(0)_0..u^(0)_{N-1}, u^(1)_0.., ... | mu^(0)_0.., ... | nu | p ]
 
+followed, in the lifted vector, by
+
+    [ x^(0)_1..x^(0)_N, x^(1)_1.., ... | lam^(0)_1..lam^(0)_N, ... ]
+
 Residual rows use the same layout, so Jacobian blocks of F line up with
-the corresponding unknown blocks.  A (B, dim) stack of decision vectors
-gives the (B, dim) stack of their residuals from one assembly.
+the corresponding unknown blocks: the state-defect rows sit in the state
+block and the costate-defect rows in the costate block.  A (B, length)
+stack of decision vectors gives the (B, length) stack of their residuals
+from one assembly.
 """
 
 from dataclasses import dataclass
@@ -40,10 +53,17 @@ class DecisionLayout:
     n_mu: int
     n_nu: int
     n_p: int
+    n_x: int = 0  # width of the lifted state and costate blocks
 
     @property
     def dim(self) -> int:
+        """Length of the condensed vector: controls, multipliers, nu, p."""
         return self.n_steps * (self.n_u + self.n_mu) + self.n_nu + self.n_p
+
+    @property
+    def lifted_dim(self) -> int:
+        """Length of the lifted vector: dim, then the states and costates."""
+        return self.dim + 2 * self.n_steps * self.n_x
 
     @property
     def mu_offset(self) -> int:
@@ -65,6 +85,14 @@ class DecisionLayout:
         """All stage multipliers as a (..., n_steps, n_mu) view."""
         return self._stages(vec, self.mu_offset, self.n_mu)
 
+    def states(self, vec: np.ndarray) -> np.ndarray:
+        """States x_1..x_N of a lifted vector as a (..., n_steps, n_x) view."""
+        return self._stages(vec, self.dim, self.n_x)
+
+    def costates(self, vec: np.ndarray) -> np.ndarray:
+        """Costates lam_1..lam_N of a lifted vector as a (..., n_steps, n_x) view."""
+        return self._stages(vec, self.dim + self.n_steps * self.n_x, self.n_x)
+
     # Component j of stage i lives at offset + j*n_steps + i: the block
     # reshaped to (width, n_steps) and transposed is the stage view.
     def _stages(self, vec: np.ndarray, offset: int, width: int) -> np.ndarray:
@@ -76,7 +104,7 @@ class DecisionLayout:
         return vec[..., self.nu_offset : self.p_offset]
 
     def p(self, vec: np.ndarray) -> np.ndarray:
-        return vec[..., self.p_offset :]
+        return vec[..., self.p_offset : self.dim]
 
 
 # validate_at probes one point, a stage stack and a batch of stage stacks;
@@ -92,8 +120,10 @@ class OcpDefinition:
     Callbacks take arrays whose last axis is the component and broadcast
     over any leading stage or batch axes: all array arguments of one call
     share those axes, and each output carries them in front of the shapes
-    below.  The recursions call their callbacks on (..., n_x) slices one
-    stage at a time; H_u, C and H_p see whole (..., n_steps, n) stage stacks.
+    below.  The condensed recursions call stepper and H_x on (..., n_x)
+    slices one stage at a time; every other call, and every call of the
+    lifted residual, sees whole (..., n_steps, n) stage stacks, with the
+    stepper's dtau an (n_steps, 1) column of step lengths.
 
     The Hamiltonian behind H_u/H_x/H_p is L + lam . f + mu . C, with f the
     dynamics the stepper integrates; the costate recursion deliberately
@@ -193,62 +223,115 @@ class HorizonProblem:
         self.dtau = dtau
         self.layout = DecisionLayout(
             n_steps=len(dtau), n_u=ocp.n_u, n_mu=ocp.n_mu,
-            n_nu=ocp.n_nu, n_p=ocp.n_p,
+            n_nu=ocp.n_nu, n_p=ocp.n_p, n_x=ocp.n_x,
         )
 
     @property
     def dim(self) -> int:
         return self.layout.dim
 
+    @property
+    def lifted_dim(self) -> int:
+        return self.layout.lifted_dim
+
     def trajectory(self, x0, U) -> tuple:
-        """(states, costates) of U, each (..., N+1, n_x); U may be a
-        (..., dim) stack.  Both recursions run in order over the stages."""
+        """States x_0..x_N, shape (..., N+1, n_x), and costates lam_1..lam_N,
+        shape (..., N, n_x), of a condensed U, which may be a (..., dim)
+        stack.  Both recursions run in order over the stages; no row reads
+        lam_0, so the backward one stops at lam_1."""
         ocp, dtau, layout = self.ocp, self.dtau, self.layout
         U = np.asarray(U, dtype=float)
         n = layout.n_steps
         p = layout.p(U)
         controls, mus = layout.controls(U), layout.mus(U)
         states = np.empty(U.shape[:-1] + (n + 1, ocp.n_x))
-        costates = np.empty_like(states)
+        costates = np.empty(U.shape[:-1] + (n, ocp.n_x))
         states[..., 0, :] = x0
         for i in range(n):
             states[..., i + 1, :] = ocp.stepper(
                 states[..., i, :], controls[..., i, :], p, dtau[i])
-        x_n = states[..., n, :]
-        costates[..., n, :] = ocp.phi_x(x_n, p) + _transposed_times(
-            ocp.psi_x(x_n, p), layout.nu(U))
-        for i in range(n - 1, -1, -1):
-            lam = costates[..., i + 1, :]
+        costates[..., n - 1, :] = self._terminal_costate(states[..., n, :], U)
+        # costates[..., i, :] is lam_{i+1}
+        for i in range(n - 1, 0, -1):
+            lam = costates[..., i, :]
             hx = ocp.H_x(states[..., i, :], lam, controls[..., i, :], mus[..., i, :], p)
-            costates[..., i, :] = lam + hx * dtau[i]
+            costates[..., i - 1, :] = lam + hx * dtau[i]
         return states, costates
+
+    def lift(self, x0, U) -> np.ndarray:
+        """The lifted vector of a condensed U: U, then the states x_1..x_N
+        and costates lam_1..lam_N of its trajectory."""
+        U = np.asarray(U, dtype=float)
+        if U.ndim < 1 or U.shape[-1] != self.layout.dim:
+            raise DimensionMismatch(f"U has shape {U.shape}, layout dim {self.layout.dim}")
+        states, costates = self.trajectory(x0, U)
+        return np.concatenate(
+            [U, _component_major(states[..., 1:, :]), _component_major(costates)],
+            axis=-1)
 
     def assemble_residual(self, x0, U) -> np.ndarray:
         """Stack the optimality residual over the whole horizon.
 
-        Row order: H_u blocks, C blocks, terminal constraint, then the
-        parameter stationarity rows.  U may carry leading batch axes; the
-        result then has the same leading axes.
+        A condensed U (length dim) gives the rows at its trajectory: H_u
+        blocks, C blocks, terminal constraint, then the parameter
+        stationarity rows.  A lifted U (length lifted_dim) gives the same
+        rows at the states and costates it carries, followed by the state
+        defects x_{i+1} - stepper(x_i, u_i, p, dtau_i) and the costate
+        defects lam_i - lam_{i+1} - dtau_i H_x(x_i, lam_{i+1}, u_i, mu_i, p)
+        for i < N and lam_N - phi_x - psi_x^T nu.  U may carry leading
+        batch axes; the result then has the same leading axes.
         """
         ocp, layout = self.ocp, self.layout
         U = np.asarray(U, dtype=float)
-        if U.ndim < 1 or U.shape[-1] != layout.dim:
-            raise DimensionMismatch(f"U has shape {U.shape}, layout dim {layout.dim}")
-        states, costates = self.trajectory(x0, U)
+        length = U.shape[-1] if U.ndim else None
+        if length == layout.dim:
+            states, costates = self.trajectory(x0, U)
+            return self._rows(U, states, costates)
+        if length != layout.lifted_dim:
+            raise DimensionMismatch(f"U has shape {U.shape}, layout dim "
+                                    f"{layout.dim} or lifted dim {layout.lifted_dim}")
+        n = layout.n_steps
+        lead = U.shape[:-1]
+        p = layout.p(U)
+        x_next, lam = layout.states(U), layout.costates(U)
+        states = np.concatenate(
+            [np.broadcast_to(x0, lead + (1, ocp.n_x)), x_next], axis=-2)
+        x, u, mu = states[..., :n, :], layout.controls(U), layout.mus(U)
+        p_stages = np.broadcast_to(p[..., None, :], lead + (n, layout.n_p))
+        dtau = self.dtau[:, None]
+        hx = ocp.H_x(x[..., 1:, :], lam[..., 1:, :], u[..., 1:, :], mu[..., 1:, :],
+                     p_stages[..., 1:, :])
+        lam_target = np.concatenate([
+            lam[..., 1:, :] + hx * dtau[1:],
+            self._terminal_costate(states[..., n, :], U)[..., None, :],
+        ], axis=-2)
+        return np.concatenate([
+            self._rows(U, states, lam),
+            _component_major(x_next - ocp.stepper(x, u, p_stages, dtau)),
+            _component_major(lam - lam_target),
+        ], axis=-1)
 
+    def _terminal_costate(self, x_n, U) -> np.ndarray:
+        """lam_N = phi_x + psi_x^T nu at the terminal state x_n."""
+        p = self.layout.p(U)
+        return self.ocp.phi_x(x_n, p) + _transposed_times(
+            self.ocp.psi_x(x_n, p), self.layout.nu(U))
+
+    def _rows(self, U, states, costates) -> np.ndarray:
+        """H_u, C, psi and p rows at states x_0..x_N and costates lam_1..lam_N."""
+        ocp, layout = self.ocp, self.layout
         n = layout.n_steps
         p = layout.p(U)
         x_n = states[..., n, :]
         x = states[..., :n, :]
-        lam_next = costates[..., 1:, :]
         u, mu = layout.controls(U), layout.mus(U)
         p_stages = np.broadcast_to(p[..., None, :], U.shape[:-1] + (n, layout.n_p))
         dtau = self.dtau[:, None]
         p_rows = (ocp.phi_p(x_n, p)
                   + _transposed_times(ocp.psi_p(x_n, p), layout.nu(U))
-                  + self.dtau @ ocp.H_p(x, lam_next, u, mu, p_stages))
+                  + self.dtau @ ocp.H_p(x, costates, u, mu, p_stages))
         return np.concatenate([
-            _component_major(dtau * ocp.H_u(x, lam_next, u, mu, p_stages)),
+            _component_major(dtau * ocp.H_u(x, costates, u, mu, p_stages)),
             _component_major(dtau * ocp.C(x, u, p_stages)),
             ocp.psi(x_n, p),
             p_rows,

@@ -9,10 +9,18 @@ each sample's GMRES report gives H a Krylov block update: GMRES has
 already formed H J V_k on its basis V_k, and the update makes H J = I on
 that whole subspace, so H tracks the Jacobian without extra residual
 calls; a refresh replaces it.  A refresh that finds the Jacobian singular
-leaves GMRES unpreconditioned until the next period.
+keeps the inverse already held, block-updated, until the next period; with
+none held, GMRES runs unpreconditioned.
 
-Cold start solves the residual to tight tolerance with damped Newton and
-dense LAPACK steps, from a caller-supplied structured guess.
+The preconditioned controller iterates on the lifted (multiple-shooting)
+decision vector, whose residual runs every problem callback once, with no
+stage loop.  Its Jacobian is a chain of stage blocks that unpreconditioned
+GMRES would need about 2N products to couple end to end, so the
+unpreconditioned controller, and a start whose lifted Jacobian is
+singular, iterate on the condensed (single-shooting) vector instead.
+
+Cold start solves the condensed residual to tight tolerance with damped
+Newton and dense LAPACK steps, from a caller-supplied structured guess.
 
 Every iterate has its parameter block floored at P_MIN: for the benchmark
 that block is the free horizon length, which must stay positive.
@@ -167,8 +175,9 @@ def initialize(problem, x0, U0) -> np.ndarray:
 class NmpcController:
     """Warm-started controller: one decision vector tracked across samples.
 
-    With precondition=False no Jacobian is built and every GMRES solve runs
-    unpreconditioned.
+    With precondition=True the tracked vector U is the lifted one.  With
+    precondition=False it is the condensed one, no Jacobian is built and
+    every GMRES solve runs unpreconditioned.
     """
 
     def __init__(self, problem, precondition: bool = True):
@@ -178,9 +187,17 @@ class NmpcController:
         self.precond = PreconditionerState()
 
     def initialize(self, x0, t0: float, U0) -> np.ndarray:
-        self.U = initialize(self.problem, x0, U0)
-        self.refresh_preconditioner(x0, t0)
-        return self.U
+        """Solve the condensed system at x0, start tracking it, and return
+        the condensed solution."""
+        U = initialize(self.problem, x0, U0)
+        self.U = U
+        if self.precondition:
+            self.U = self.problem.lift(x0, U)
+            self.refresh_preconditioner(x0, t0)
+            if self.precond.inverse is None:
+                # unpreconditioned GMRES cannot solve the lifted system
+                self.U = U
+        return U
 
     def refresh_preconditioner(self, x0, t_now: float) -> None:
         if not self.precondition:
@@ -192,8 +209,7 @@ class NmpcController:
         try:
             st.inverse = inverse(jac)
         except SingularMatrix:
-            # fall back to unpreconditioned GMRES until the next period
-            st.inverse = None
+            pass  # keep the inverse already held until the next period
         st.built_at = t_now
 
     def sample_update(self, x, t_now: float):
@@ -205,7 +221,7 @@ class NmpcController:
         U = self.U
         f0 = self.problem.assemble_residual(x, U)
         op = LinearOperator(
-            self.problem.dim,
+            U.shape[0],
             lambda v: jacobian_vector_product(self.problem, x, U, f0, v),
         )
         report = gmres_solve(op, -f0, precond_op)

@@ -158,7 +158,7 @@ def test_06a_dual_residual_paths():
     layout = problem.layout
     rng = np.random.default_rng(2024)
     base = initial_guess(layout, params)
-    worst = 0.0
+    worst = worst_lifted = worst_defect = 0.0
     for _ in range(100):
         decision = base.copy()
         controls, mus = layout.controls(decision), layout.mus(decision)
@@ -171,9 +171,16 @@ def test_06a_dual_residual_paths():
         generic = problem.assemble_residual(x0, decision)
         direct = residual_rows(decision, x0, problem.dtau, params)
         worst = max(worst, float(np.max(np.abs(generic - direct))))
-    ok = worst <= 1e-12
+        # the lifted rows at the lift of the draw, and its defect rows
+        lifted = problem.assemble_residual(x0, problem.lift(x0, decision))
+        worst_lifted = max(worst_lifted,
+                           float(np.max(np.abs(lifted[:problem.dim] - direct))))
+        worst_defect = max(worst_defect,
+                           float(np.max(np.abs(lifted[problem.dim:]))))
+    ok = worst <= 1e-12 and worst_lifted <= 1e-12 and worst_defect <= 1e-12
     verdict("06a dual-residual-paths",
-            ok, f"entrywise gap {worst:.2e} over 100 draws (<=1e-12)")
+            ok, f"entrywise gap {worst:.2e}, lifted {worst_lifted:.2e}, "
+                f"lifted defects {worst_defect:.2e} over 100 draws (<=1e-12)")
 
 
 def test_06b_jvp_matches_jacobian_columns(initialized):

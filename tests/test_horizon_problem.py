@@ -102,6 +102,27 @@ def test_layout_component_major_order():
         assert np.count_nonzero(vec) == 3 * int(np.prod(lead))
 
 
+def test_lifted_layout_views():
+    # p, states and costates of a lifted vector are writable views; the
+    # states and costates are component-major blocks after the condensed ones
+    layout = DecisionLayout(n_steps=3, n_u=2, n_mu=1, n_nu=1, n_p=1, n_x=2)
+    assert layout.lifted_dim == layout.dim + 2 * 3 * 2
+    for lead in [(), (2,)]:
+        vec = np.zeros(lead + (layout.lifted_dim,))
+        layout.p(vec)[...] = 4.0
+        layout.states(vec)[..., 1, :] = (5.0, 7.0)
+        layout.costates(vec)[..., 2, :] = (9.0, 11.0)
+        assert layout.p(vec).shape == lead + (1,)
+        assert np.all(vec[..., layout.p_offset] == 4.0)
+        assert np.all(vec[..., layout.dim + 1] == 5.0)
+        assert np.all(vec[..., layout.dim + 3 + 1] == 7.0)
+        assert np.all(vec[..., layout.dim + 6 + 2] == 9.0)
+        assert np.all(vec[..., layout.dim + 6 + 3 + 2] == 11.0)
+        assert np.count_nonzero(vec) == 5 * int(np.prod(lead))
+        assert np.array_equal(layout.states(vec)[..., 1, :],
+                              np.broadcast_to([5.0, 7.0], lead + (2,)))
+
+
 def test_layout_offsets_reproducible():
     a = DecisionLayout(5, 2, 1, 2, 1)
     b = DecisionLayout(5, 2, 1, 2, 1)
@@ -150,9 +171,11 @@ def test_terminal_costate_equals_nu():
     nu = np.array([0.7, -0.3])
     prob.layout.nu(U)[:] = nu
     _, costates = prob.trajectory(np.zeros(2), U)
-    assert np.array_equal(costates[4], nu)
+    # costates holds lam_1..lam_4, so lam_N is the last row
+    assert costates.shape == (4, 2)
+    assert np.array_equal(costates[3], nu)
     # H_x == 0 here, so the whole costate history is constant
-    for i in range(5):
+    for i in range(4):
         assert np.array_equal(costates[i], nu)
 
 
@@ -220,8 +243,14 @@ def test_assemble_residual_deterministic():
 
 def test_assemble_rejects_wrong_length():
     prob = make_cart_problem(5)
+    for length in (prob.dim - 1, prob.dim + 1, prob.lifted_dim - 1,
+                   prob.lifted_dim + 1):
+        with pytest.raises(DimensionMismatch):
+            prob.assemble_residual(np.zeros(2), np.zeros(length))
     with pytest.raises(DimensionMismatch):
-        prob.assemble_residual(np.zeros(2), np.zeros(prob.dim + 1))
+        prob.assemble_residual(np.zeros(2), 0.0)
+    with pytest.raises(DimensionMismatch):
+        prob.lift(np.zeros(2), np.zeros(prob.lifted_dim))
 
 
 def test_validate_at_accepts_and_rejects():
@@ -250,13 +279,65 @@ def cart_case():
     return prob, np.array([0.2, -0.1]), np.zeros(prob.dim), 0.3
 
 
+def lifted_case(case):
+    """The case at the lift of its base point, with a smaller spread, so
+    the stacks it draws carry nonzero defects."""
+    prob, x0, base, spread = case()
+    return prob, x0, prob.lift(x0, base), 0.1 * spread
+
+
+def lifted_hemisphere_case():
+    return lifted_case(hemisphere_case)
+
+
+def lifted_cart_case():
+    return lifted_case(cart_case)
+
+
 @pytest.mark.parametrize("case", [hemisphere_case, cart_case])
+def test_lifted_rows_equal_condensed_rows(case):
+    # the lifted residual at lift(U) evaluates the same row formulas on the
+    # same numbers, and the lift satisfies every defect row
+    prob, x0, base, spread = case()
+    stack = base + spread * np.random.default_rng(3).standard_normal((4, prob.dim))
+    for U in [*stack, stack]:
+        lifted = prob.lift(x0, U)
+        assert lifted.shape == U.shape[:-1] + (prob.lifted_dim,)
+        assert np.array_equal(prob.layout.controls(lifted), prob.layout.controls(U))
+        rows = prob.assemble_residual(x0, lifted)
+        assert np.array_equal(prob.assemble_residual(x0, U), rows[..., :prob.dim])
+        assert np.max(np.abs(rows[..., prob.dim:])) <= 1e-14
+
+
+def test_lifted_defect_rows():
+    # moving one lifted state or costate shows up in its own defect rows
+    prob, x0, base, _ = cart_case()
+    layout = prob.layout
+    lifted = prob.lift(x0, base + 0.3 * np.random.default_rng(5).standard_normal(prob.dim))
+    moved = lifted.copy()
+    layout.states(moved)[2, 0] += 1e-3  # x_3
+    layout.costates(moved)[4, 0] -= 2e-3  # lam_5
+    gap = prob.assemble_residual(x0, moved) - prob.assemble_residual(x0, lifted)
+    state_rows, costate_rows = layout.states(gap), layout.costates(gap)
+    assert state_rows[2, 0] == pytest.approx(1e-3, abs=1e-12)
+    assert costate_rows[4, 0] == pytest.approx(-2e-3, abs=1e-12)
+    # x_3 enters the next state defect through the stepper and lam_3's
+    # costate defect through H_x; lam_5 enters lam_4's costate defect
+    assert np.count_nonzero(state_rows[3]) > 0
+    assert np.count_nonzero(costate_rows[2]) > 0
+    assert np.count_nonzero(costate_rows[3]) > 0
+    assert np.count_nonzero(state_rows[:2]) == 0
+    assert np.count_nonzero(costate_rows[:2]) == 0
+
+
+@pytest.mark.parametrize("case", [hemisphere_case, cart_case,
+                                  lifted_hemisphere_case, lifted_cart_case])
 def test_batched_rows_match_single_calls(case):
     prob, x0, base, spread = case()
     rng = np.random.default_rng(8)
-    stack = base + spread * rng.standard_normal((6, prob.dim))
+    stack = base + spread * rng.standard_normal((6, base.size))
     batched = prob.assemble_residual(x0, stack)
-    assert batched.shape == (6, prob.dim)
+    assert batched.shape == stack.shape
     single = np.array([prob.assemble_residual(x0, row) for row in stack])
     assert np.max(np.abs(batched - single)) <= 1e-14
     # a second leading axis is a batch axis too
@@ -264,14 +345,15 @@ def test_batched_rows_match_single_calls(case):
                           batched.reshape(2, 3, -1))
 
 
-@pytest.mark.parametrize("case", [hemisphere_case, cart_case])
+@pytest.mark.parametrize("case", [hemisphere_case, cart_case,
+                                  lifted_hemisphere_case, lifted_cart_case])
 def test_exact_jacobian_matches_column_loop(case):
     prob, x0, base, spread = case()
-    U = base + spread * np.random.default_rng(9).standard_normal(prob.dim)
+    U = base + spread * np.random.default_rng(9).standard_normal(base.size)
     h = FD_STEP
     f0 = prob.assemble_residual(x0, U)
-    loop = np.empty((prob.dim, prob.dim))
-    for j in range(prob.dim):
+    loop = np.empty((U.size, U.size))
+    for j in range(U.size):
         u_j = U.copy()
         u_j[j] += h
         loop[:, j] = (prob.assemble_residual(x0, u_j) - f0) / h

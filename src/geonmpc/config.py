@@ -41,6 +41,8 @@ class SimConfig:
             raise ConfigError("p_stop must be positive and finite")
         if self.max_samples < 1:
             raise ConfigError("max_samples must be >= 1")
+        if self.output_dir == "":
+            raise ConfigError("output_dir must not be empty")
 
 
 # Config key -> (owning dataclass, field).  The field's default is the key's

@@ -42,10 +42,9 @@ class SimulationAborted(GeonmpcError):
     """The closed-loop run hit a solver or integrator error mid-loop.
 
     Carries the records collected up to the failure so partial output can
-    still be inspected.
+    still be inspected; the error that stopped the loop is __cause__.
     """
 
-    def __init__(self, message, records=None, cause=None):
+    def __init__(self, message, records=None):
         super().__init__(message)
         self.records = records or []
-        self.cause = cause

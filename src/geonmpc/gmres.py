@@ -57,7 +57,6 @@ def matrix_operator(a) -> LinearOperator:
 class GmresReport:
     solution: np.ndarray
     iters_used: int
-    final_residual_norm: float
     converged: bool
     # Preconditioned residual norm after 0, 1, ..., iters_used iterations.
     residual_history: list
@@ -91,7 +90,7 @@ def gmres_solve(op: LinearOperator, rhs, precond=None) -> GmresReport:
     beta = norm2(r)
     history = [beta]
     if beta <= ABS_TOL:
-        return GmresReport(np.zeros(n), 0, beta, True, history,
+        return GmresReport(np.zeros(n), 0, True, history,
                            np.zeros((1, n)), np.zeros((1, 0)))
 
     m = MAX_ITERS
@@ -145,6 +144,5 @@ def gmres_solve(op: LinearOperator, rhs, precond=None) -> GmresReport:
     for i in range(iters - 1, -1, -1):
         y[i] = (g[i] - hess[i, i + 1 : iters] @ y[i + 1 : iters]) / hess[i, i]
     x = basis[:iters].T @ y
-    res = history[-1]
-    return GmresReport(x, iters, res, res <= ABS_TOL, history,
+    return GmresReport(x, iters, history[-1] <= ABS_TOL, history,
                        basis[: iters + 1], arnoldi[: iters + 1, :iters])

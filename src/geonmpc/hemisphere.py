@@ -136,7 +136,8 @@ def make_ocp(params: HemisphereParams) -> OcpDefinition:
 
     The rescaled horizon multiplies dynamics, running cost and constraint
     by p, so the optimality rows reproduce the discretized system with
-    p inside every stage block and phi_p = 1 in the parameter row.
+    p inside every stage block.  The running cost is -p w_s u_s and the
+    terminal cost is p, hence phi_p = 1 in the parameter row.
 
     Callbacks read components from transposes (``xt = x.T``, ``xt[0]``)
     and pack results back with ``.T``: a single point runs on numpy
@@ -172,8 +173,6 @@ def make_ocp(params: HemisphereParams) -> OcpDefinition:
 
     return OcpDefinition(
         n_x=2, n_u=2, n_mu=1, n_nu=2, n_p=1,
-        L=lambda x, u, p: (-p.T[0] * w_s * u.T[1]).T,
-        phi=lambda xn, p: p[..., 0],
         C=C,
         psi=lambda xn, p: terminal_psi(xn, params),
         H_u=H_u,
@@ -187,10 +186,7 @@ def make_ocp(params: HemisphereParams) -> OcpDefinition:
     )
 
 
-def make_problem(params: HemisphereParams | None = None,
-                 n_steps: int = 20) -> HorizonProblem:
-    if params is None:
-        params = HemisphereParams()
+def make_problem(params: HemisphereParams, n_steps: int) -> HorizonProblem:
     if not n_steps >= 1:
         raise DimensionMismatch(f"n_steps must be >= 1, got {n_steps}")
     probe = (np.array([params.x0, params.y0]), np.array([params.c_u, params.r_u]),

@@ -1,11 +1,12 @@
 """Discretized finite-horizon optimal control problems.
 
-A problem is defined by autonomous callbacks for the dynamics, costs and
-constraints plus their partials, the step lengths of the normalized
-horizon, and a decision-vector layout.  No callback takes a time argument:
-with a free horizon length the normalized time is not physical time.  The
-residual stacks the optimality conditions into one vector F whose zero is
-the discrete first-order optimum, in one of two transcriptions:
+A problem is defined by autonomous callbacks for the stepper, the
+constraints and the partials of the Hamiltonian and terminal cost, the
+step lengths of the normalized horizon, and a decision-vector layout.  No
+callback takes a time argument: with a free horizon length the normalized
+time is not physical time.  The residual stacks the optimality conditions
+into one vector F whose zero is the discrete first-order optimum, in one
+of two transcriptions:
 
 * condensed (single shooting): the decision vector holds the controls and
   multipliers only, and the states and costates come from the forward
@@ -125,9 +126,12 @@ class OcpDefinition:
     lifted residual, sees whole (..., n_steps, n) stage stacks, with the
     stepper's dtau an (n_steps, 1) column of step lengths.
 
-    The Hamiltonian behind H_u/H_x/H_p is L + lam . f + mu . C, with f the
-    dynamics the stepper integrates; the costate recursion deliberately
-    uses H_x in place of the stepper's own state sensitivity.
+    The Hamiltonian behind H_u/H_x/H_p is L + lam . f + mu . C, with L the
+    running cost and f the dynamics the stepper integrates, and phi_x/phi_p
+    are the partials of the terminal cost phi.  The rows read L and phi only
+    through these partials, so neither is a callback.  The costate
+    recursion deliberately uses H_x in place of the stepper's own state
+    sensitivity.
 
     The solver floors the parameter block p at solver.P_MIN, so p should be
     a quantity that stays positive, such as a free horizon length.
@@ -138,8 +142,6 @@ class OcpDefinition:
     n_mu: int
     n_nu: int
     n_p: int
-    L: Callable            # (x, u, p) -> scalar
-    phi: Callable          # (x_N, p) -> scalar
     C: Callable            # (x, u, p) -> (n_mu,)
     psi: Callable          # (x_N, p) -> (n_nu,)
     H_u: Callable          # (x, lam, u, mu, p) -> (n_u,)
@@ -154,8 +156,6 @@ class OcpDefinition:
     def _probe(self, x, u, lam, mu, nu, p) -> dict:
         """name -> (output, component shape) of every callback at one input."""
         return {
-            "L": (self.L(x, u, p), ()),
-            "phi": (self.phi(x, p), ()),
             "C": (self.C(x, u, p), (self.n_mu,)),
             "psi": (self.psi(x, p), (self.n_nu,)),
             "H_u": (self.H_u(x, lam, u, mu, p), (self.n_u,)),

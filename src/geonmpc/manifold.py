@@ -139,14 +139,13 @@ def standard_projection_step(constraint: ManifoldConstraint, method: Callable,
 
 
 def symmetric_projection_step(constraint: ManifoldConstraint, method: Callable,
-                              tau: float, y, dtau: float,
-                              tol: float = PROJECTION_TOL) -> np.ndarray:
+                              tau: float, y, dtau: float) -> np.ndarray:
     """Perturb along G^T, step, and project along G^T with one shared multiplier.
 
-    The multiplier mu solves g(y_next(mu)) = 0 by Newton iteration with a
-    finite-difference sensitivity.  Reversibility holds when the base
-    method is symmetric; a non-symmetric base still gives a consistent
-    (first-order) on-manifold step.
+    The multiplier mu solves g(y_next(mu)) = 0 to PROJECTION_TOL by Newton
+    iteration with a finite-difference sensitivity.  Reversibility holds
+    when the base method is symmetric; a non-symmetric base still gives a
+    consistent (first-order) on-manifold step.
     """
     y = as_vector(y)
     g0t = np.asarray(constraint.jacobian_g(y), dtype=float).T
@@ -163,7 +162,7 @@ def symmetric_projection_step(constraint: ManifoldConstraint, method: Callable,
     for _ in range(SYMMETRIC_MAX_ITERS):
         y_next = advance(mu)
         res = as_vector(constraint.g(y_next))
-        if float(np.max(np.abs(res))) <= tol:
+        if float(np.max(np.abs(res))) <= PROJECTION_TOL:
             return y_next
         jac = np.empty((m, m))
         for j in range(m):

@@ -97,8 +97,7 @@ def run_simulation(cfg: SimConfig, write_output: bool = True
                 f"state=({records[-1].x:.17g}, {records[-1].y:.17g})"
                 if records else "no samples completed")
         raise SimulationAborted(
-            f"simulation aborted: {exc} ({last})", records=records,
-            cause=exc) from exc
+            f"simulation aborted: {exc} ({last})", records=records) from exc
 
     if write_output and cfg.output_dir is not None:
         emit_plot_data(records, cfg.output_dir)

@@ -191,6 +191,7 @@ class NmpcController:
         the condensed solution."""
         U = initialize(self.problem, x0, U0)
         self.U = U
+        self.precond = PreconditionerState()  # nothing carries over from a previous run
         if self.precondition:
             self.U = self.problem.lift(x0, U)
             self.refresh_preconditioner(x0, t0)

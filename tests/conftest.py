@@ -3,12 +3,24 @@
 The flat problem uses an explicit-Euler stepper directly on its dynamics,
 so the assembled residual must equal the exact gradient of the discrete
 Lagrangian; the oracle below evaluates that Lagrangian from scratch
-(states regenerated per call) for central-difference checks.
+(states regenerated per call) for central-difference checks.  The
+residual reads the costs only through the Hamiltonian's partials, so the
+running and terminal costs the oracle needs live here, beside them.
 """
 
 import numpy as np
 
 from geonmpc.horizon import HorizonProblem, OcpDefinition, euler_stepper
+
+
+def cart_running_cost(x, u, p):
+    """The cart's L, whose partials the cart's H_u, H_x and H_p carry."""
+    return (0.5 * (u.T[0] ** 2 + 0.1 * x.T[0] ** 2) + 0.05 * p.T[0] ** 2).T
+
+
+def cart_terminal_cost(xn, p):
+    """The cart's phi, whose partials are its phi_x and phi_p."""
+    return 0.5 * (xn * xn).sum(axis=-1) + 0.1 * p[..., 0]
 
 
 def make_cart_problem(n_steps=10):
@@ -32,9 +44,6 @@ def make_cart_problem(n_steps=10):
 
     ocp = OcpDefinition(
         n_x=2, n_u=1, n_mu=1, n_nu=1, n_p=1,
-        L=lambda x, u, p: (0.5 * (u.T[0] ** 2 + 0.1 * x.T[0] ** 2)
-                           + 0.05 * p.T[0] ** 2).T,
-        phi=lambda xn, p: 0.5 * (xn * xn).sum(axis=-1) + 0.1 * p[..., 0],
         C=lambda x, u, p: np.array([u.T[0] + 0.2 * x.T[1] - 0.1 * p.T[0]]).T,
         psi=lambda xn, p: xn[..., :1] - 0.3,
         H_u=lambda x, lam, u, mu, p: np.array([u.T[0] + lam.T[1] + mu.T[0]]).T,
@@ -57,18 +66,19 @@ def origin_probe(ocp):
             np.zeros(ocp.n_mu), np.zeros(ocp.n_nu), np.ones(ocp.n_p))
 
 
-def discrete_lagrangian(problem, x0, U):
-    """phi + sum L dtau + sum mu.C dtau + nu.psi with states regenerated."""
+def discrete_lagrangian(problem, x0, U, L, phi):
+    """phi + sum L dtau + sum mu.C dtau + nu.psi with states regenerated,
+    for the running cost L(x, u, p) and terminal cost phi(x_N, p)."""
     ocp, layout = problem.ocp, problem.layout
     p = layout.p(U)
     nu = layout.nu(U)
     states, _ = problem.trajectory(x0, U)
     x_n = states[layout.n_steps]
-    total = float(ocp.phi(x_n, p)) + float(nu @ ocp.psi(x_n, p))
+    total = float(phi(x_n, p)) + float(nu @ ocp.psi(x_n, p))
     for i in range(layout.n_steps):
         u_i = layout.controls(U)[i]
         mu_i = layout.mus(U)[i]
-        stage = float(ocp.L(states[i], u_i, p))
+        stage = float(L(states[i], u_i, p))
         stage += float(mu_i @ ocp.C(states[i], u_i, p))
         total += stage * problem.dtau[i]
     return total

@@ -133,7 +133,7 @@ def test_problem_rejects_an_empty_horizon(n_steps):
 
 
 def test_initial_guess_structure():
-    prob = make_problem(PARAMS)
+    prob = make_problem(PARAMS, 20)
     U0 = initial_guess(prob.layout, PARAMS)
     gc = great_circle_distance(PARAMS)
     assert 1.19 < gc < 1.21
@@ -146,7 +146,7 @@ def test_initial_guess_structure():
 
 
 def test_residual_constant_row_without_multipliers():
-    prob = make_problem(PARAMS)
+    prob = make_problem(PARAMS, 20)
     U = np.zeros(prob.dim)
     prob.layout.controls(U)[:] = (0.37, 0.0)  # u_s = 0
     prob.layout.p(U)[:] = 0.8
@@ -171,7 +171,7 @@ def random_decision_vectors(layout, count, seed=101):
 
 
 def test_dual_path_residual_equality():
-    uniform = make_problem(PARAMS)
+    uniform = make_problem(PARAMS, 20)
     # steps growing linearly from 0.5/N to 1.5/N; they still sum to 1
     graded = np.linspace(0.5, 1.5, uniform.layout.n_steps)
     graded /= graded.sum()
@@ -185,17 +185,21 @@ def test_dual_path_residual_equality():
 
 def test_residual_is_lagrangian_gradient():
     # Euler stepping in chart coordinates makes the assembled residual the
-    # exact gradient of the regenerated-state Lagrangian
-    prob = make_problem(PARAMS)
+    # exact gradient of the regenerated-state Lagrangian, whose running
+    # cost -p w_s u_s and terminal cost p make_ocp's docstring states
+    prob = make_problem(PARAMS, 20)
     x0 = np.array([PARAMS.x0, PARAMS.y0])
     U = next(random_decision_vectors(prob.layout, 1, seed=55))
     fvec = prob.assemble_residual(x0, U)
-    grad = fd_gradient(lambda v: discrete_lagrangian(prob, x0, v), U)
+    grad = fd_gradient(lambda v: discrete_lagrangian(
+        prob, x0, v,
+        L=lambda x, u, p: -p[0] * PARAMS.w_s * u[1],
+        phi=lambda xn, p: p[0]), U)
     assert np.max(np.abs(fvec - grad)) <= 1e-6
 
 
 def test_residual_rows_rejects_wrong_length():
-    prob = make_problem(PARAMS)
+    prob = make_problem(PARAMS, 20)
     with pytest.raises(ValueError):
         residual_rows(np.zeros(10), np.zeros(2), prob.dtau, PARAMS)
 

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import (discrete_lagrangian, fd_gradient, make_cart_problem,
-                      origin_probe)
+from conftest import (cart_running_cost, cart_terminal_cost, discrete_lagrangian,
+                      fd_gradient, make_cart_problem, origin_probe)
 from geonmpc.errors import DimensionMismatch
 from geonmpc.hemisphere import HemisphereParams, initial_guess, make_problem
 from geonmpc.horizon import (
@@ -27,11 +29,10 @@ def uniform(n_steps):
 
 
 def zero_like_callbacks(n_x, n_u, n_mu, n_nu, n_p, f, stepper=None):
-    """OcpDefinition with the given dynamics and inert cost/constraint maps."""
+    """OcpDefinition with the given dynamics and inert constraint and
+    Hamiltonian maps."""
     return OcpDefinition(
         n_x=n_x, n_u=n_u, n_mu=n_mu, n_nu=n_nu, n_p=n_p,
-        L=zeros(),
-        phi=zeros(),
         C=zeros(n_mu),
         psi=zeros(n_nu),
         H_u=zeros(n_u),
@@ -198,7 +199,8 @@ def test_residual_matches_lagrangian_gradient():
     x0 = np.array([0.2, -0.1])
     U = 0.3 * rng.standard_normal(prob.dim)
     fvec = prob.assemble_residual(x0, U)
-    grad = fd_gradient(lambda v: discrete_lagrangian(prob, x0, v), U)
+    grad = fd_gradient(lambda v: discrete_lagrangian(
+        prob, x0, v, cart_running_cost, cart_terminal_cost), U)
     assert np.max(np.abs(fvec - grad)) <= 1e-6
     # the control block alone, at the same tolerance
     n = prob.layout.n_steps
@@ -210,7 +212,6 @@ def test_dtau_scaling_doubles_stage_blocks():
     # explicit dtau factor is the only change
     ocp = OcpDefinition(**{
         **zero_like_callbacks(2, 1, 1, 1, 1, f=zeros(2)).__dict__,
-        "L": lambda x, u, p: u[..., 0] ** 2,
         "C": lambda x, u, p: u - 0.3,
         "psi": lambda xn, p: xn[..., :1],
         "H_u": lambda x, lam, u, mu, p: 2.0 * u + mu,
@@ -379,6 +380,27 @@ def test_validate_at_rejects_callbacks_that_do_not_broadcast():
         "H_p": lambda x, lam, u, mu, p: 0.1 * p + 0.2 * lam[..., 1:] - 0.1 * mu[0]})
     with pytest.raises(DimensionMismatch, match="H_p"):
         first_row.validate_at(*args)
+
+
+def first_point_only(callback):
+    """The callback at the first point of any stack, without the stack's
+    leading axes: right at one point, wrong on every stack."""
+    def call(*args):
+        return callback(*(np.asarray(a)[(0,) * (np.ndim(a) - 1)] for a in args))
+    return call
+
+
+CART_OCP = make_cart_problem(4).ocp
+CALLBACKS = [f.name for f in dataclasses.fields(CART_OCP)
+             if callable(getattr(CART_OCP, f.name))]
+
+
+@pytest.mark.parametrize("name", CALLBACKS)
+def test_validate_at_probes_every_callback(name):
+    broken = dataclasses.replace(
+        CART_OCP, **{name: first_point_only(getattr(CART_OCP, name))})
+    with pytest.raises(DimensionMismatch, match=f"^{name} "):
+        broken.validate_at(*origin_probe(CART_OCP))
 
 
 def test_problem_rejects_callbacks_that_do_not_broadcast():

@@ -192,17 +192,18 @@ def test_symmetric_step_single_roundtrip():
     assert np.linalg.norm(back - y0) <= 1e-9
 
 
-def test_symmetric_step_long_roundtrip():
+def test_symmetric_step_long_roundtrip(monkeypatch):
     # 50 steps out and 50 back; tighter projection tolerance keeps the
     # accumulated asymmetry within the same 1e-9 budget
+    monkeypatch.setattr(geonmpc.manifold, "PROJECTION_TOL", 1e-13)
     method = trapezoidal(twisting_field)
     y0 = np.array([0.2, 0.4, np.sqrt(1 - 0.2)])
     y = y0.copy()
     dt = 0.05
     for i in range(50):
-        y = symmetric_projection_step(SPHERE, method, i * dt, y, dt, tol=1e-13)
+        y = symmetric_projection_step(SPHERE, method, i * dt, y, dt)
     for i in range(50):
-        y = symmetric_projection_step(SPHERE, method, (50 - i) * dt, y, -dt, tol=1e-13)
+        y = symmetric_projection_step(SPHERE, method, (50 - i) * dt, y, -dt)
     assert np.linalg.norm(y - y0) <= 1e-9
 
 

@@ -69,7 +69,7 @@ PARAMS = HemisphereParams()
 
 @pytest.fixture(scope="module")
 def hemi():
-    prob = make_problem(PARAMS)
+    prob = make_problem(PARAMS, 20)
     x0 = np.array([PARAMS.x0, PARAMS.y0])
     u_star = initialize(prob, x0, initial_guess(prob.layout, PARAMS))
     return prob, x0, u_star
@@ -259,6 +259,36 @@ def test_sample_update_requires_initialize(hemi):
         ctl.sample_update(x0, 0.0)
 
 
+def test_reinitialize_starts_a_fresh_preconditioner(hemi):
+    # a controller re-initialized after a run behaves like a fresh one: the
+    # old run's inverse, built at t = 0.2, neither survives nor delays the
+    # refresh at t0
+    prob, x0, _ = hemi
+    dt = 0.00625
+
+    def started():
+        ctl = NmpcController(prob)
+        ctl.initialize(x0, 0.0, initial_guess(prob.layout, PARAMS))
+        return ctl
+
+    def iterations(ctl, samples):
+        x, iters = x0.copy(), []
+        for k in range(samples):
+            u_apply, tel = ctl.sample_update(x, k * dt)
+            iters.append(tel.gmres_iters)
+            x = plant_step(x, float(u_apply[0]), dt)
+        return iters
+
+    used = started()
+    iterations(used, 60)
+    assert used.precond.built_at == 0.2
+    used.initialize(x0, 0.0, initial_guess(prob.layout, PARAMS))
+    fresh = started()
+    assert used.precond.built_at == 0.0
+    assert np.array_equal(used.precond.inverse, fresh.precond.inverse)
+    assert iterations(used, 10) == iterations(fresh, 10)
+
+
 def test_preconditioner_refresh_period(hemi):
     prob, x0, _ = hemi
     ctl = perturbed_controller(hemi)
@@ -386,7 +416,7 @@ def one_step_report(s, z):
         w = z - h11 * s
         h21 = np.linalg.norm(w)
         basis = np.array([s, w / h21])
-    return GmresReport(np.zeros(s.shape[0]), 1, 0.0, True, [1.0, 0.0],
+    return GmresReport(np.zeros(s.shape[0]), 1, True, [1.0, 0.0],
                        basis, np.array([[h11], [h21]]))
 
 

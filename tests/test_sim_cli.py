@@ -120,6 +120,8 @@ y_f = 0.1
         "w_s = nan",
         "dt = inf",
         "p_stop = inf",
+        # an empty directory would put the CSVs in the working directory
+        "output_dir =",
     ])
     def test_invariant_violations(self, tmp_path, line):
         path = tmp_path / "sim.ini"
@@ -255,7 +257,7 @@ class TestRunSimulation:
             real(*args), entry))
         with pytest.raises(SimulationAborted, match="singular") as info:
             run_simulation(short_config(max_samples=3), write_output=False)
-        assert isinstance(info.value.cause, InitializationFailure)
+        assert isinstance(info.value.__cause__, InitializationFailure)
 
     def test_degenerate_refresh_jacobian_runs_unpreconditioned(self, monkeypatch):
         real_init, real_jac = solver.initialize, solver.exact_jacobian
@@ -295,7 +297,7 @@ class TestRunSimulation:
         with pytest.raises(SimulationAborted) as info:
             run_simulation(short_config(max_samples=50), write_output=False)
         assert len(info.value.records) == 2
-        assert isinstance(info.value.cause, ChartDomainViolation)
+        assert isinstance(info.value.__cause__, ChartDomainViolation)
 
 
 # ---------------------------------------------------------- emit_plot_data
@@ -427,6 +429,13 @@ class TestCli:
         assert main(["--config", str(path)]) == 3
         assert "config error" in capsys.readouterr().err
 
+    def test_empty_out_exits_3_and_writes_nothing(self, tmp_path, capsys,
+                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["--out", "", "--max-samples", "2"]) == 3
+        assert "config error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_config_exits_3(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "nope.ini")]) == 3
         assert "config error" in capsys.readouterr().err
@@ -453,6 +462,15 @@ def test_package_all_resolves():
     namespace = {}
     exec("from geonmpc import *", namespace)
     assert set(geonmpc.__all__) <= namespace.keys()
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    namespace = {}
+    exec(re.search(r"```python\n(.*?)```", section, re.S).group(1), namespace)
+    assert namespace["k"] == 99
+    assert namespace["telemetry"].residual_norm <= 1.0
 
 
 def test_readme_constants_match_the_code():

@@ -15,7 +15,7 @@ from .errors import ConfigError, GeonmpcError
 from .hemisphere import initial_guess, make_problem
 from .linalg import norm2
 from .simulate import _fmt, compare_preconditioning, run_simulation
-from .solver import NmpcController
+from .solver import initialize
 
 EXIT_OK = 0
 EXIT_SOLVER_FAILURE = 2
@@ -69,10 +69,8 @@ def _cmd_compare(cfg) -> int:
 
 def _cmd_init_only(cfg) -> int:
     problem = make_problem(cfg.params, cfg.n_steps)
-    controller = NmpcController(problem, precondition=cfg.precond_enabled)
     x0 = np.array([cfg.params.x0, cfg.params.y0])
-    decision = controller.initialize(
-        x0, 0.0, initial_guess(problem.layout, cfg.params))
+    decision = initialize(problem, x0, initial_guess(problem.layout, cfg.params))
     print(f"normF = {_fmt(norm2(problem.assemble_residual(x0, decision)))}")
     print(f"p = {_fmt(float(problem.layout.p(decision)[0]))}")
     print("U =")

@@ -1,7 +1,8 @@
 """Simulator configuration: defaults, flat key=value files, validation.
 
-The file format is one `key = value` per line with `#` comments; the keys
-address the sampling, stopping and problem settings.  The solver's
+The file format is one `key = value` per line with `#` comments and no
+section headers; values are read verbatim, with no `%` interpolation.  The
+keys address the sampling, stopping and problem settings.  The solver's
 numerical constants are module constants of solver and gmres, not keys.
 Unknown keys are rejected so typos fail loudly instead of silently running
 defaults.
@@ -66,7 +67,7 @@ KEYS = {
 
 def _parse_file(path: str) -> dict:
     """Key -> typed value for every key the file sets."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -75,6 +76,9 @@ def _parse_file(path: str) -> dict:
         parser.read_string("[sim]\n" + text, source=path)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
+    # a header would hide every key after it from the unknown-key check
+    if parser.sections() != ["sim"] or parser.defaults():
+        raise ConfigError(f"section headers are not allowed in config file {path}")
 
     section = parser["sim"]
     values = {}

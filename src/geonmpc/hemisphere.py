@@ -136,8 +136,9 @@ def make_ocp(params: HemisphereParams) -> OcpDefinition:
 
     The rescaled horizon multiplies dynamics, running cost and constraint
     by p, so the optimality rows reproduce the discretized system with
-    p inside every stage block.  The running cost is -p w_s u_s and the
-    terminal cost is p, hence phi_p = 1 in the parameter row.
+    p inside every stage block.  The running cost is -p w_s u_s, the
+    terminal cost is p and psi = x_N - x_f, so the terminal Lagrangian
+    Phi = p + nu . (x_N - x_f) has Phi_x = nu and Phi_p = 1.
 
     Callbacks read components from transposes (``xt = x.T``, ``xt[0]``)
     and pack results back with ``.T``: a single point runs on numpy
@@ -178,10 +179,8 @@ def make_ocp(params: HemisphereParams) -> OcpDefinition:
         H_u=H_u,
         H_x=H_x,
         H_p=H_p,
-        phi_x=lambda xn, p: np.zeros_like(xn),
-        phi_p=lambda xn, p: np.ones_like(p),
-        psi_x=lambda xn, p: np.broadcast_to(np.eye(2), xn.shape[:-1] + (2, 2)),
-        psi_p=lambda xn, p: np.zeros(xn.shape[:-1] + (2, 1)),
+        Phi_x=lambda xn, nu, p: nu,
+        Phi_p=lambda xn, nu, p: np.ones_like(p),
         stepper=euler_stepper(lambda x, u, p: chart_dynamics(x, u.T[0], p.T[0])),
     )
 

@@ -1,12 +1,12 @@
 """Discretized finite-horizon optimal control problems.
 
 A problem is defined by autonomous callbacks for the stepper, the
-constraints and the partials of the Hamiltonian and terminal cost, the
-step lengths of the normalized horizon, and a decision-vector layout.  No
-callback takes a time argument: with a free horizon length the normalized
-time is not physical time.  The residual stacks the optimality conditions
-into one vector F whose zero is the discrete first-order optimum, in one
-of two transcriptions:
+constraints and the partials of the Hamiltonian and terminal Lagrangian,
+the step lengths of the normalized horizon, and a decision-vector layout.
+No callback takes a time argument: with a free horizon length the
+normalized time is not physical time.  The residual stacks the optimality
+conditions into one vector F whose zero is the discrete first-order
+optimum, in one of two transcriptions:
 
 * condensed (single shooting): the decision vector holds the controls and
   multipliers only, and the states and costates come from the forward
@@ -54,7 +54,7 @@ class DecisionLayout:
     n_mu: int
     n_nu: int
     n_p: int
-    n_x: int = 0  # width of the lifted state and costate blocks
+    n_x: int  # width of the lifted state and costate blocks
 
     @property
     def dim(self) -> int:
@@ -126,12 +126,14 @@ class OcpDefinition:
     lifted residual, sees whole (..., n_steps, n) stage stacks, with the
     stepper's dtau an (n_steps, 1) column of step lengths.
 
-    The Hamiltonian behind H_u/H_x/H_p is L + lam . f + mu . C, with L the
-    running cost and f the dynamics the stepper integrates, and phi_x/phi_p
-    are the partials of the terminal cost phi.  The rows read L and phi only
-    through these partials, so neither is a callback.  The costate
-    recursion deliberately uses H_x in place of the stepper's own state
-    sensitivity.
+    The stage conditions are the partials H_u/H_x/H_p of the Hamiltonian
+    H = L + lam . f + mu . C, with L the running cost and f the dynamics
+    the stepper integrates.  The terminal conditions are the partials
+    Phi_x/Phi_p of the terminal Lagrangian Phi = phi + nu . psi, with phi
+    the terminal cost: lam_N = Phi_x and Phi_p opens the parameter row.
+    The rows read L, phi and psi's Jacobians only through these partials,
+    so none of them is a callback.  The costate recursion deliberately
+    uses H_x in place of the stepper's own state sensitivity.
 
     The solver floors the parameter block p at solver.P_MIN, so p should be
     a quantity that stays positive, such as a free horizon length.
@@ -147,10 +149,8 @@ class OcpDefinition:
     H_u: Callable          # (x, lam, u, mu, p) -> (n_u,)
     H_x: Callable          # (x, lam, u, mu, p) -> (n_x,)
     H_p: Callable          # (x, lam, u, mu, p) -> (n_p,)
-    phi_x: Callable        # (x_N, p) -> (n_x,)
-    phi_p: Callable        # (x_N, p) -> (n_p,)
-    psi_x: Callable        # (x_N, p) -> (n_nu, n_x)
-    psi_p: Callable        # (x_N, p) -> (n_nu, n_p)
+    Phi_x: Callable        # (x_N, nu, p) -> (n_x,)
+    Phi_p: Callable        # (x_N, nu, p) -> (n_p,)
     stepper: Callable      # (x, u, p, dtau) -> next x
 
     def _probe(self, x, u, lam, mu, nu, p) -> dict:
@@ -161,10 +161,8 @@ class OcpDefinition:
             "H_u": (self.H_u(x, lam, u, mu, p), (self.n_u,)),
             "H_x": (self.H_x(x, lam, u, mu, p), (self.n_x,)),
             "H_p": (self.H_p(x, lam, u, mu, p), (self.n_p,)),
-            "phi_x": (self.phi_x(x, p), (self.n_x,)),
-            "phi_p": (self.phi_p(x, p), (self.n_p,)),
-            "psi_x": (self.psi_x(x, p), (self.n_nu, self.n_x)),
-            "psi_p": (self.psi_p(x, p), (self.n_nu, self.n_p)),
+            "Phi_x": (self.Phi_x(x, nu, p), (self.n_x,)),
+            "Phi_p": (self.Phi_p(x, nu, p), (self.n_p,)),
             "stepper": (self.stepper(x, u, p, 1e-3), (self.n_x,)),
         }
 
@@ -194,11 +192,6 @@ class OcpDefinition:
 def euler_stepper(f) -> Callable:
     """Plain explicit-Euler stepper over the given dynamics callback."""
     return lambda x, u, p, dtau: x + dtau * f(x, u, p)
-
-
-def _transposed_times(jac, vec) -> np.ndarray:
-    """jac^T vec over leading axes: (..., m, n) and (..., m) -> (..., n)."""
-    return (vec[..., None, :] @ jac)[..., 0, :]
 
 
 def _component_major(stages) -> np.ndarray:
@@ -250,7 +243,7 @@ class HorizonProblem:
         for i in range(n):
             states[..., i + 1, :] = ocp.stepper(
                 states[..., i, :], controls[..., i, :], p, dtau[i])
-        costates[..., n - 1, :] = self._terminal_costate(states[..., n, :], U)
+        costates[..., n - 1, :] = ocp.Phi_x(states[..., n, :], layout.nu(U), p)
         # costates[..., i, :] is lam_{i+1}
         for i in range(n - 1, 0, -1):
             lam = costates[..., i, :]
@@ -278,61 +271,39 @@ class HorizonProblem:
         rows at the states and costates it carries, followed by the state
         defects x_{i+1} - stepper(x_i, u_i, p, dtau_i) and the costate
         defects lam_i - lam_{i+1} - dtau_i H_x(x_i, lam_{i+1}, u_i, mu_i, p)
-        for i < N and lam_N - phi_x - psi_x^T nu.  U may carry leading
-        batch axes; the result then has the same leading axes.
+        for i < N and lam_N - Phi_x.  U may carry leading batch axes; the
+        result then has the same leading axes.
         """
         ocp, layout = self.ocp, self.layout
         U = np.asarray(U, dtype=float)
         length = U.shape[-1] if U.ndim else None
         if length == layout.dim:
-            states, costates = self.trajectory(x0, U)
-            return self._rows(U, states, costates)
-        if length != layout.lifted_dim:
+            states, lam = self.trajectory(x0, U)
+        elif length == layout.lifted_dim:
+            lam = layout.costates(U)
+            states = np.concatenate([np.broadcast_to(x0, U.shape[:-1] + (1, ocp.n_x)),
+                                     layout.states(U)], axis=-2)
+        else:
             raise DimensionMismatch(f"U has shape {U.shape}, layout dim "
                                     f"{layout.dim} or lifted dim {layout.lifted_dim}")
         n = layout.n_steps
-        lead = U.shape[:-1]
-        p = layout.p(U)
-        x_next, lam = layout.states(U), layout.costates(U)
-        states = np.concatenate(
-            [np.broadcast_to(x0, lead + (1, ocp.n_x)), x_next], axis=-2)
-        x, u, mu = states[..., :n, :], layout.controls(U), layout.mus(U)
-        p_stages = np.broadcast_to(p[..., None, :], lead + (n, layout.n_p))
-        dtau = self.dtau[:, None]
-        hx = ocp.H_x(x[..., 1:, :], lam[..., 1:, :], u[..., 1:, :], mu[..., 1:, :],
-                     p_stages[..., 1:, :])
-        lam_target = np.concatenate([
-            lam[..., 1:, :] + hx * dtau[1:],
-            self._terminal_costate(states[..., n, :], U)[..., None, :],
-        ], axis=-2)
-        return np.concatenate([
-            self._rows(U, states, lam),
-            _component_major(x_next - ocp.stepper(x, u, p_stages, dtau)),
-            _component_major(lam - lam_target),
-        ], axis=-1)
-
-    def _terminal_costate(self, x_n, U) -> np.ndarray:
-        """lam_N = phi_x + psi_x^T nu at the terminal state x_n."""
-        p = self.layout.p(U)
-        return self.ocp.phi_x(x_n, p) + _transposed_times(
-            self.ocp.psi_x(x_n, p), self.layout.nu(U))
-
-    def _rows(self, U, states, costates) -> np.ndarray:
-        """H_u, C, psi and p rows at states x_0..x_N and costates lam_1..lam_N."""
-        ocp, layout = self.ocp, self.layout
-        n = layout.n_steps
-        p = layout.p(U)
-        x_n = states[..., n, :]
-        x = states[..., :n, :]
+        p, nu = layout.p(U), layout.nu(U)
+        x, x_n = states[..., :n, :], states[..., n, :]
         u, mu = layout.controls(U), layout.mus(U)
         p_stages = np.broadcast_to(p[..., None, :], U.shape[:-1] + (n, layout.n_p))
         dtau = self.dtau[:, None]
-        p_rows = (ocp.phi_p(x_n, p)
-                  + _transposed_times(ocp.psi_p(x_n, p), layout.nu(U))
-                  + self.dtau @ ocp.H_p(x, costates, u, mu, p_stages))
-        return np.concatenate([
-            _component_major(dtau * ocp.H_u(x, costates, u, mu, p_stages)),
+        rows = [
+            _component_major(dtau * ocp.H_u(x, lam, u, mu, p_stages)),
             _component_major(dtau * ocp.C(x, u, p_stages)),
             ocp.psi(x_n, p),
-            p_rows,
-        ], axis=-1)
+            ocp.Phi_p(x_n, nu, p) + self.dtau @ ocp.H_p(x, lam, u, mu, p_stages),
+        ]
+        if length != layout.dim:  # lifted: the defect rows follow
+            hx = ocp.H_x(x[..., 1:, :], lam[..., 1:, :], u[..., 1:, :], mu[..., 1:, :],
+                         p_stages[..., 1:, :])
+            lam_target = np.concatenate(
+                [lam[..., 1:, :] + hx * dtau[1:], ocp.Phi_x(x_n, nu, p)[..., None, :]],
+                axis=-2)
+            rows += [_component_major(states[..., 1:, :] - ocp.stepper(x, u, p_stages, dtau)),
+                     _component_major(lam - lam_target)]
+        return np.concatenate(rows, axis=-1)

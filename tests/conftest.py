@@ -19,7 +19,7 @@ def cart_running_cost(x, u, p):
 
 
 def cart_terminal_cost(xn, p):
-    """The cart's phi, whose partials are its phi_x and phi_p."""
+    """The cart's phi, whose partials open its Phi_x and Phi_p."""
     return 0.5 * (xn * xn).sum(axis=-1) + 0.1 * p[..., 0]
 
 
@@ -39,9 +39,6 @@ def make_cart_problem(n_steps=10):
         l0, l1 = lam.T
         return np.array([0.1 * x0 - 0.3 * np.cos(x0) * l1, l0 + 0.2 * mu.T[0]]).T
 
-    def terminal(xn, shape):
-        return np.zeros(xn.shape[:-1] + shape)
-
     ocp = OcpDefinition(
         n_x=2, n_u=1, n_mu=1, n_nu=1, n_p=1,
         C=lambda x, u, p: np.array([u.T[0] + 0.2 * x.T[1] - 0.1 * p.T[0]]).T,
@@ -51,10 +48,9 @@ def make_cart_problem(n_steps=10):
         H_p=lambda x, lam, u, mu, p: np.array([
             0.1 * p.T[0] + 0.2 * lam.T[1] - 0.1 * mu.T[0],
         ]).T,
-        phi_x=lambda xn, p: xn.copy(),
-        phi_p=lambda xn, p: np.full_like(p, 0.1),
-        psi_x=lambda xn, p: terminal(xn, (1, 2)) + [[1.0, 0.0]],
-        psi_p=lambda xn, p: terminal(xn, (1, 1)),
+        # Phi = cart_terminal_cost + nu . psi with psi = x_N[0] - 0.3
+        Phi_x=lambda xn, nu, p: xn + nu * [1.0, 0.0],
+        Phi_p=lambda xn, nu, p: np.full_like(p, 0.1),
         stepper=euler_stepper(f),
     )
     return HorizonProblem(ocp, np.full(n_steps, 1.0 / n_steps), origin_probe(ocp))

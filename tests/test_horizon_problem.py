@@ -38,10 +38,8 @@ def zero_like_callbacks(n_x, n_u, n_mu, n_nu, n_p, f, stepper=None):
         H_u=zeros(n_u),
         H_x=zeros(n_x),
         H_p=zeros(n_p),
-        phi_x=zeros(n_x),
-        phi_p=zeros(n_p),
-        psi_x=zeros(n_nu, n_x),
-        psi_p=zeros(n_nu, n_p),
+        Phi_x=zeros(n_x),
+        Phi_p=zeros(n_p),
         stepper=stepper if stepper is not None else euler_stepper(f),
     )
 
@@ -64,13 +62,13 @@ def test_grid_rejects_empty():
 # ----------------------------------------------------------------- layout
 
 def test_layout_dim_matches_hemisphere_shape():
-    layout = DecisionLayout(n_steps=20, n_u=2, n_mu=1, n_nu=2, n_p=1)
+    layout = DecisionLayout(n_steps=20, n_u=2, n_mu=1, n_nu=2, n_p=1, n_x=0)
     assert layout.dim == 63
 
 
 def test_layout_block_roundtrip():
     # writes through the views land in a vector and in every row of a stack
-    layout = DecisionLayout(n_steps=7, n_u=2, n_mu=3, n_nu=2, n_p=1)
+    layout = DecisionLayout(n_steps=7, n_u=2, n_mu=3, n_nu=2, n_p=1, n_x=0)
     rng = np.random.default_rng(17)
     for lead in [(), (4,)]:
         vec = np.zeros(lead + (layout.dim,))
@@ -92,7 +90,7 @@ def test_layout_block_roundtrip():
 
 def test_layout_component_major_order():
     # component j of stage i sits at j*n_steps + i inside its block
-    layout = DecisionLayout(n_steps=3, n_u=2, n_mu=1, n_nu=1, n_p=1)
+    layout = DecisionLayout(n_steps=3, n_u=2, n_mu=1, n_nu=1, n_p=1, n_x=0)
     for lead in [(), (2,)]:
         vec = np.zeros(lead + (layout.dim,))
         layout.controls(vec)[..., 1, :] = (5.0, 7.0)
@@ -125,8 +123,8 @@ def test_lifted_layout_views():
 
 
 def test_layout_offsets_reproducible():
-    a = DecisionLayout(5, 2, 1, 2, 1)
-    b = DecisionLayout(5, 2, 1, 2, 1)
+    a = DecisionLayout(5, 2, 1, 2, 1, n_x=0)
+    b = DecisionLayout(5, 2, 1, 2, 1, n_x=0)
     assert (a.mu_offset, a.nu_offset, a.p_offset, a.dim) == \
            (b.mu_offset, b.nu_offset, b.p_offset, b.dim)
 
@@ -165,7 +163,7 @@ def test_terminal_costate_equals_nu():
     ocp = OcpDefinition(**{
         **zero_like_callbacks(2, 1, 1, 2, 1, f=zeros(2)).__dict__,
         "psi": lambda xn, p: xn.copy(),
-        "psi_x": lambda xn, p: zeros(2, 2)(xn, p) + np.eye(2),
+        "Phi_x": lambda xn, nu, p: nu,
     })
     prob = HorizonProblem(ocp, uniform(4), origin_probe(ocp))
     U = np.zeros(prob.dim)
@@ -215,7 +213,7 @@ def test_dtau_scaling_doubles_stage_blocks():
         "C": lambda x, u, p: u - 0.3,
         "psi": lambda xn, p: xn[..., :1],
         "H_u": lambda x, lam, u, mu, p: 2.0 * u + mu,
-        "psi_x": lambda xn, p: zeros(1, 2)(xn, p) + [[1.0, 0.0]],
+        "Phi_x": lambda xn, nu, p: nu * [1.0, 0.0],
     })
     rng = np.random.default_rng(4)
     n = 5
@@ -401,6 +399,28 @@ def test_validate_at_probes_every_callback(name):
         CART_OCP, **{name: first_point_only(getattr(CART_OCP, name))})
     with pytest.raises(DimensionMismatch, match=f"^{name} "):
         broken.validate_at(*origin_probe(CART_OCP))
+
+
+@pytest.mark.parametrize("case", [hemisphere_case, cart_case])
+def test_each_transcription_calls_every_callback(case):
+    # a callback that no row reads is dead protocol surface
+    prob, x0, base, _ = case()
+    ocp = prob.ocp
+    names = {f.name for f in dataclasses.fields(ocp) if callable(getattr(ocp, f.name))}
+    called = set()
+
+    def recorded(name):
+        def call(*args):
+            called.add(name)
+            return getattr(ocp, name)(*args)
+        return call
+
+    lifted = prob.lift(x0, base)
+    prob.ocp = dataclasses.replace(ocp, **{name: recorded(name) for name in names})
+    for U in (base, lifted):
+        called.clear()
+        prob.assemble_residual(x0, U)
+        assert called == names
 
 
 def test_problem_rejects_callbacks_that_do_not_broadcast():

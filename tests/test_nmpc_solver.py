@@ -38,7 +38,7 @@ class StubProblem:
         self.b = np.asarray(b, dtype=float)
         n = self.a.shape[0]
         # any layout with a matching total length will do
-        self.layout = DecisionLayout(n_steps=n, n_u=1, n_mu=0, n_nu=0, n_p=0)
+        self.layout = DecisionLayout(n_steps=n, n_u=1, n_mu=0, n_nu=0, n_p=0, n_x=0)
         assert self.layout.dim == n
 
     @property
@@ -180,7 +180,7 @@ def test_initialize_cart_problem():
 
 
 def test_initialize_reports_no_descent():
-    layout = DecisionLayout(n_steps=1, n_u=1, n_mu=0, n_nu=0, n_p=0)
+    layout = DecisionLayout(n_steps=1, n_u=1, n_mu=0, n_nu=0, n_p=0, n_x=0)
     prob = CallableProblem(lambda U: np.array([U[0] ** 2 + 1.0]), layout)
     with pytest.raises(InitializationFailure) as err:
         initialize(prob, None, np.array([1.0]))
@@ -190,7 +190,7 @@ def test_initialize_reports_no_descent():
 
 
 def test_initialize_reports_singular_jacobian():
-    layout = DecisionLayout(n_steps=1, n_u=1, n_mu=0, n_nu=0, n_p=0)
+    layout = DecisionLayout(n_steps=1, n_u=1, n_mu=0, n_nu=0, n_p=0, n_x=0)
     prob = CallableProblem(lambda U: np.array([1.0]), layout)
     with pytest.raises(InitializationFailure, match="singular"):
         initialize(prob, None, np.array([0.5]))
@@ -365,7 +365,7 @@ def stale_stub_controller(seed=21, n=12):
     return ctl
 
 
-def test_broyden_secant_property(monkeypatch):
+def test_krylov_update_secant_property(monkeypatch):
     # after the update H a v = v on every basis vector GMRES built; the
     # products were forward differences, so this holds to their accuracy
     ctl = stale_stub_controller()
@@ -381,7 +381,7 @@ def test_broyden_secant_property(monkeypatch):
     assert np.linalg.norm(gap) <= 1e-6 * np.linalg.norm(v)
 
 
-def test_broyden_update_has_rank_at_most_k(monkeypatch):
+def test_krylov_update_has_rank_at_most_k(monkeypatch):
     rng = np.random.default_rng(22)
     n = 9
     a = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
@@ -398,7 +398,7 @@ def test_broyden_update_has_rank_at_most_k(monkeypatch):
     assert np.linalg.norm(h @ a @ v - v) <= 1e-12 * np.linalg.norm(v)
 
 
-def test_broyden_skips_a_zero_step():
+def test_krylov_update_skips_a_zero_step():
     ctl = stale_stub_controller()
     prob = ctl.problem
     ctl.U = np.linalg.solve(prob.a, prob.b)  # converged: GMRES returns 0
@@ -426,7 +426,7 @@ def one_step_report(s, z):
     np.array([np.inf, 1.0, 0.0]),
     np.array([-np.inf, np.inf, 0.0]),
 ])
-def test_broyden_skips_a_degenerate_secant(y):
+def test_krylov_update_skips_a_degenerate_secant(y):
     h = np.eye(3)
     before = h.copy()
     assert not krylov_update(h, one_step_report(np.array([1.0, 0.0, 0.0]), y))

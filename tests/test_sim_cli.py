@@ -129,6 +129,12 @@ y_f = 0.1
         with pytest.raises(ConfigError):
             load_config(str(path))
 
+    @pytest.mark.parametrize("value", ["out%dir", "run_%(n)s", "100%"])
+    def test_percent_in_a_value_loads_verbatim(self, tmp_path, value):
+        path = tmp_path / "sim.ini"
+        path.write_text(f"n = 30\noutput_dir = {value}\n")
+        assert load_config(str(path)).output_dir == value
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(str(tmp_path / "absent.ini"))
@@ -414,6 +420,21 @@ class TestCli:
         # N=20 horizon: 2*20 controls + 20 multipliers + 2 terminal + 1 time
         assert len(lines) == 3 + 63
 
+    def test_init_only_builds_no_lifted_jacobian(self, capsys, monkeypatch):
+        # the command prints the condensed solution only, so it has no use
+        # for the lifted preconditioner the controller would build
+        lengths = []
+        exact_jacobian = solver.exact_jacobian
+
+        def recorded(problem, x0, U):
+            lengths.append(np.shape(U)[-1])
+            return exact_jacobian(problem, x0, U)
+
+        monkeypatch.setattr(solver, "exact_jacobian", recorded)
+        assert main(["init-only"]) == 0
+        # 63 is the condensed dim at N = 20; the lifted one is 143
+        assert lengths and set(lengths) == {63}
+
     def test_compare_precond_flag_and_command(self, tmp_path, capsys):
         code = main(["compare-precond", "--max-samples", "25",
                      "--out", str(tmp_path / "c")])
@@ -422,7 +443,13 @@ class TestCli:
         assert "mean gmres iters" in out
         assert (tmp_path / "c" / "compare_precond.csv").exists()
 
-    @pytest.mark.parametrize("content", ["dt = 0\n", "who = 1\n"])
+    @pytest.mark.parametrize("content", [
+        "dt = 0\n",
+        "who = 1\n",
+        # a header would hide the keys after it, the unknown one included
+        pytest.param("dt = 0.01\n[extra]\nn = 5\nbogus = 1\n", id="section-header"),
+        pytest.param("[DEFAULT]\nn = 5\n", id="default-header"),
+    ])
     def test_bad_config_exits_3(self, tmp_path, content, capsys):
         path = tmp_path / "sim.ini"
         path.write_text(content)

@@ -1,7 +1,9 @@
 """Command-line front end for the closed-loop simulator.
 
-Commands: simulate (default), compare-precond, init-only.  Flags override
-config-file values.  Exit codes: 0 success, 2 solver failure, 3 bad config.
+Commands: simulate (default), compare-precond, init-only.  Each flag sets
+the config key it is named by in `dest` (--no-precond is precond = false,
+--out is output_dir, --max-samples is max_samples) over the file's value.
+Exit codes: 0 success, 2 solver failure, 3 bad config.
 """
 
 import argparse
@@ -10,7 +12,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .config import load_config, with_overrides
+from .config import load_config
 from .errors import ConfigError, GeonmpcError
 from .hemisphere import initial_guess, make_problem
 from .linalg import norm2
@@ -21,23 +23,23 @@ EXIT_OK = 0
 EXIT_SOLVER_FAILURE = 2
 EXIT_CONFIG_ERROR = 3
 
-_COMMANDS = ("simulate", "compare-precond", "init-only")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="geonmpc",
         description="Closed-loop minimum-time NMPC simulation on the sphere.",
+        # a flag left out sets no key, so the file's value stands
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("command", nargs="?", choices=_COMMANDS,
                         default="simulate",
                         help="action to run (default: simulate)")
-    parser.add_argument("--config", metavar="PATH",
+    parser.add_argument("--config", metavar="PATH", default=None,
                         help="flat key = value config file")
-    parser.add_argument("--no-precond", action="store_true",
+    parser.add_argument("--no-precond", dest="precond", action="store_false",
                         help="disable the block-updated Jacobian-inverse "
                              "preconditioner")
-    parser.add_argument("--out", metavar="DIR",
+    parser.add_argument("--out", dest="output_dir", metavar="DIR",
                         help="output directory for CSV artifacts")
     parser.add_argument("--max-samples", type=int, metavar="K",
                         help="cap on the number of closed-loop samples")
@@ -79,26 +81,23 @@ def _cmd_init_only(cfg) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {"simulate": _cmd_simulate, "compare-precond": _cmd_compare,
+             "init-only": _cmd_init_only}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    # besides the command and the file path, argparse returns the keys the
+    # given flags set
+    overrides = vars(build_parser().parse_args(argv))
+    command = _COMMANDS[overrides.pop("command")]
     try:
-        cfg = load_config(args.config)
-        cfg = with_overrides(cfg, no_precond=args.no_precond,
-                             output_dir=args.out,
-                             max_samples=args.max_samples)
+        cfg = load_config(overrides.pop("config"), overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(cfg)
-        if args.command == "compare-precond":
-            return _cmd_compare(cfg)
-        return _cmd_init_only(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        return command(cfg)
     except GeonmpcError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE

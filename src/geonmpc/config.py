@@ -1,17 +1,18 @@
 """Simulator configuration: defaults, flat key=value files, validation.
 
-The file format is one `key = value` per line with `#` comments and no
-section headers; values are read verbatim, with no `%` interpolation.  The
-keys address the sampling, stopping and problem settings.  The solver's
-numerical constants are module constants of solver and gmres, not keys.
-Unknown keys are rejected so typos fail loudly instead of silently running
-defaults.
+A file holds one `key = value` per line, split at the first `=`; values are
+read verbatim.  Blank lines are skipped, and a `#` at the start of a line
+or after whitespace opens a comment.  Keys are case-sensitive, each is set
+at most once, and every key is in `KEYS`; any other line is a ConfigError
+naming `path:line`.  The keys address the sampling, stopping and problem
+settings.  The solver's numerical constants are module constants of solver
+and gmres, not keys.
 """
 
-import configparser
 import math
+import re
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -65,43 +66,49 @@ KEYS = {
 }
 
 
+_BOOLEANS = {"1": True, "yes": True, "true": True, "on": True,
+             "0": False, "no": False, "false": False, "off": False}
+
+
 def _parse_file(path: str) -> dict:
     """Key -> typed value for every key the file sets."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
-        text = Path(path).read_text()
+        lines = Path(path).read_text().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    try:
-        parser.read_string("[sim]\n" + text, source=path)
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config file {path}: {exc}") from exc
-    # a header would hide every key after it from the unknown-key check
-    if parser.sections() != ["sim"] or parser.defaults():
-        raise ConfigError(f"section headers are not allowed in config file {path}")
-
-    section = parser["sim"]
     values = {}
-    for key, text_value in section.items():
+    for number, line in enumerate(lines, start=1):
+        key, eq, text = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].partition("=")
+        key, text = key.strip(), text.strip()
+        if not (key or eq):
+            continue  # blank or comment only
+        where = f"{path}:{number}: {line.strip()!r}"
+        if not eq:
+            raise ConfigError(f"{where}: expected 'key = value'")
         if key not in KEYS:
-            raise ConfigError(f"unknown config key '{key}' in {path}")
+            raise ConfigError(f"{where}: unknown config key '{key}'")
+        if key in values:
+            raise ConfigError(f"{where}: '{key}' is already set")
         cls, name = KEYS[key]
         # a plain dataclass default is also the class attribute
         kind = type(getattr(cls, name))
         try:
-            values[key] = section.getboolean(key) if kind is bool else kind(text_value)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for '{key}': {text_value!r}") from exc
+            values[key] = _BOOLEANS[text.lower()] if kind is bool else kind(text)
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"{where}: bad value for '{key}'") from exc
     return values
 
 
-def load_config(path: Optional[str] = None) -> SimConfig:
-    """Build a validated SimConfig from defaults plus an optional file.
+def load_config(path: Optional[str] = None,
+                overrides: Optional[dict] = None) -> SimConfig:
+    """Build a validated SimConfig from defaults, an optional file, and
+    overrides (config key -> typed value) that take precedence over it.
 
-    Each dataclass is built once from all of its file values, so checks
-    that span several keys (the start point's x0, y0) see the file's pair.
+    Each dataclass is built once from all of its values, so checks that
+    span several keys (the start point's x0, y0) see the final pair.
     """
     values = _parse_file(path) if path is not None else {}
+    values.update(overrides or {})
     given = defaultdict(dict)
     for key, value in values.items():
         cls, name = KEYS[key]
@@ -112,16 +119,3 @@ def load_config(path: Optional[str] = None) -> SimConfig:
                          **given[SimConfig])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def with_overrides(cfg: SimConfig, no_precond: bool = False,
-                   output_dir: Optional[str] = None,
-                   max_samples: Optional[int] = None) -> SimConfig:
-    """Apply command-line overrides on top of a loaded config."""
-    if no_precond:
-        cfg = replace(cfg, precond_enabled=False)
-    if output_dir is not None:
-        cfg = replace(cfg, output_dir=output_dir)
-    if max_samples is not None:
-        cfg = replace(cfg, max_samples=max_samples)
-    return cfg

@@ -219,14 +219,6 @@ class HorizonProblem:
             n_nu=ocp.n_nu, n_p=ocp.n_p, n_x=ocp.n_x,
         )
 
-    @property
-    def dim(self) -> int:
-        return self.layout.dim
-
-    @property
-    def lifted_dim(self) -> int:
-        return self.layout.lifted_dim
-
     def trajectory(self, x0, U) -> tuple:
         """States x_0..x_N, shape (..., N+1, n_x), and costates lam_1..lam_N,
         shape (..., N, n_x), of a condensed U, which may be a (..., dim)

@@ -7,6 +7,7 @@ of the time-to-go is applied; re-solving at each sample shrinks it naturally.
 """
 
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 from pathlib import Path
 from typing import List, Sequence
 
@@ -121,10 +122,9 @@ def compare_preconditioning(cfg: SimConfig) -> PrecondComparison:
     mean_on = float(np.mean(iters_on))
     mean_off = float(np.mean(iters_off))
 
-    n_common = min(len(rec_on), len(rec_off))
-    gap = 0.0
-    for a, b in zip(rec_on[:n_common], rec_off[:n_common]):
-        gap = max(gap, float(np.hypot(a.x - b.x, a.y - b.y)))
+    # zip stops at the shorter run, so this spans the common sample range
+    diffs = np.array([(a.x - b.x, a.y - b.y) for a, b in zip(rec_on, rec_off)])
+    gap = float(np.max(np.hypot(*diffs.reshape(-1, 2).T), initial=0.0))
 
     if not mean_on < mean_off:
         raise GeonmpcError(
@@ -189,11 +189,7 @@ def emit_plot_data(records: Sequence[TrajectoryRecord],
 
 
 def _write_comparison(summary: PrecondComparison, output_dir: str) -> None:
-    n = max(len(summary.iters_with), len(summary.iters_without))
-    rows = []
-    for i in range(n):
-        a = summary.iters_with[i] if i < len(summary.iters_with) else ""
-        b = summary.iters_without[i] if i < len(summary.iters_without) else ""
-        rows.append((str(i), str(a), str(b)))
+    pairs = zip_longest(summary.iters_with, summary.iters_without, fillvalue="")
     _write_rows(Path(output_dir) / "compare_precond.csv",
-                "sample,iters_precond,iters_noprecond", rows)
+                "sample,iters_precond,iters_noprecond",
+                ((str(i), str(a), str(b)) for i, (a, b) in enumerate(pairs)))

@@ -175,9 +175,9 @@ def test_06a_dual_residual_paths():
         # the lifted rows at the lift of the draw, and its defect rows
         lifted = problem.assemble_residual(x0, problem.lift(x0, decision))
         worst_lifted = max(worst_lifted,
-                           float(np.max(np.abs(lifted[:problem.dim] - direct))))
+                           float(np.max(np.abs(lifted[:problem.layout.dim] - direct))))
         worst_defect = max(worst_defect,
-                           float(np.max(np.abs(lifted[problem.dim:]))))
+                           float(np.max(np.abs(lifted[problem.layout.dim:]))))
     ok = worst <= 1e-12 and worst_lifted <= 1e-12 and worst_defect <= 1e-12
     verdict("06a dual-residual-paths",
             ok, f"entrywise gap {worst:.2e}, lifted {worst_lifted:.2e}, "
@@ -189,8 +189,8 @@ def test_06b_jvp_matches_jacobian_columns(initialized):
     jac = exact_jacobian(problem, x0, decision)
     f0 = problem.assemble_residual(x0, decision)
     worst = 0.0
-    for j in range(problem.dim):
-        e_j = np.zeros(problem.dim)
+    for j in range(problem.layout.dim):
+        e_j = np.zeros(problem.layout.dim)
         e_j[j] = 1.0
         jv = jacobian_vector_product(problem, x0, decision, f0, e_j)
         col = jac[:, j]
@@ -224,7 +224,7 @@ def test_06c_gmres_matches_lu(monkeypatch):
 def test_06d_control_rows_match_lagrangian_gradient():
     problem = make_cart_problem(n_steps=10)
     rng = np.random.default_rng(11)
-    decision = 0.3 * rng.standard_normal(problem.dim)
+    decision = 0.3 * rng.standard_normal(problem.layout.dim)
     x0 = np.array([0.2, -0.1])
     residual = problem.assemble_residual(x0, decision)
     grad = fd_gradient(lambda v: discrete_lagrangian(

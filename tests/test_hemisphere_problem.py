@@ -122,7 +122,7 @@ def test_params_validation():
 
 def test_problem_dimension():
     prob = make_problem(PARAMS, n_steps=20)
-    assert prob.dim == 63
+    assert prob.layout.dim == 63
     assert prob.layout.n_u == 2 and prob.layout.n_mu == 1
 
 
@@ -147,7 +147,7 @@ def test_initial_guess_structure():
 
 def test_residual_constant_row_without_multipliers():
     prob = make_problem(PARAMS, 20)
-    U = np.zeros(prob.dim)
+    U = np.zeros(prob.layout.dim)
     prob.layout.controls(U)[:] = (0.37, 0.0)  # u_s = 0
     prob.layout.p(U)[:] = 0.8
     fvec = prob.assemble_residual(np.array([PARAMS.x0, PARAMS.y0]), U)

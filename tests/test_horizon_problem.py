@@ -135,7 +135,7 @@ def test_forward_zero_dynamics_keeps_state():
     ocp = zero_like_callbacks(2, 1, 1, 1, 1, f=zeros(2))
     prob = HorizonProblem(ocp, uniform(6), origin_probe(ocp))
     x0 = np.array([0.4, -1.2])
-    U = np.zeros(prob.dim)
+    U = np.zeros(prob.layout.dim)
     states, _ = prob.trajectory(x0, U)
     assert np.all(states == x0)
 
@@ -151,7 +151,7 @@ def test_forward_hand_iterated_two_steps():
 
     ocp = zero_like_callbacks(2, 1, 1, 2, 1, f=f)
     prob = HorizonProblem(ocp, uniform(2), origin_probe(ocp))
-    U = np.zeros(prob.dim)
+    U = np.zeros(prob.layout.dim)
     prob.layout.p(U)[:] = 1.0
     states, _ = prob.trajectory(np.zeros(2), U)
     assert np.allclose(states[1], [0.5, 0.0], rtol=0, atol=1e-15)
@@ -166,7 +166,7 @@ def test_terminal_costate_equals_nu():
         "Phi_x": lambda xn, nu, p: nu,
     })
     prob = HorizonProblem(ocp, uniform(4), origin_probe(ocp))
-    U = np.zeros(prob.dim)
+    U = np.zeros(prob.layout.dim)
     nu = np.array([0.7, -0.3])
     prob.layout.nu(U)[:] = nu
     _, costates = prob.trajectory(np.zeros(2), U)
@@ -181,7 +181,7 @@ def test_terminal_costate_equals_nu():
 def test_recursion_reevaluation_is_bitwise_stable():
     prob = make_cart_problem(8)
     rng = np.random.default_rng(2)
-    U = rng.standard_normal(prob.dim)
+    U = rng.standard_normal(prob.layout.dim)
     x0 = np.array([0.1, -0.2])
     states1, costates1 = prob.trajectory(x0, U)
     states2, costates2 = prob.trajectory(x0, U)
@@ -195,7 +195,7 @@ def test_residual_matches_lagrangian_gradient():
     prob = make_cart_problem(10)
     rng = np.random.default_rng(23)
     x0 = np.array([0.2, -0.1])
-    U = 0.3 * rng.standard_normal(prob.dim)
+    U = 0.3 * rng.standard_normal(prob.layout.dim)
     fvec = prob.assemble_residual(x0, U)
     grad = fd_gradient(lambda v: discrete_lagrangian(
         prob, x0, v, cart_running_cost, cart_terminal_cost), U)
@@ -220,7 +220,7 @@ def test_dtau_scaling_doubles_stage_blocks():
     prob1, prob2 = (
         HorizonProblem(ocp, np.full(n, length / n), origin_probe(ocp))
         for length in (1.0, 2.0))
-    U = rng.standard_normal(prob1.dim)
+    U = rng.standard_normal(prob1.layout.dim)
     x0 = np.array([0.5, 0.5])
     f1 = prob1.assemble_residual(x0, U)
     f2 = prob2.assemble_residual(x0, U)
@@ -234,7 +234,7 @@ def test_dtau_scaling_doubles_stage_blocks():
 def test_assemble_residual_deterministic():
     prob = make_cart_problem(9)
     rng = np.random.default_rng(6)
-    U = rng.standard_normal(prob.dim)
+    U = rng.standard_normal(prob.layout.dim)
     x0 = np.array([-0.4, 0.9])
     assert np.array_equal(prob.assemble_residual(x0, U),
                           prob.assemble_residual(x0, U))
@@ -242,14 +242,14 @@ def test_assemble_residual_deterministic():
 
 def test_assemble_rejects_wrong_length():
     prob = make_cart_problem(5)
-    for length in (prob.dim - 1, prob.dim + 1, prob.lifted_dim - 1,
-                   prob.lifted_dim + 1):
+    for length in (prob.layout.dim - 1, prob.layout.dim + 1, prob.layout.lifted_dim - 1,
+                   prob.layout.lifted_dim + 1):
         with pytest.raises(DimensionMismatch):
             prob.assemble_residual(np.zeros(2), np.zeros(length))
     with pytest.raises(DimensionMismatch):
         prob.assemble_residual(np.zeros(2), 0.0)
     with pytest.raises(DimensionMismatch):
-        prob.lift(np.zeros(2), np.zeros(prob.lifted_dim))
+        prob.lift(np.zeros(2), np.zeros(prob.layout.lifted_dim))
 
 
 def test_validate_at_accepts_and_rejects():
@@ -275,7 +275,7 @@ def hemisphere_case():
 
 def cart_case():
     prob = make_cart_problem(10)
-    return prob, np.array([0.2, -0.1]), np.zeros(prob.dim), 0.3
+    return prob, np.array([0.2, -0.1]), np.zeros(prob.layout.dim), 0.3
 
 
 def lifted_case(case):
@@ -298,21 +298,21 @@ def test_lifted_rows_equal_condensed_rows(case):
     # the lifted residual at lift(U) evaluates the same row formulas on the
     # same numbers, and the lift satisfies every defect row
     prob, x0, base, spread = case()
-    stack = base + spread * np.random.default_rng(3).standard_normal((4, prob.dim))
+    stack = base + spread * np.random.default_rng(3).standard_normal((4, prob.layout.dim))
     for U in [*stack, stack]:
         lifted = prob.lift(x0, U)
-        assert lifted.shape == U.shape[:-1] + (prob.lifted_dim,)
+        assert lifted.shape == U.shape[:-1] + (prob.layout.lifted_dim,)
         assert np.array_equal(prob.layout.controls(lifted), prob.layout.controls(U))
         rows = prob.assemble_residual(x0, lifted)
-        assert np.array_equal(prob.assemble_residual(x0, U), rows[..., :prob.dim])
-        assert np.max(np.abs(rows[..., prob.dim:])) <= 1e-14
+        assert np.array_equal(prob.assemble_residual(x0, U), rows[..., :prob.layout.dim])
+        assert np.max(np.abs(rows[..., prob.layout.dim:])) <= 1e-14
 
 
 def test_lifted_defect_rows():
     # moving one lifted state or costate shows up in its own defect rows
     prob, x0, base, _ = cart_case()
     layout = prob.layout
-    lifted = prob.lift(x0, base + 0.3 * np.random.default_rng(5).standard_normal(prob.dim))
+    lifted = prob.lift(x0, base + 0.3 * np.random.default_rng(5).standard_normal(prob.layout.dim))
     moved = lifted.copy()
     layout.states(moved)[2, 0] += 1e-3  # x_3
     layout.costates(moved)[4, 0] -= 2e-3  # lam_5

@@ -41,10 +41,6 @@ class StubProblem:
         self.layout = DecisionLayout(n_steps=n, n_u=1, n_mu=0, n_nu=0, n_p=0, n_x=0)
         assert self.layout.dim == n
 
-    @property
-    def dim(self):
-        return self.a.shape[0]
-
     def assemble_residual(self, x0, U):
         return U @ self.a.T - self.b
 
@@ -55,10 +51,6 @@ class CallableProblem:
     def __init__(self, fn, layout):
         self.fn = fn
         self.layout = layout
-
-    @property
-    def dim(self):
-        return self.layout.dim
 
     def assemble_residual(self, x0, U):
         return np.apply_along_axis(self.fn, -1, U)
@@ -137,7 +129,7 @@ def test_exact_jacobian_linear_recovery():
 def test_exact_jacobian_hemisphere_cross_terms(hemi):
     prob, x0, u_star = hemi
     rng = np.random.default_rng(77)
-    U = u_star + 0.01 * rng.standard_normal(prob.dim)
+    U = u_star + 0.01 * rng.standard_normal(prob.layout.dim)
     jac = exact_jacobian(prob, x0, U)
     assert jac.shape == (63, 63)
     n = 20
@@ -151,8 +143,8 @@ def test_jvp_matches_jacobian_columns(hemi):
     prob, x0, u_star = hemi
     f0 = prob.assemble_residual(x0, u_star)
     jac = exact_jacobian(prob, x0, u_star)
-    for j in range(0, prob.dim, 7):
-        e = np.zeros(prob.dim)
+    for j in range(0, prob.layout.dim, 7):
+        e = np.zeros(prob.layout.dim)
         e[j] = 1.0
         col = jacobian_vector_product(prob, x0, u_star, f0, e)
         assert np.linalg.norm(col - jac[:, j]) <= 1e-4 * np.linalg.norm(jac[:, j])
@@ -161,7 +153,7 @@ def test_jvp_matches_jacobian_columns(hemi):
 def test_jvp_matches_all_lifted_jacobian_columns(hemi):
     prob, x0, _ = hemi
     U = tracked(hemi)
-    assert U.shape == (prob.lifted_dim,) == (143,)
+    assert U.shape == (prob.layout.lifted_dim,) == (143,)
     f0 = prob.assemble_residual(x0, U)
     jac = exact_jacobian(prob, x0, U)
     worst = 0.0
@@ -175,7 +167,7 @@ def test_jvp_matches_all_lifted_jacobian_columns(hemi):
 
 def test_initialize_cart_problem():
     prob = make_cart_problem(8)
-    U = initialize(prob, np.array([0.3, -0.2]), np.zeros(prob.dim))
+    U = initialize(prob, np.array([0.3, -0.2]), np.zeros(prob.layout.dim))
     assert np.linalg.norm(prob.assemble_residual(np.array([0.3, -0.2]), U)) <= 1e-8
 
 
@@ -231,7 +223,7 @@ def test_tracked_vector_follows_precondition(hemi, precondition):
     assert np.array_equal(solved, u_star)
     assert np.array_equal(ctl.U, tracked(hemi, precondition))
     ctl.sample_update(x0, 0.0)
-    assert ctl.U.shape == (prob.lifted_dim if precondition else prob.dim,)
+    assert ctl.U.shape == (prob.layout.lifted_dim if precondition else prob.layout.dim,)
 
 
 def test_singular_lifted_jacobian_keeps_the_condensed_iterate(hemi, monkeypatch):
@@ -239,7 +231,7 @@ def test_singular_lifted_jacobian_keeps_the_condensed_iterate(hemi, monkeypatch)
     # lifted Jacobian is singular tracks the condensed vector instead
     prob, x0, u_star = hemi
     monkeypatch.setattr(geonmpc.solver, "exact_jacobian", lambda problem, x, U: (
-        np.zeros((U.size, U.size)) if U.size == prob.lifted_dim
+        np.zeros((U.size, U.size)) if U.size == prob.layout.lifted_dim
         else exact_jacobian(problem, x, U)))
     ctl = NmpcController(prob)
     assert np.array_equal(
@@ -248,7 +240,7 @@ def test_singular_lifted_jacobian_keeps_the_condensed_iterate(hemi, monkeypatch)
     assert ctl.precond.inverse is None
     _, tel = ctl.sample_update(x0, 0.0)
     assert not tel.precond_used
-    assert ctl.U.shape == (prob.dim,)
+    assert ctl.U.shape == (prob.layout.dim,)
     assert tel.residual_norm <= 1e-8
 
 

@@ -1,5 +1,4 @@
 import ast
-import configparser
 import math
 import re
 from dataclasses import replace
@@ -9,8 +8,8 @@ import numpy as np
 import pytest
 
 import geonmpc
-from geonmpc.cli import main
-from geonmpc.config import KEYS, SimConfig, load_config, with_overrides
+from geonmpc.cli import build_parser, main
+from geonmpc.config import KEYS, SimConfig, _parse_file, load_config
 from geonmpc import gmres, solver
 from geonmpc.errors import (ChartDomainViolation, ConfigError, GeonmpcError,
                             InitializationFailure, SimulationAborted)
@@ -90,12 +89,23 @@ y_f = 0.1
         "precond_period = 0.2",
         "init_tol = 1e-8",
         "init_max_iters = 100",
+        # keys are case-sensitive and '=' is the only delimiter
+        "DT: 0.01",
+        "DT = 0.01",
+        # an indented line is a line of its own, not a continuation
+        pytest.param("output_dir = run\n  more", id="continuation"),
+        "; comment",
+        pytest.param("n = 8\nn = 9", id="duplicate-key"),
     ])
     def test_unknown_key_or_bad_value(self, tmp_path, line):
         path = tmp_path / "sim.ini"
         path.write_text(line + "\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as info:
             load_config(str(path))
+        # the error names the case's last line, as path:line and as text
+        lines = line.splitlines()
+        assert f"{path}:{len(lines)}:" in str(info.value)
+        assert lines[-1].strip() in str(info.value)
 
     @pytest.mark.parametrize("line", [
         "dt = 0",
@@ -156,26 +166,23 @@ y_f = 0.1
         path = tmp_path / "readme.ini"
         path.write_text(block)
         assert load_config(str(path)) == load_config(None)
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-        parser.read_string("[sim]\n" + block)
-        assert set(parser["sim"]) == set(KEYS)
+        assert set(_parse_file(str(path))) == set(KEYS)
 
 
 class TestOverrides:
     def test_flags_take_precedence(self):
-        cfg = with_overrides(SimConfig(), no_precond=True, output_dir="d",
-                             max_samples=7)
+        cfg = load_config(None, {"precond": False, "output_dir": "d",
+                                 "max_samples": 7})
         assert not cfg.precond_enabled
         assert cfg.output_dir == "d"
         assert cfg.max_samples == 7
 
     def test_no_overrides_is_identity(self):
-        cfg = SimConfig()
-        assert with_overrides(cfg) == cfg
+        assert load_config(None, {}) == SimConfig()
 
     def test_override_is_validated(self):
         with pytest.raises(ConfigError):
-            with_overrides(SimConfig(), max_samples=0)
+            load_config(None, {"max_samples": 0})
 
 
 # ---------------------------------------------------------- run_simulation
@@ -455,6 +462,12 @@ class TestCli:
         path.write_text(content)
         assert main(["--config", str(path)]) == 3
         assert "config error" in capsys.readouterr().err
+
+    def test_every_flag_names_a_config_key(self):
+        # a flag writes the key it overrides, so flags and file share KEYS
+        dests = {action.dest for action in build_parser()._actions}
+        flags = dests - {"help", "command", "config"}
+        assert flags and flags <= set(KEYS)
 
     def test_empty_out_exits_3_and_writes_nothing(self, tmp_path, capsys,
                                                   monkeypatch):

@@ -1,26 +1,24 @@
 """Matrix-free GMRES without restarts, with optional left preconditioning.
 
-The iteration builds an Arnoldi basis by modified Gram-Schmidt and keeps
-the least-squares problem triangular with Givens rotations, so the
-residual norm is available at every step without forming the iterate.
-Basis storage is MAX_ITERS + 1 vectors; no restart cycle is needed at the
-problem sizes this package produces.
-
-Left preconditioning solves M^-1 A x = M^-1 b, and the convergence test
-applies to the preconditioned residual norm.  The closed-loop simulator
-logs the true nonlinear residual separately.
+Arnoldi orthogonalizes by classical Gram-Schmidt run twice (CGS2).  With z
+the left null vector of the Hessenberg matrix Hbar_j, scaled to z_0 = 1,
+the residual norm is beta / |z| and the residual is s z for some s, so one
+LAPACK solve of [Hbar_k | z] [y; s] = beta e_1 forms the iterate.  Left
+preconditioning solves M^-1 A x = M^-1 b, and the convergence test applies
+to the preconditioned residual norm.  NaN or inf in the right-hand side or
+in an operator or preconditioner output raises GeonmpcError.
 
 The report carries the Arnoldi basis V_{k+1} and the Hessenberg matrix
-Hbar_k as built, before any rotation, so M^-1 A V_k = V_{k+1} Hbar_k gives
-the operator's products on the whole Krylov subspace without applying it
-again.
+Hbar_k, so M^-1 A V_k = V_{k+1} Hbar_k gives the operator's products on
+the whole Krylov subspace without applying it again.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, GeonmpcError
 from .linalg import as_vector, norm2
 
 # An Arnoldi vector shorter than this means the Krylov subspace is exhausted
@@ -67,25 +65,32 @@ class GmresReport:
     hessenberg: np.ndarray
 
 
+def _finite(v: np.ndarray, what: str, step: int) -> np.ndarray:
+    # v.v is NaN or inf when v holds NaN or inf, and never warns then
+    if not math.isfinite(v.dot(v)):
+        raise GeonmpcError(f"GMRES step {step}: {what} holds NaN or inf")
+    return v
+
+
 def gmres_solve(op: LinearOperator, rhs, precond=None) -> GmresReport:
     """Minimize the (preconditioned) residual over a growing Krylov subspace
     that starts from the zero vector.
 
     Stops at the first iteration whose residual norm is <= ABS_TOL, at
     MAX_ITERS, or on breakdown of the Arnoldi process; the report carries
-    whichever iterate is best at that point.  A breakdown that leaves the
-    new column all zero (the operator is singular on the subspace) keeps
-    the previous iterate, which is then reported as not converged.
+    whichever iterate is best at that point.  A breakdown whose new column
+    lies in the range of the previous ones (the operator is singular on the
+    subspace) keeps the previous iterate, reported as not converged.
     """
     rhs = as_vector(rhs)
     n = op.dim
     if rhs.shape[0] != n:
         raise DimensionMismatch(f"rhs length {rhs.shape[0]}, operator dim {n}")
-    r = rhs
+    r = _finite(rhs, "the right-hand side", 0)
     if precond is not None:
         if precond.dim != n:
             raise DimensionMismatch(f"precond dim {precond.dim}, operator dim {n}")
-        r = precond.apply(r)
+        r = _finite(precond.apply(r), "the preconditioner's output", 0)
 
     beta = norm2(r)
     history = [beta]
@@ -93,56 +98,36 @@ def gmres_solve(op: LinearOperator, rhs, precond=None) -> GmresReport:
         return GmresReport(np.zeros(n), 0, True, history,
                            np.zeros((1, n)), np.zeros((1, 0)))
 
-    m = MAX_ITERS
-    basis = np.zeros((m + 1, n))
-    hess = np.zeros((m + 1, m))
-    arnoldi = np.zeros((m + 1, m))  # hess before the rotations
-    cs = np.zeros(m)
-    sn = np.zeros(m)
-    g = np.zeros(m + 1)
+    basis = np.zeros((MAX_ITERS + 1, n))
+    hess = np.zeros((MAX_ITERS + 1, MAX_ITERS))
+    z = np.ones(MAX_ITERS + 1)  # z[:j + 2] @ hess[:j + 2, :j + 1] = 0, z_0 = 1
     basis[0] = r / beta
-    g[0] = beta
-
-    iters = 0
-    for j in range(m):
-        w = op.apply(basis[j])
+    k = 0
+    for j in range(MAX_ITERS):
+        w = _finite(op.apply(basis[j]), "the operator's output", j + 1)
         if precond is not None:
-            w = precond.apply(w)
-        # modified Gram-Schmidt against the existing basis
-        for i in range(j + 1):
-            hess[i, j] = w @ basis[i]
-            w = w - hess[i, j] * basis[i]
-        hess[j + 1, j] = norm2(w)
-        breakdown = hess[j + 1, j] < BREAKDOWN_TOL
-        if not breakdown:
-            basis[j + 1] = w / hess[j + 1, j]
-        arnoldi[: j + 2, j] = hess[: j + 2, j]
-
-        # fold previous rotations into the new column, then zero its subdiagonal
-        for i in range(j):
-            hi, hj = hess[i, j], hess[i + 1, j]
-            hess[i, j] = cs[i] * hi + sn[i] * hj
-            hess[i + 1, j] = -sn[i] * hi + cs[i] * hj
-        denom = float(np.hypot(hess[j, j], hess[j + 1, j]))
-        if denom == 0.0:
-            break
-        cs[j] = hess[j, j] / denom
-        sn[j] = hess[j + 1, j] / denom
-        hess[j, j] = denom
-        hess[j + 1, j] = 0.0
-        g[j + 1] = -sn[j] * g[j]
-        g[j] = cs[j] * g[j]
-
-        iters = j + 1
-        res = abs(g[j + 1])
-        history.append(res)
-        if res <= ABS_TOL or breakdown:
+            w = _finite(precond.apply(w), "the preconditioner's output", j + 1)
+        # ndarray.dot: the BLAS calls of @, with less per-call overhead
+        v = basis[: j + 1]
+        h = v.dot(w)
+        w = w - h.dot(v)
+        c = v.dot(w)
+        w = w - c.dot(v)
+        hess[: j + 1, j] = h + c
+        sub = hess[j + 1, j] = math.sqrt(w.dot(w))
+        zh = z[: j + 1].dot(hess[: j + 1, j])
+        if sub == 0.0 == zh:
+            break  # A is singular on the subspace: keep the previous iterate
+        k = j + 1
+        if sub >= BREAKDOWN_TOL:
+            basis[k] = w / sub
+        z[k] = -zh / sub if sub else math.inf  # exact breakdown: zero residual
+        history.append(beta / math.sqrt(z[: k + 1].dot(z[: k + 1])))
+        if history[-1] <= ABS_TOL or sub < BREAKDOWN_TOL:
             break
 
-    # back-substitute the triangularized least-squares system
-    y = np.zeros(iters)
-    for i in range(iters - 1, -1, -1):
-        y[i] = (g[i] - hess[i, i + 1 : iters] @ y[i + 1 : iters]) / hess[i, i]
-    x = basis[:iters].T @ y
-    return GmresReport(x, iters, history[-1] <= ABS_TOL, history,
-                       basis[: iters + 1], arnoldi[: iters + 1, :iters])
+    # after an exact breakdown z_k = inf, and the solve gives s = 0
+    y = beta * np.linalg.solve(np.column_stack((hess[: k + 1, :k], z[: k + 1])),
+                               np.eye(k + 1)[0])[:k]
+    return GmresReport(y.dot(basis[:k]), k, history[-1] <= ABS_TOL, history,
+                       basis[: k + 1], hess[: k + 1, :k])

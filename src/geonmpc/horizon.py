@@ -202,13 +202,15 @@ def _component_major(stages) -> np.ndarray:
 class HorizonProblem:
     """An OCP definition bound to step lengths and a decision layout.
 
-    dtau is the 1-d array of step lengths over the normalized horizon, one
-    per stage.  probe is a point (x, u, lam, mu, nu, p) inside the
-    callbacks' domain; the constructor runs OcpDefinition.validate_at there,
-    so callbacks that do not broadcast are rejected before any assembly.
+    dtau holds the step lengths over the normalized horizon, one per stage,
+    as any 1-d sequence of numbers; it is kept as a float array.  probe is
+    a point (x, u, lam, mu, nu, p) inside the callbacks' domain; the
+    constructor runs OcpDefinition.validate_at there, so callbacks that do
+    not broadcast are rejected before any assembly.
     """
 
     def __init__(self, ocp: OcpDefinition, dtau, probe):
+        dtau = as_vector(dtau)
         if len(dtau) < 1:
             raise DimensionMismatch("dtau needs at least one step")
         ocp.validate_at(*probe)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import geonmpc.gmres
-from geonmpc.errors import DimensionMismatch
+from geonmpc.errors import DimensionMismatch, GeonmpcError
 from geonmpc.gmres import (
     GmresReport,
     LinearOperator,
@@ -96,6 +96,20 @@ def test_happy_breakdown_returns_exact_iterate(set_limits):
     assert norm2(a @ rep.solution - b) <= 1e-12
 
 
+@pytest.mark.parametrize("m", [1, 5, 20])
+def test_exact_breakdown_returns_exact_iterate(m):
+    # A scaled cyclic shift maps e_i to 2 e_{i+1}: Arnoldi from e_0 builds
+    # e_0, ..., e_{m-1} and then a new vector that is exactly zero, so the
+    # residual norm is exactly zero and z ends in inf
+    a = 2.0 * np.roll(np.eye(m), 1, axis=0)
+    b = np.eye(m)[0]
+    rep = gmres_solve(matrix_operator(a), b)
+    assert rep.iters_used == m
+    assert rep.converged
+    assert rep.residual_history[-1] == 0.0
+    assert np.array_equal(rep.solution, np.linalg.solve(a, b))
+
+
 def test_singular_breakdown_keeps_previous_iterate():
     # A maps the rhs to zero, so the first Arnoldi column is all zero and
     # no rotation exists: the zero start is the best iterate, and the
@@ -150,17 +164,25 @@ def test_report_shape():
     assert len(rep.residual_history) == rep.iters_used + 1
 
 
-@pytest.mark.parametrize("precondition", [False, True])
-def test_report_satisfies_the_arnoldi_relation(precondition, set_limits):
+@pytest.mark.parametrize("precondition, ill_conditioned", [
+    (False, False), (True, False), (False, True),
+], ids=["False", "True", "ill-conditioned"])
+def test_report_satisfies_the_arnoldi_relation(precondition, ill_conditioned,
+                                               set_limits):
     # an orthonormal basis and M A V_k = V_{k+1} Hbar_k with the Hessenberg
     # as built, not rotated
     rng = np.random.default_rng(41)
     n = 15
-    a = rng.standard_normal((n, n)) + 4.0 * np.eye(n)
+    if ill_conditioned:
+        # condition number about 1e8: one classical Gram-Schmidt pass loses
+        # orthogonality to about 1e-10 here, modified Gram-Schmidt to 5e-11
+        a = np.diag(np.logspace(0, 8, n)) + 1e-2 * rng.standard_normal((n, n))
+    else:
+        a = rng.standard_normal((n, n)) + 4.0 * np.eye(n)
     m = np.linalg.inv(a + 0.5 * rng.standard_normal((n, n))) if precondition else np.eye(n)
-    # modified Gram-Schmidt keeps the basis orthonormal to rounding while
-    # the residual stays far above rounding, as in the controller's solves
-    set_limits(8, 1e-2)
+    # the second Gram-Schmidt pass keeps the basis orthonormal to rounding
+    # while the residual stays far above rounding, as in the controller's solves
+    set_limits(12 if ill_conditioned else 8, 1e-2)
     rep = gmres_solve(matrix_operator(a), rng.standard_normal(n),
                       matrix_operator(m) if precondition else None)
     k = rep.iters_used
@@ -170,6 +192,66 @@ def test_report_satisfies_the_arnoldi_relation(precondition, set_limits):
     v = rep.basis.T
     gap = m @ a @ v[:, :k] - v @ rep.hessenberg
     assert np.max(np.abs(gap)) <= 1e-12 * np.max(np.abs(m @ a))
+
+
+@pytest.mark.parametrize("precondition", [False, True])
+def test_residual_history_is_the_residual_of_each_iterate(precondition, set_limits):
+    # residual_history[k] is |M (b - A x_k)| for the iterate x_k that a
+    # solve capped at k iterations returns; the residual stays far above
+    # rounding here, so the relative gap measures the recurrence alone
+    rng = np.random.default_rng(43)
+    n, cap = 15, 8
+    a = rng.standard_normal((n, n)) + 4.0 * np.eye(n)
+    m = np.linalg.inv(a + rng.standard_normal((n, n))) if precondition else np.eye(n)
+    b = rng.standard_normal(n)
+    precond = matrix_operator(m) if precondition else None
+    set_limits(cap, 0.0)
+    history = gmres_solve(matrix_operator(a), b, precond).residual_history
+    assert len(history) == cap + 1
+    for k in range(cap + 1):
+        set_limits(k, 0.0)
+        x_k = gmres_solve(matrix_operator(a), b, precond).solution
+        true = norm2(m @ (b - a @ x_k))
+        assert abs(history[k] - true) <= 1e-12 * true
+
+
+def poisoned(matrix, bad, on_call):
+    """matrix_operator(matrix), except that call number on_call (from 1)
+    returns a vector holding bad and -bad; counts its calls."""
+    def apply(v):
+        apply.calls += 1
+        out = matrix @ v
+        if apply.calls == on_call:
+            out[1:3] = bad, -bad
+        return out
+    apply.calls = 0
+    return LinearOperator(matrix.shape[0], apply), apply
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("source, on_call, step", [
+    ("operator", 2, 2),
+    ("preconditioner", 1, 0),  # the preconditioned right-hand side
+    ("preconditioner", 3, 2),
+])
+def test_non_finite_operator_data_stops_the_solve(source, on_call, step, bad,
+                                                  set_limits):
+    # the step that meets NaN or inf raises a GeonmpcError naming its
+    # source, instead of iterating on to MAX_ITERS and returning NaN
+    a = np.diag([1.0, 2.0, 3.0, 4.0])
+    op, op_calls = poisoned(a, bad, on_call if source == "operator" else 0)
+    pc, _ = poisoned(np.eye(4), bad, on_call if source == "preconditioner" else 0)
+    set_limits(4, 1e-14)
+    with pytest.raises(GeonmpcError, match=f"^GMRES step {step}: the {source}'s output "
+                                           "holds NaN or inf$"):
+        gmres_solve(op, np.ones(4), pc)
+    assert op_calls.calls == step  # nothing is applied after the bad step
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_rhs_stops_the_solve(bad):
+    with pytest.raises(GeonmpcError, match="^GMRES step 0: the right-hand side"):
+        gmres_solve(matrix_operator(np.eye(3)), np.array([1.0, bad, 0.0]))
 
 
 def test_report_on_a_happy_breakdown(set_limits):

@@ -59,6 +59,21 @@ def test_grid_rejects_empty():
         HorizonProblem(ocp, np.array([]), origin_probe(ocp))
 
 
+def test_grid_accepts_a_list_and_rejects_a_matrix():
+    # a list is the same grid as its array; a (1, n) array is not a grid of
+    # one stage but a shape error, raised before any assembly
+    ocp = make_cart_problem(4).ocp
+    dtau = uniform(4)
+    from_array = HorizonProblem(ocp, dtau, origin_probe(ocp))
+    from_list = HorizonProblem(ocp, dtau.tolist(), origin_probe(ocp))
+    U = np.random.default_rng(2).standard_normal(from_array.layout.dim)
+    x0 = np.array([0.3, -0.2])
+    assert np.array_equal(from_list.assemble_residual(x0, U),
+                          from_array.assemble_residual(x0, U))
+    with pytest.raises(DimensionMismatch):
+        HorizonProblem(ocp, dtau[None, :], origin_probe(ocp))
+
+
 # ----------------------------------------------------------------- layout
 
 def test_layout_dim_matches_hemisphere_shape():

@@ -488,6 +488,40 @@ class TestCli:
         assert main(["init-only", "--config", str(path)]) == 2
         assert "solver failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source, name", [
+        ("operator", "jacobian_vector_product"),
+        ("preconditioner", "matrix_operator"),
+    ])
+    def test_non_finite_gmres_data_exits_2(self, tmp_path, capsys, monkeypatch,
+                                           source, name):
+        # NaN from GMRES's operator (the JVP) or preconditioner stops the
+        # third sample inside GMRES, with a message naming the source,
+        # instead of after a NaN step has left the chart
+        real_sample, real = NmpcController.sample_update, getattr(solver, name)
+        samples = {"n": 0}
+
+        def counted(self, *args):
+            samples["n"] += 1
+            return real_sample(self, *args)
+
+        def poisoned(*args):
+            out = real(*args)
+            if samples["n"] < 3:
+                return out
+            if source == "preconditioner":
+                return real(np.full_like(args[0], np.nan))
+            return np.full_like(out, np.nan)
+
+        monkeypatch.setattr(NmpcController, "sample_update", counted)
+        monkeypatch.setattr(solver, name, poisoned)
+        code = main(["--out", str(tmp_path / "x"), "--max-samples", "6"])
+        err = capsys.readouterr().err
+        assert code == 2
+        step = 0 if source == "preconditioner" else 1
+        assert f"GMRES step {step}: the {source}'s output holds NaN or inf" in err
+        rows = (tmp_path / "x" / "gmres.csv").read_text().splitlines()
+        assert len(rows) == 1 + 2
+
     def test_midrun_failure_exits_2(self, tmp_path, capsys, monkeypatch):
         def fail(self, x, t):
             raise GeonmpcError("synthetic")

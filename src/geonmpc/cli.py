@@ -3,7 +3,8 @@
 Commands: simulate (default), compare-precond, init-only.  Each flag sets
 the config key it is named by in `dest` (--no-precond is precond = false,
 --out is output_dir, --max-samples is max_samples) over the file's value.
-Exit codes: 0 success, 2 solver failure, 3 bad config.
+Exit codes: 0 success, 2 solver failure, 3 bad config, a bad flag or
+flag value included (argparse's message goes to stderr).
 """
 
 import argparse
@@ -24,8 +25,17 @@ EXIT_SOLVER_FAILURE = 2
 EXIT_CONFIG_ERROR = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit with EXIT_CONFIG_ERROR,
+    not argparse's 2, which means solver failure here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="geonmpc",
         description="Closed-loop minimum-time NMPC simulation on the sphere.",
         # a flag left out sets no key, so the file's value stands

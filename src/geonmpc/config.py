@@ -1,12 +1,13 @@
 """Simulator configuration: defaults, flat key=value files, validation.
 
-A file holds one `key = value` per line, split at the first `=`; values are
-read verbatim.  Blank lines are skipped, and a `#` at the start of a line
-or after whitespace opens a comment.  Keys are case-sensitive, each is set
-at most once, and every key is in `KEYS`; any other line is a ConfigError
-naming `path:line`.  The keys address the sampling, stopping and problem
-settings.  The solver's numerical constants are module constants of solver
-and gmres, not keys.
+A file is UTF-8 text with one `key = value` per line, split at the first
+`=`; values are read verbatim.  Blank lines are skipped, and a `#` at the
+start of a line or after whitespace opens a comment.  Keys are
+case-sensitive, each is set at most once, and every key is in `KEYS`; any
+other line is a ConfigError naming `path:line`, and a file that is not
+UTF-8 is a ConfigError naming its path.  The keys address the sampling,
+stopping and problem settings.  The solver's numerical constants are
+module constants of solver and gmres, not keys.
 """
 
 import math
@@ -73,8 +74,8 @@ _BOOLEANS = {"1": True, "yes": True, "true": True, "on": True,
 def _parse_file(path: str) -> dict:
     """Key -> typed value for every key the file sets."""
     try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values = {}
     for number, line in enumerate(lines, start=1):

@@ -136,9 +136,11 @@ def make_ocp(params: HemisphereParams) -> OcpDefinition:
 
     The rescaled horizon multiplies dynamics, running cost and constraint
     by p, so the optimality rows reproduce the discretized system with
-    p inside every stage block.  The running cost is -p w_s u_s, the
-    terminal cost is p and psi = x_N - x_f, so the terminal Lagrangian
-    Phi = p + nu . (x_N - x_f) has Phi_x = nu and Phi_p = 1.
+    p inside every stage block: H = p (z (cos u, sin u) . lam - w_s u_s
+    + mu constraint_C).  H_ump computes the height z, cos u, sin u and the
+    band term once for all three of its partials.  The terminal cost is p
+    and psi = x_N - x_f, so the terminal Lagrangian Phi = p + nu . (x_N -
+    x_f) has Phi_x = nu, Phi_nu = psi and Phi_p = 1.
 
     Callbacks read components from transposes (``xt = x.T``, ``xt[0]``)
     and pack results back with ``.T``: a single point runs on numpy
@@ -146,42 +148,28 @@ def make_ocp(params: HemisphereParams) -> OcpDefinition:
     """
     c_u, r_u, w_s = params.c_u, params.r_u, params.w_s
 
-    def drift(lt, u0):
-        return np.cos(u0) * lt[0] + np.sin(u0) * lt[1]
+    def H_x(x, lam, u, mu, p):
+        xt, lt, u0 = x.T, lam.T, u.T[0]
+        drift = np.cos(u0) * lt[0] + np.sin(u0) * lt[1]
+        return (-(p.T[0] / _height(xt)) * drift * xt).T
 
-    def C(x, u, p):
-        ut = u.T
-        return np.array([p.T[0] * constraint_C(ut[0], ut[1], params)]).T
-
-    def H_u(x, lam, u, mu, p):
+    def H_ump(x, lam, u, mu, p):
         lt, ut, m0, p0 = lam.T, u.T, mu.T[0], p.T[0]
-        steer = _height(x.T) * (-np.sin(ut[0]) * lt[0] + np.cos(ut[0]) * lt[1])
-        return np.array([
-            p0 * (steer + 2.0 * (ut[0] - c_u) * m0),
+        z, cos_u, sin_u = _height(x.T), np.cos(ut[0]), np.sin(ut[0])
+        band = constraint_C(ut[0], ut[1], params)
+        H_u = np.array([
+            p0 * (z * (-sin_u * lt[0] + cos_u * lt[1]) + 2.0 * (ut[0] - c_u) * m0),
             p0 * (2.0 * m0 * ut[1] - w_s),
         ]).T
-
-    def H_x(x, lam, u, mu, p):
-        xt = x.T
-        return (-(p.T[0] / _height(xt)) * drift(lam.T, u.T[0]) * xt).T
-
-    def H_p(x, lam, u, mu, p):
-        ut = u.T
-        return np.array([
-            _height(x.T) * drift(lam.T, ut[0])
-            + mu.T[0] * constraint_C(ut[0], ut[1], params) - w_s * ut[1],
-        ]).T
+        H_p = z * (cos_u * lt[0] + sin_u * lt[1]) + m0 * band - w_s * ut[1]
+        return H_u, np.array([p0 * band]).T, np.array([H_p]).T
 
     return OcpDefinition(
         n_x=2, n_u=2, n_mu=1, n_nu=2, n_p=1,
-        C=C,
-        psi=lambda xn, p: terminal_psi(xn, params),
-        H_u=H_u,
-        H_x=H_x,
-        H_p=H_p,
-        Phi_x=lambda xn, nu, p: nu,
-        Phi_p=lambda xn, nu, p: np.ones_like(p),
         stepper=euler_stepper(lambda x, u, p: chart_dynamics(x, u.T[0], p.T[0])),
+        H_x=H_x,
+        H_ump=H_ump,
+        Phi_grad=lambda xn, nu, p: (nu, terminal_psi(xn, params), np.ones_like(p)),
     )
 
 

@@ -1,12 +1,14 @@
 """Discretized finite-horizon optimal control problems.
 
-A problem is defined by autonomous callbacks for the stepper, the
-constraints and the partials of the Hamiltonian and terminal Lagrangian,
-the step lengths of the normalized horizon, and a decision-vector layout.
-No callback takes a time argument: with a free horizon length the
-normalized time is not physical time.  The residual stacks the optimality
-conditions into one vector F whose zero is the discrete first-order
-optimum, in one of two transcriptions:
+A problem is defined by four autonomous callbacks (the stepper and the
+partials of the Hamiltonian H and of the terminal Lagrangian Phi), by the
+step lengths of the normalized horizon, and by a decision-vector layout.
+Every optimality row is one of these partials, the constraint rows
+included: C = dH/dmu and psi = dPhi/dnu.  No callback takes a time
+argument: with a free horizon length the normalized time is not physical
+time.  The residual stacks the optimality conditions into one vector F
+whose zero is the discrete first-order optimum, in one of two
+transcriptions:
 
 * condensed (single shooting): the decision vector holds the controls and
   multipliers only, and the states and costates come from the forward
@@ -109,9 +111,12 @@ class DecisionLayout:
 
 
 # validate_at probes one point, a stage stack and a batch of stage stacks;
-# row k of a stack sits at the point + k * PROBE_SHIFT.
+# row k of a stack sits at the point + k * PROBE_SHIFT.  The stepper's
+# dtau is PROBE_DTAU: a scalar at one point, as the condensed recursion
+# passes it, and a lead + (1,) column on a stack, as the lifted residual does.
 PROBE_LEADS = ((), (3,), (2, 3))
 PROBE_SHIFT = 1e-6
+PROBE_DTAU = 1e-3
 
 
 @dataclass(frozen=True)
@@ -126,14 +131,18 @@ class OcpDefinition:
     lifted residual, sees whole (..., n_steps, n) stage stacks, with the
     stepper's dtau an (n_steps, 1) column of step lengths.
 
-    The stage conditions are the partials H_u/H_x/H_p of the Hamiltonian
-    H = L + lam . f + mu . C, with L the running cost and f the dynamics
-    the stepper integrates.  The terminal conditions are the partials
-    Phi_x/Phi_p of the terminal Lagrangian Phi = phi + nu . psi, with phi
-    the terminal cost: lam_N = Phi_x and Phi_p opens the parameter row.
-    The rows read L, phi and psi's Jacobians only through these partials,
-    so none of them is a callback.  The costate recursion deliberately
-    uses H_x in place of the stepper's own state sensitivity.
+    Every optimality row is a partial of the Hamiltonian
+    H = L + lam . f + mu . C or of the terminal Lagrangian
+    Phi = phi + nu . psi, with L the running cost, f the dynamics the
+    stepper integrates, C the stage constraint, phi the terminal cost and
+    psi the terminal constraint.  Each callback is named by the variables
+    it differentiates: H_ump returns (H_u, H_mu = C, H_p) and Phi_grad
+    returns (Phi_x, Phi_nu = psi, Phi_p), where lam_N = Phi_x and Phi_p
+    opens the parameter row.  So L, phi, C, psi and psi's Jacobian are
+    not callbacks of their own.  H_x stays apart because the condensed
+    costate recursion calls it once per stage, where H_ump's parts would
+    be wasted work.  The costate recursion deliberately uses H_x in place
+    of the stepper's own state sensitivity.
 
     The solver floors the parameter block p at solver.P_MIN, so p should be
     a quantity that stays positive, such as a free horizon length.
@@ -144,41 +153,55 @@ class OcpDefinition:
     n_mu: int
     n_nu: int
     n_p: int
-    C: Callable            # (x, u, p) -> (n_mu,)
-    psi: Callable          # (x_N, p) -> (n_nu,)
-    H_u: Callable          # (x, lam, u, mu, p) -> (n_u,)
-    H_x: Callable          # (x, lam, u, mu, p) -> (n_x,)
-    H_p: Callable          # (x, lam, u, mu, p) -> (n_p,)
-    Phi_x: Callable        # (x_N, nu, p) -> (n_x,)
-    Phi_p: Callable        # (x_N, nu, p) -> (n_p,)
     stepper: Callable      # (x, u, p, dtau) -> next x
+    H_x: Callable          # (x, lam, u, mu, p) -> (n_x,)
+    H_ump: Callable        # (x, lam, u, mu, p) -> ((n_u,), (n_mu,), (n_p,))
+    Phi_grad: Callable     # (x_N, nu, p) -> ((n_x,), (n_nu,), (n_p,))
 
-    def _probe(self, x, u, lam, mu, nu, p) -> dict:
-        """name -> (output, component shape) of every callback at one input."""
-        return {
-            "C": (self.C(x, u, p), (self.n_mu,)),
-            "psi": (self.psi(x, p), (self.n_nu,)),
-            "H_u": (self.H_u(x, lam, u, mu, p), (self.n_u,)),
-            "H_x": (self.H_x(x, lam, u, mu, p), (self.n_x,)),
-            "H_p": (self.H_p(x, lam, u, mu, p), (self.n_p,)),
-            "Phi_x": (self.Phi_x(x, nu, p), (self.n_x,)),
-            "Phi_p": (self.Phi_p(x, nu, p), (self.n_p,)),
-            "stepper": (self.stepper(x, u, p, 1e-3), (self.n_x,)),
+    def _probe(self, lead, x, u, lam, mu, nu, p, dtau) -> dict:
+        """label -> (output, component shape) of every callback output at one
+        input; part j of a fused callback is labelled "{name} part {j}".
+
+        Raise DimensionMismatch naming a callback that fails with a shape or
+        type error, or that returns the wrong number of parts.
+        """
+        calls = {
+            "stepper": (lambda: (self.stepper(x, u, p, dtau),), [(self.n_x,)]),
+            "H_x": (lambda: (self.H_x(x, lam, u, mu, p),), [(self.n_x,)]),
+            "H_ump": (lambda: self.H_ump(x, lam, u, mu, p),
+                      [(self.n_u,), (self.n_mu,), (self.n_p,)]),
+            "Phi_grad": (lambda: self.Phi_grad(x, nu, p),
+                         [(self.n_x,), (self.n_nu,), (self.n_p,)]),
         }
+        probed = {}
+        for name, (call, wants) in calls.items():
+            try:
+                parts = tuple(call())
+            except (TypeError, ValueError, IndexError) as exc:
+                raise DimensionMismatch(f"{name} failed for leading axes {lead}: "
+                                        f"{type(exc).__name__}: {exc}") from exc
+            if len(parts) != len(wants):
+                raise DimensionMismatch(f"{name} returned {len(parts)} parts, "
+                                        f"expected {len(wants)}")
+            for j, part in enumerate(zip(parts, wants)):
+                probed[name if len(wants) == 1 else f"{name} part {j}"] = part
+        return probed
 
     def validate_at(self, x, u, lam, mu, nu, p) -> None:
         """Probe every callback at one point and on stacks of nearby points.
 
-        Raise DimensionMismatch naming a callback whose output lacks the
-        leading axes, or whose stacked rows differ from single-point calls.
+        Raise DimensionMismatch naming a callback that fails on a stack,
+        returns the wrong number of parts, or returns a part that lacks the
+        leading axes or whose stacked rows differ from single-point calls.
         """
         point = [as_vector(v) for v in (x, u, lam, mu, nu, p)]
-        singles = [self._probe(*(v + PROBE_SHIFT * k for v in point))
+        singles = [self._probe((), *(v + PROBE_SHIFT * k for v in point), PROBE_DTAU)
                    for k in range(int(np.prod(PROBE_LEADS[-1])))]
         for lead in PROBE_LEADS:
             rows = int(np.prod(lead))
             shift = PROBE_SHIFT * np.arange(rows).reshape(lead + (1,))
-            outputs = self._probe(*(v + shift for v in point))
+            dtau = np.full(lead + (1,), PROBE_DTAU) if lead else PROBE_DTAU
+            outputs = self._probe(lead, *(v + shift for v in point), dtau)
             for name, (out, want) in outputs.items():
                 if np.shape(out) != lead + want:
                     raise DimensionMismatch(f"{name} returned shape {np.shape(out)} "
@@ -237,7 +260,7 @@ class HorizonProblem:
         for i in range(n):
             states[..., i + 1, :] = ocp.stepper(
                 states[..., i, :], controls[..., i, :], p, dtau[i])
-        costates[..., n - 1, :] = ocp.Phi_x(states[..., n, :], layout.nu(U), p)
+        costates[..., n - 1, :] = ocp.Phi_grad(states[..., n, :], layout.nu(U), p)[0]
         # costates[..., i, :] is lam_{i+1}
         for i in range(n - 1, 0, -1):
             lam = costates[..., i, :]
@@ -260,11 +283,12 @@ class HorizonProblem:
         """Stack the optimality residual over the whole horizon.
 
         A condensed U (length dim) gives the rows at its trajectory: H_u
-        blocks, C blocks, terminal constraint, then the parameter
-        stationarity rows.  A lifted U (length lifted_dim) gives the same
-        rows at the states and costates it carries, followed by the state
-        defects x_{i+1} - stepper(x_i, u_i, p, dtau_i) and the costate
-        defects lam_i - lam_{i+1} - dtau_i H_x(x_i, lam_{i+1}, u_i, mu_i, p)
+        blocks, H_mu = C blocks, Phi_nu = psi, then the parameter
+        stationarity rows Phi_p + sum dtau H_p.  A lifted U (length
+        lifted_dim) gives the same rows at the states and costates it
+        carries, followed by the state defects
+        x_{i+1} - stepper(x_i, u_i, p, dtau_i) and the costate defects
+        lam_i - lam_{i+1} - dtau_i H_x(x_i, lam_{i+1}, u_i, mu_i, p)
         for i < N and lam_N - Phi_x.  U may carry leading batch axes; the
         result then has the same leading axes.
         """
@@ -286,17 +310,19 @@ class HorizonProblem:
         u, mu = layout.controls(U), layout.mus(U)
         p_stages = np.broadcast_to(p[..., None, :], U.shape[:-1] + (n, layout.n_p))
         dtau = self.dtau[:, None]
+        H_u, H_mu, H_p = ocp.H_ump(x, lam, u, mu, p_stages)
+        Phi_x, psi, Phi_p = ocp.Phi_grad(x_n, nu, p)
         rows = [
-            _component_major(dtau * ocp.H_u(x, lam, u, mu, p_stages)),
-            _component_major(dtau * ocp.C(x, u, p_stages)),
-            ocp.psi(x_n, p),
-            ocp.Phi_p(x_n, nu, p) + self.dtau @ ocp.H_p(x, lam, u, mu, p_stages),
+            _component_major(dtau * H_u),
+            _component_major(dtau * H_mu),
+            psi,
+            Phi_p + self.dtau @ H_p,
         ]
         if length != layout.dim:  # lifted: the defect rows follow
             hx = ocp.H_x(x[..., 1:, :], lam[..., 1:, :], u[..., 1:, :], mu[..., 1:, :],
                          p_stages[..., 1:, :])
             lam_target = np.concatenate(
-                [lam[..., 1:, :] + hx * dtau[1:], ocp.Phi_x(x_n, nu, p)[..., None, :]],
+                [lam[..., 1:, :] + hx * dtau[1:], Phi_x[..., None, :]],
                 axis=-2)
             rows += [_component_major(states[..., 1:, :] - ocp.stepper(x, u, p_stages, dtau)),
                      _component_major(lam - lam_target)]

@@ -4,8 +4,11 @@ The flat problem uses an explicit-Euler stepper directly on its dynamics,
 so the assembled residual must equal the exact gradient of the discrete
 Lagrangian; the oracle below evaluates that Lagrangian from scratch
 (states regenerated per call) for central-difference checks.  The
-residual reads the costs only through the Hamiltonian's partials, so the
-running and terminal costs the oracle needs live here, beside them.
+residual reads the costs and constraints only through the partials of the
+Hamiltonian and of the terminal Lagrangian, so the running and terminal
+costs and constraints the oracle needs live here, beside those partials.
+The oracle calls the stepper alone, to regenerate the states, and none of
+the partials under test.
 """
 
 import numpy as np
@@ -21,6 +24,16 @@ def cart_running_cost(x, u, p):
 def cart_terminal_cost(xn, p):
     """The cart's phi, whose partials open its Phi_x and Phi_p."""
     return 0.5 * (xn * xn).sum(axis=-1) + 0.1 * p[..., 0]
+
+
+def cart_stage_constraint(x, u, p):
+    """The cart's C, which its H_ump returns as H_mu."""
+    return np.array([u.T[0] + 0.2 * x.T[1] - 0.1 * p.T[0]]).T
+
+
+def cart_terminal_constraint(xn, p):
+    """The cart's psi, which its Phi_grad returns as Phi_nu."""
+    return xn[..., :1] - 0.3
 
 
 def make_cart_problem(n_steps=10):
@@ -39,19 +52,20 @@ def make_cart_problem(n_steps=10):
         l0, l1 = lam.T
         return np.array([0.1 * x0 - 0.3 * np.cos(x0) * l1, l0 + 0.2 * mu.T[0]]).T
 
+    def H_ump(x, lam, u, mu, p):
+        return (np.array([u.T[0] + lam.T[1] + mu.T[0]]).T,
+                cart_stage_constraint(x, u, p),
+                np.array([0.1 * p.T[0] + 0.2 * lam.T[1] - 0.1 * mu.T[0]]).T)
+
     ocp = OcpDefinition(
         n_x=2, n_u=1, n_mu=1, n_nu=1, n_p=1,
-        C=lambda x, u, p: np.array([u.T[0] + 0.2 * x.T[1] - 0.1 * p.T[0]]).T,
-        psi=lambda xn, p: xn[..., :1] - 0.3,
-        H_u=lambda x, lam, u, mu, p: np.array([u.T[0] + lam.T[1] + mu.T[0]]).T,
-        H_x=H_x,
-        H_p=lambda x, lam, u, mu, p: np.array([
-            0.1 * p.T[0] + 0.2 * lam.T[1] - 0.1 * mu.T[0],
-        ]).T,
-        # Phi = cart_terminal_cost + nu . psi with psi = x_N[0] - 0.3
-        Phi_x=lambda xn, nu, p: xn + nu * [1.0, 0.0],
-        Phi_p=lambda xn, nu, p: np.full_like(p, 0.1),
         stepper=euler_stepper(f),
+        H_x=H_x,
+        H_ump=H_ump,
+        # Phi = cart_terminal_cost + nu . psi with psi = x_N[0] - 0.3
+        Phi_grad=lambda xn, nu, p: (xn + nu * [1.0, 0.0],
+                                    cart_terminal_constraint(xn, p),
+                                    np.full_like(p, 0.1)),
     )
     return HorizonProblem(ocp, np.full(n_steps, 1.0 / n_steps), origin_probe(ocp))
 
@@ -62,20 +76,24 @@ def origin_probe(ocp):
             np.zeros(ocp.n_mu), np.zeros(ocp.n_nu), np.ones(ocp.n_p))
 
 
-def discrete_lagrangian(problem, x0, U, L, phi):
+def discrete_lagrangian(problem, x0, U, L, phi, C, psi):
     """phi + sum L dtau + sum mu.C dtau + nu.psi with states regenerated,
-    for the running cost L(x, u, p) and terminal cost phi(x_N, p)."""
-    ocp, layout = problem.ocp, problem.layout
+    for the running cost L(x, u, p), terminal cost phi(x_N, p), stage
+    constraint C(x, u, p) and terminal constraint psi(x_N, p)."""
+    layout = problem.layout
     p = layout.p(U)
     nu = layout.nu(U)
-    states, _ = problem.trajectory(x0, U)
+    states = [np.asarray(x0, dtype=float)]
+    for i in range(layout.n_steps):
+        states.append(problem.ocp.stepper(
+            states[i], layout.controls(U)[i], p, problem.dtau[i]))
     x_n = states[layout.n_steps]
-    total = float(phi(x_n, p)) + float(nu @ ocp.psi(x_n, p))
+    total = float(phi(x_n, p)) + float(nu @ psi(x_n, p))
     for i in range(layout.n_steps):
         u_i = layout.controls(U)[i]
         mu_i = layout.mus(U)[i]
         stage = float(L(states[i], u_i, p))
-        stage += float(mu_i @ ocp.C(states[i], u_i, p))
+        stage += float(mu_i @ C(states[i], u_i, p))
         total += stage * problem.dtau[i]
     return total
 

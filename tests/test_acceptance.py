@@ -14,8 +14,9 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import geonmpc.gmres
-from conftest import (cart_running_cost, cart_terminal_cost, discrete_lagrangian,
-                      fd_gradient, make_cart_problem)
+from conftest import (cart_running_cost, cart_stage_constraint,
+                      cart_terminal_constraint, cart_terminal_cost,
+                      discrete_lagrangian, fd_gradient, make_cart_problem)
 from geonmpc.config import SimConfig
 from geonmpc.gmres import gmres_solve, matrix_operator
 from geonmpc.hemisphere import (HemisphereParams, ambient_dynamics,
@@ -228,7 +229,8 @@ def test_06d_control_rows_match_lagrangian_gradient():
     x0 = np.array([0.2, -0.1])
     residual = problem.assemble_residual(x0, decision)
     grad = fd_gradient(lambda v: discrete_lagrangian(
-        problem, x0, v, cart_running_cost, cart_terminal_cost), decision)
+        problem, x0, v, cart_running_cost, cart_terminal_cost,
+        cart_stage_constraint, cart_terminal_constraint), decision)
     n_controls = problem.layout.n_steps * problem.ocp.n_u
     gap = float(np.max(np.abs(residual[:n_controls] - grad[:n_controls])))
     ok = gap <= 1e-6

@@ -186,7 +186,8 @@ def test_dual_path_residual_equality():
 def test_residual_is_lagrangian_gradient():
     # Euler stepping in chart coordinates makes the assembled residual the
     # exact gradient of the regenerated-state Lagrangian, whose running
-    # cost -p w_s u_s and terminal cost p make_ocp's docstring states
+    # cost -p w_s u_s, terminal cost p and p-scaled band constraint
+    # make_ocp's docstring states
     prob = make_problem(PARAMS, 20)
     x0 = np.array([PARAMS.x0, PARAMS.y0])
     U = next(random_decision_vectors(prob.layout, 1, seed=55))
@@ -194,7 +195,9 @@ def test_residual_is_lagrangian_gradient():
     grad = fd_gradient(lambda v: discrete_lagrangian(
         prob, x0, v,
         L=lambda x, u, p: -p[0] * PARAMS.w_s * u[1],
-        phi=lambda xn, p: p[0]), U)
+        phi=lambda xn, p: p[0],
+        C=lambda x, u, p: [p[0] * constraint_C(u[0], u[1], PARAMS)],
+        psi=lambda xn, p: terminal_psi(xn, PARAMS)), U)
     assert np.max(np.abs(fvec - grad)) <= 1e-6
 
 

@@ -1,10 +1,14 @@
+import collections
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from conftest import (cart_running_cost, cart_terminal_cost, discrete_lagrangian,
-                      fd_gradient, make_cart_problem, origin_probe)
+from conftest import (cart_running_cost, cart_stage_constraint,
+                      cart_terminal_constraint, cart_terminal_cost,
+                      discrete_lagrangian, fd_gradient, make_cart_problem,
+                      origin_probe)
 from geonmpc.errors import DimensionMismatch
 from geonmpc.hemisphere import HemisphereParams, initial_guess, make_problem
 from geonmpc.horizon import (
@@ -24,23 +28,27 @@ def zeros(*shape):
     return callback
 
 
+def zero_parts(*shapes):
+    """Fused callback returning one zeros part per shape, behind the
+    leading axes of its first argument."""
+    def callback(state, *args):
+        return tuple(zeros(*shape)(state) for shape in shapes)
+    return callback
+
+
 def uniform(n_steps):
     return np.full(n_steps, 1.0 / n_steps)
 
 
 def zero_like_callbacks(n_x, n_u, n_mu, n_nu, n_p, f, stepper=None):
-    """OcpDefinition with the given dynamics and inert constraint and
-    Hamiltonian maps."""
+    """OcpDefinition with the given dynamics and inert partials of the
+    Hamiltonian and the terminal Lagrangian."""
     return OcpDefinition(
         n_x=n_x, n_u=n_u, n_mu=n_mu, n_nu=n_nu, n_p=n_p,
-        C=zeros(n_mu),
-        psi=zeros(n_nu),
-        H_u=zeros(n_u),
-        H_x=zeros(n_x),
-        H_p=zeros(n_p),
-        Phi_x=zeros(n_x),
-        Phi_p=zeros(n_p),
         stepper=stepper if stepper is not None else euler_stepper(f),
+        H_x=zeros(n_x),
+        H_ump=zero_parts((n_u,), (n_mu,), (n_p,)),
+        Phi_grad=zero_parts((n_x,), (n_nu,), (n_p,)),
     )
 
 
@@ -175,11 +183,9 @@ def test_forward_hand_iterated_two_steps():
 
 
 def test_terminal_costate_equals_nu():
-    ocp = OcpDefinition(**{
-        **zero_like_callbacks(2, 1, 1, 2, 1, f=zeros(2)).__dict__,
-        "psi": lambda xn, p: xn.copy(),
-        "Phi_x": lambda xn, nu, p: nu,
-    })
+    ocp = dataclasses.replace(
+        zero_like_callbacks(2, 1, 1, 2, 1, f=zeros(2)),
+        Phi_grad=lambda xn, nu, p: (nu, xn.copy(), np.zeros_like(p)))
     prob = HorizonProblem(ocp, uniform(4), origin_probe(ocp))
     U = np.zeros(prob.layout.dim)
     nu = np.array([0.7, -0.3])
@@ -213,7 +219,8 @@ def test_residual_matches_lagrangian_gradient():
     U = 0.3 * rng.standard_normal(prob.layout.dim)
     fvec = prob.assemble_residual(x0, U)
     grad = fd_gradient(lambda v: discrete_lagrangian(
-        prob, x0, v, cart_running_cost, cart_terminal_cost), U)
+        prob, x0, v, cart_running_cost, cart_terminal_cost,
+        cart_stage_constraint, cart_terminal_constraint), U)
     assert np.max(np.abs(fvec - grad)) <= 1e-6
     # the control block alone, at the same tolerance
     n = prob.layout.n_steps
@@ -223,13 +230,10 @@ def test_residual_matches_lagrangian_gradient():
 def test_dtau_scaling_doubles_stage_blocks():
     # state-independent dynamics keep the trajectory identical, so the
     # explicit dtau factor is the only change
-    ocp = OcpDefinition(**{
-        **zero_like_callbacks(2, 1, 1, 1, 1, f=zeros(2)).__dict__,
-        "C": lambda x, u, p: u - 0.3,
-        "psi": lambda xn, p: xn[..., :1],
-        "H_u": lambda x, lam, u, mu, p: 2.0 * u + mu,
-        "Phi_x": lambda xn, nu, p: nu * [1.0, 0.0],
-    })
+    ocp = dataclasses.replace(
+        zero_like_callbacks(2, 1, 1, 1, 1, f=zeros(2)),
+        H_ump=lambda x, lam, u, mu, p: (2.0 * u + mu, u - 0.3, np.zeros_like(p)),
+        Phi_grad=lambda xn, nu, p: (nu * [1.0, 0.0], xn[..., :1], np.zeros_like(p)))
     rng = np.random.default_rng(4)
     n = 5
     prob1, prob2 = (
@@ -239,7 +243,7 @@ def test_dtau_scaling_doubles_stage_blocks():
     x0 = np.array([0.5, 0.5])
     f1 = prob1.assemble_residual(x0, U)
     f2 = prob2.assemble_residual(x0, U)
-    stage_rows = 2 * n  # H_u block plus C block
+    stage_rows = 2 * n  # H_u block plus H_mu = C block
     assert np.array_equal(f2[:stage_rows], 2.0 * f1[:stage_rows])
     # terminal constraint rows carry no dtau factor
     assert np.array_equal(f2[prob1.layout.nu_offset:prob1.layout.p_offset],
@@ -271,9 +275,7 @@ def test_validate_at_accepts_and_rejects():
     prob = make_cart_problem(4)
     prob.ocp.validate_at(np.zeros(2), np.zeros(1), np.zeros(2),
                          np.zeros(1), np.zeros(1), np.ones(1))
-    bad = OcpDefinition(
-        **{**prob.ocp.__dict__,
-           "H_u": lambda x, lam, u, mu, p: np.zeros(3)})
+    bad = dataclasses.replace(prob.ocp, H_x=lambda x, lam, u, mu, p: np.zeros(3))
     with pytest.raises(DimensionMismatch):
         bad.validate_at(np.zeros(2), np.zeros(1), np.zeros(2),
                         np.zeros(1), np.zeros(1), np.ones(1))
@@ -381,18 +383,35 @@ def test_validate_at_rejects_callbacks_that_do_not_broadcast():
     args = (np.zeros(2), np.zeros(1), np.zeros(2),
             np.zeros(1), np.zeros(1), np.ones(1))
     prob.ocp.validate_at(*args)
+    H_ump = prob.ocp.H_ump
     # right at one point, wrong shape for a stage stack
-    indexed = OcpDefinition(**{
-        **prob.ocp.__dict__,
-        "H_u": lambda x, lam, u, mu, p: np.array([u[0] + lam[1] + mu[0]])})
-    with pytest.raises(DimensionMismatch, match="H_u"):
+    indexed = dataclasses.replace(prob.ocp, H_ump=lambda x, lam, u, mu, p: (
+        np.array([u[0] + lam[1] + mu[0]]),) + H_ump(x, lam, u, mu, p)[1:])
+    with pytest.raises(DimensionMismatch, match="^H_ump part 0 returned shape"):
         indexed.validate_at(*args)
-    # right shape for a stack, but every row reads the first stage's mu
-    first_row = OcpDefinition(**{
-        **prob.ocp.__dict__,
-        "H_p": lambda x, lam, u, mu, p: 0.1 * p + 0.2 * lam[..., 1:] - 0.1 * mu[0]})
-    with pytest.raises(DimensionMismatch, match="H_p"):
+    # right shape for a stack, but every row of H_p reads the first stage's mu
+    first_row = dataclasses.replace(prob.ocp, H_ump=lambda x, lam, u, mu, p: (
+        H_ump(x, lam, u, mu, p)[:2] + (0.1 * p + 0.2 * lam[..., 1:] - 0.1 * mu[0],)))
+    with pytest.raises(DimensionMismatch, match="^H_ump part 2 does not broadcast"):
         first_row.validate_at(*args)
+
+
+@pytest.mark.parametrize("name", ["H_ump", "Phi_grad"])
+def test_validate_at_counts_the_parts_of_a_fused_callback(name):
+    # a fused callback that returns two of its three partials
+    two_parts = dataclasses.replace(
+        CART_OCP, **{name: lambda *args: getattr(CART_OCP, name)(*args)[:2]})
+    with pytest.raises(DimensionMismatch, match=f"^{name} returned 2 parts, expected 3"):
+        two_parts.validate_at(*origin_probe(CART_OCP))
+
+
+def test_stepper_is_probed_with_a_column_of_step_lengths():
+    # a stepper that takes dtau for a number works on the condensed
+    # recursion's scalar step but not on the lifted residual's column
+    ocp = dataclasses.replace(
+        CART_OCP, stepper=lambda x, u, p, dtau: x + math.sqrt(dtau) * u)
+    with pytest.raises(DimensionMismatch, match="^stepper failed for leading axes"):
+        HorizonProblem(ocp, uniform(4), origin_probe(ocp))
 
 
 def first_point_only(callback):
@@ -403,46 +422,68 @@ def first_point_only(callback):
     return call
 
 
+def one_part_first_point_only(callback, j):
+    """The fused callback with only its part j taken at the first point of
+    any stack, as first_point_only does to a whole callback."""
+    def call(*args):
+        parts = list(callback(*args))
+        parts[j] = first_point_only(callback)(*args)[j]
+        return tuple(parts)
+    return call
+
+
 CART_OCP = make_cart_problem(4).ocp
 CALLBACKS = [f.name for f in dataclasses.fields(CART_OCP)
              if callable(getattr(CART_OCP, f.name))]
+# each partial of H and Phi -> (fused callback, index of its part)
+PARTIALS = {"H_u": ("H_ump", 0), "C": ("H_ump", 1), "H_p": ("H_ump", 2),
+            "Phi_x": ("Phi_grad", 0), "psi": ("Phi_grad", 1), "Phi_p": ("Phi_grad", 2)}
 
 
-@pytest.mark.parametrize("name", CALLBACKS)
+@pytest.mark.parametrize("name", CALLBACKS + list(PARTIALS))
 def test_validate_at_probes_every_callback(name):
-    broken = dataclasses.replace(
-        CART_OCP, **{name: first_point_only(getattr(CART_OCP, name))})
-    with pytest.raises(DimensionMismatch, match=f"^{name} "):
+    # a whole callback, or one part of a fused one, that is right at one
+    # point and wrong on every stack must be named by validate_at
+    if name in PARTIALS:
+        name, j = PARTIALS[name]
+        broken, label = one_part_first_point_only(getattr(CART_OCP, name), j), f"{name} part {j}"
+    else:
+        broken, label = first_point_only(getattr(CART_OCP, name)), name
+    broken = dataclasses.replace(CART_OCP, **{name: broken})
+    with pytest.raises(DimensionMismatch, match=f"^{label} "):
         broken.validate_at(*origin_probe(CART_OCP))
 
 
 @pytest.mark.parametrize("case", [hemisphere_case, cart_case])
 def test_each_transcription_calls_every_callback(case):
-    # a callback that no row reads is dead protocol surface
+    # a callback that no row reads is dead protocol surface, and a repeated
+    # stage-stack call is wasted work: the lifted residual calls each
+    # callback once, the condensed one steps and recurses once per stage and
+    # reads Phi_x for lam_N and the terminal rows in two Phi_grad calls
     prob, x0, base, _ = case()
-    ocp = prob.ocp
+    ocp, n = prob.ocp, prob.layout.n_steps
     names = {f.name for f in dataclasses.fields(ocp) if callable(getattr(ocp, f.name))}
-    called = set()
+    called = collections.Counter()
 
     def recorded(name):
         def call(*args):
-            called.add(name)
+            called[name] += 1
             return getattr(ocp, name)(*args)
         return call
 
     lifted = prob.lift(x0, base)
     prob.ocp = dataclasses.replace(ocp, **{name: recorded(name) for name in names})
-    for U in (base, lifted):
+    for U, counts in [(base, {"stepper": n, "H_x": n - 1, "H_ump": 1, "Phi_grad": 2}),
+                      (lifted, dict.fromkeys(names, 1))]:
         called.clear()
         prob.assemble_residual(x0, U)
-        assert called == names
+        assert called == counts
 
 
 def test_problem_rejects_callbacks_that_do_not_broadcast():
     ocp = make_cart_problem(4).ocp
     # every stage row of H_p reads the first stage's mu
-    first_row = OcpDefinition(**{
-        **ocp.__dict__,
-        "H_p": lambda x, lam, u, mu, p: 0.1 * p + 0.2 * lam[..., 1:] - 0.1 * mu[0]})
-    with pytest.raises(DimensionMismatch, match="H_p"):
+    first_row = dataclasses.replace(ocp, H_ump=lambda x, lam, u, mu, p: (
+        ocp.H_ump(x, lam, u, mu, p)[:2] + (0.1 * p + 0.2 * lam[..., 1:] - 0.1 * mu[0],)))
+    with pytest.raises(DimensionMismatch, match="^H_ump part 2"):
         HorizonProblem(first_row, uniform(4), origin_probe(first_row))

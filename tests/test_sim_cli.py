@@ -456,12 +456,29 @@ class TestCli:
         # a header would hide the keys after it, the unknown one included
         pytest.param("dt = 0.01\n[extra]\nn = 5\nbogus = 1\n", id="section-header"),
         pytest.param("[DEFAULT]\nn = 5\n", id="default-header"),
+        pytest.param(b"dt = 0.01\nn = \xff\n", id="not-utf-8"),
     ])
     def test_bad_config_exits_3(self, tmp_path, content, capsys):
         path = tmp_path / "sim.ini"
-        path.write_text(content)
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
         assert main(["--config", str(path)]) == 3
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--max-samples", "abc"], 3),
+        (["--bogus"], 3),
+        (["no-such-command"], 3),
+        (["-h"], 0),
+    ])
+    def test_usage_exit_codes(self, argv, code, capsys):
+        # 2 means solver failure, so a usage error is a configuration error
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == code
+        assert ("error:" in capsys.readouterr().err) == (code == 3)
 
     def test_every_flag_names_a_config_key(self):
         # a flag writes the key it overrides, so flags and file share KEYS

@@ -25,11 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartDomainViolation, DimensionMismatch
-from .horizon import HorizonProblem, OcpDefinition, euler_stepper
+from .horizon import HorizonProblem, OcpDefinition
 from .manifold import ManifoldChart, ManifoldConstraint
 
 Z_MIN = 0.05  # chart guard: the chart keeps z >= Z_MIN, away from the equator
 CHART_R2_MAX = 1.0 - Z_MIN ** 2  # largest x^2 + y^2 inside the guard
+# make_problem's callback probe: an interior chart point with nonzero
+# components, which validate_at's shifted stacks cannot carry out of the chart
+PROBE_XY = (0.3, -0.2)
 
 
 @dataclass(frozen=True)
@@ -137,10 +140,13 @@ def make_ocp(params: HemisphereParams) -> OcpDefinition:
     The rescaled horizon multiplies dynamics, running cost and constraint
     by p, so the optimality rows reproduce the discretized system with
     p inside every stage block: H = p (z (cos u, sin u) . lam - w_s u_s
-    + mu constraint_C).  H_ump computes the height z, cos u, sin u and the
-    band term once for all three of its partials.  The terminal cost is p
-    and psi = x_N - x_f, so the terminal Lagrangian Phi = p + nu . (x_N -
-    x_f) has Phi_x = nu, Phi_nu = psi and Phi_p = 1.
+    + mu constraint_C).  The stepper is explicit Euler on the chart flow
+    p z (cos u, sin u).  stage computes the height z, cos u, sin u, the
+    drift (cos u, sin u) . lam and the band term once for all five of its
+    parts; its x_next and H_x repeat the stepper's and H_x's formulas in
+    the same operation order, so they agree bit for bit.  The terminal
+    cost is p and psi = x_N - x_f, so the terminal Lagrangian
+    Phi = p + nu . (x_N - x_f) has Phi_x = nu, Phi_nu = psi and Phi_p = 1.
 
     Callbacks read components from transposes (``xt = x.T``, ``xt[0]``)
     and pack results back with ``.T``: a single point runs on numpy
@@ -148,27 +154,36 @@ def make_ocp(params: HemisphereParams) -> OcpDefinition:
     """
     c_u, r_u, w_s = params.c_u, params.r_u, params.w_s
 
+    def stepper(x, u, p, dtau):
+        u0 = u.T[0]
+        speed = p.T[0] * _height(x.T)
+        return x + dtau * np.array([speed * np.cos(u0), speed * np.sin(u0)]).T
+
     def H_x(x, lam, u, mu, p):
         xt, lt, u0 = x.T, lam.T, u.T[0]
         drift = np.cos(u0) * lt[0] + np.sin(u0) * lt[1]
         return (-(p.T[0] / _height(xt)) * drift * xt).T
 
-    def H_ump(x, lam, u, mu, p):
-        lt, ut, m0, p0 = lam.T, u.T, mu.T[0], p.T[0]
-        z, cos_u, sin_u = _height(x.T), np.cos(ut[0]), np.sin(ut[0])
+    def stage(x, lam, u, mu, p, dtau):
+        xt, lt, ut, m0, p0 = x.T, lam.T, u.T, mu.T[0], p.T[0]
+        z, cos_u, sin_u = _height(xt), np.cos(ut[0]), np.sin(ut[0])
+        speed = p0 * z
+        drift = cos_u * lt[0] + sin_u * lt[1]
         band = constraint_C(ut[0], ut[1], params)
         H_u = np.array([
             p0 * (z * (-sin_u * lt[0] + cos_u * lt[1]) + 2.0 * (ut[0] - c_u) * m0),
             p0 * (2.0 * m0 * ut[1] - w_s),
         ]).T
-        H_p = z * (cos_u * lt[0] + sin_u * lt[1]) + m0 * band - w_s * ut[1]
-        return H_u, np.array([p0 * band]).T, np.array([H_p]).T
+        H_p = z * drift + m0 * band - w_s * ut[1]
+        return (x + dtau * np.array([speed * cos_u, speed * sin_u]).T,
+                (-(p0 / z) * drift * xt).T,
+                H_u, np.array([p0 * band]).T, np.array([H_p]).T)
 
     return OcpDefinition(
         n_x=2, n_u=2, n_mu=1, n_nu=2, n_p=1,
-        stepper=euler_stepper(lambda x, u, p: chart_dynamics(x, u.T[0], p.T[0])),
+        stepper=stepper,
         H_x=H_x,
-        H_ump=H_ump,
+        stage=stage,
         Phi_grad=lambda xn, nu, p: (nu, terminal_psi(xn, params), np.ones_like(p)),
     )
 
@@ -176,7 +191,7 @@ def make_ocp(params: HemisphereParams) -> OcpDefinition:
 def make_problem(params: HemisphereParams, n_steps: int) -> HorizonProblem:
     if not n_steps >= 1:
         raise DimensionMismatch(f"n_steps must be >= 1, got {n_steps}")
-    probe = (np.array([params.x0, params.y0]), np.array([params.c_u, params.r_u]),
+    probe = (np.array(PROBE_XY), np.array([params.c_u, params.r_u]),
              np.array([0.1, -0.1]), np.array([0.02]), np.zeros(2), np.array([1.2]))
     return HorizonProblem(make_ocp(params), np.full(n_steps, 1.0 / n_steps), probe)
 

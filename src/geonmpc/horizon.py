@@ -1,23 +1,25 @@
 """Discretized finite-horizon optimal control problems.
 
-A problem is defined by four autonomous callbacks (the stepper and the
-partials of the Hamiltonian H and of the terminal Lagrangian Phi), by the
-step lengths of the normalized horizon, and by a decision-vector layout.
-Every optimality row is one of these partials, the constraint rows
-included: C = dH/dmu and psi = dPhi/dnu.  No callback takes a time
-argument: with a free horizon length the normalized time is not physical
-time.  The residual stacks the optimality conditions into one vector F
-whose zero is the discrete first-order optimum, in one of two
+A problem is defined by four autonomous callbacks (the stepper, the
+costate drift H_x, a stage callback that returns the next state and every
+partial of the Hamiltonian H at a stage, and the partials of the terminal
+Lagrangian Phi), by the step lengths of the normalized horizon, and by a
+decision-vector layout.  Every optimality row is one of these partials,
+the constraint rows included: C = dH/dmu and psi = dPhi/dnu.  No callback
+takes a time argument: with a free horizon length the normalized time is
+not physical time.  The residual stacks the optimality conditions into one
+vector F whose zero is the discrete first-order optimum, in one of two
 transcriptions:
 
 * condensed (single shooting): the decision vector holds the controls and
   multipliers only, and the states and costates come from the forward
   state recursion with the caller's structure-preserving stepper and the
-  backward costate recursion, one stage at a time;
+  backward costate recursion with H_x, one stage at a time; the stage
+  callback then gives the stage rows on whole stage stacks;
 * lifted (multiple shooting): the states x_1..x_N and the costates
   lam_1..lam_N are unknowns too, the same rows are evaluated on them, and
-  defect rows tie consecutive stages together.  Every callback then runs
-  once on whole stage stacks, with no stage loop.
+  defect rows tie consecutive stages together.  One stage call on whole
+  stage stacks and one Phi_grad call give every row, with no stage loop.
 
 Decision vector layout (component-major inside each block):
 
@@ -111,9 +113,10 @@ class DecisionLayout:
 
 
 # validate_at probes one point, a stage stack and a batch of stage stacks;
-# row k of a stack sits at the point + k * PROBE_SHIFT.  The stepper's
-# dtau is PROBE_DTAU: a scalar at one point, as the condensed recursion
-# passes it, and a lead + (1,) column on a stack, as the lifted residual does.
+# row k of a stack sits at the point + k * PROBE_SHIFT.  The dtau of the
+# stepper and of stage is PROBE_DTAU: a scalar at one point, as the condensed
+# recursion passes it, and a lead + (1,) column on a stack, as the lifted
+# residual does.
 PROBE_LEADS = ((), (3,), (2, 3))
 PROBE_SHIFT = 1e-6
 PROBE_DTAU = 1e-3
@@ -129,20 +132,22 @@ class OcpDefinition:
     below.  The condensed recursions call stepper and H_x on (..., n_x)
     slices one stage at a time; every other call, and every call of the
     lifted residual, sees whole (..., n_steps, n) stage stacks, with the
-    stepper's dtau an (n_steps, 1) column of step lengths.
+    dtau of stage an (n_steps, 1) column of step lengths.
 
     Every optimality row is a partial of the Hamiltonian
     H = L + lam . f + mu . C or of the terminal Lagrangian
     Phi = phi + nu . psi, with L the running cost, f the dynamics the
     stepper integrates, C the stage constraint, phi the terminal cost and
-    psi the terminal constraint.  Each callback is named by the variables
-    it differentiates: H_ump returns (H_u, H_mu = C, H_p) and Phi_grad
-    returns (Phi_x, Phi_nu = psi, Phi_p), where lam_N = Phi_x and Phi_p
-    opens the parameter row.  So L, phi, C, psi and psi's Jacobian are
-    not callbacks of their own.  H_x stays apart because the condensed
-    costate recursion calls it once per stage, where H_ump's parts would
-    be wasted work.  The costate recursion deliberately uses H_x in place
-    of the stepper's own state sensitivity.
+    psi the terminal constraint.  stage returns everything a residual
+    reads at a stage, (x_next, H_x, H_u, H_mu = C, H_p), so that shared
+    terms are computed once per stage stack; Phi_grad returns (Phi_x,
+    Phi_nu = psi, Phi_p), where lam_N = Phi_x and Phi_p opens the
+    parameter row.  So L, phi, C, psi and psi's Jacobian are not callbacks
+    of their own.  stepper and H_x stay apart for the condensed
+    recursions, which call them once per stage, where the other parts of
+    stage would be wasted work; parts 0 and 1 of stage must equal them.
+    The costate recursion deliberately uses H_x in place of the stepper's
+    own state sensitivity.
 
     The solver floors the parameter block p at solver.P_MIN, so p should be
     a quantity that stays positive, such as a free horizon length.
@@ -155,7 +160,7 @@ class OcpDefinition:
     n_p: int
     stepper: Callable      # (x, u, p, dtau) -> next x
     H_x: Callable          # (x, lam, u, mu, p) -> (n_x,)
-    H_ump: Callable        # (x, lam, u, mu, p) -> ((n_u,), (n_mu,), (n_p,))
+    stage: Callable        # (x, lam, u, mu, p, dtau) -> (x_next, H_x, H_u, H_mu, H_p)
     Phi_grad: Callable     # (x_N, nu, p) -> ((n_x,), (n_nu,), (n_p,))
 
     def _probe(self, lead, x, u, lam, mu, nu, p, dtau) -> dict:
@@ -168,8 +173,8 @@ class OcpDefinition:
         calls = {
             "stepper": (lambda: (self.stepper(x, u, p, dtau),), [(self.n_x,)]),
             "H_x": (lambda: (self.H_x(x, lam, u, mu, p),), [(self.n_x,)]),
-            "H_ump": (lambda: self.H_ump(x, lam, u, mu, p),
-                      [(self.n_u,), (self.n_mu,), (self.n_p,)]),
+            "stage": (lambda: self.stage(x, lam, u, mu, p, dtau),
+                      [(self.n_x,), (self.n_x,), (self.n_u,), (self.n_mu,), (self.n_p,)]),
             "Phi_grad": (lambda: self.Phi_grad(x, nu, p),
                          [(self.n_x,), (self.n_nu,), (self.n_p,)]),
         }
@@ -192,7 +197,9 @@ class OcpDefinition:
 
         Raise DimensionMismatch naming a callback that fails on a stack,
         returns the wrong number of parts, or returns a part that lacks the
-        leading axes or whose stacked rows differ from single-point calls.
+        leading axes or whose stacked rows differ from single-point calls,
+        and naming the part of stage whose x_next or H_x differs from the
+        stepper's or H_x's at the same input.
         """
         point = [as_vector(v) for v in (x, u, lam, mu, nu, p)]
         singles = [self._probe((), *(v + PROBE_SHIFT * k for v in point), PROBE_DTAU)
@@ -210,6 +217,12 @@ class OcpDefinition:
                 if not np.allclose(out, expect, rtol=1e-12, atol=1e-12):
                     raise DimensionMismatch(f"{name} does not broadcast: rows for leading "
                                             f"axes {lead} differ from single-point calls")
+        # outputs holds the last, largest stack, whose rows match every probe
+        for j, name in enumerate(("stepper", "H_x")):
+            if not np.allclose(outputs[f"stage part {j}"][0], outputs[name][0],
+                               rtol=1e-12, atol=1e-12):
+                raise DimensionMismatch(f"stage part {j} differs from {name} "
+                                        f"at the same input")
 
 
 def euler_stepper(f) -> Callable:
@@ -239,6 +252,7 @@ class HorizonProblem:
         ocp.validate_at(*probe)
         self.ocp = ocp
         self.dtau = dtau
+        self.dtau_column = dtau[:, None]  # the dtau stage sees on stage stacks
         self.layout = DecisionLayout(
             n_steps=len(dtau), n_u=ocp.n_u, n_mu=ocp.n_mu,
             n_nu=ocp.n_nu, n_p=ocp.n_p, n_x=ocp.n_x,
@@ -251,22 +265,25 @@ class HorizonProblem:
         lam_0, so the backward one stops at lam_1."""
         ocp, dtau, layout = self.ocp, self.dtau, self.layout
         U = np.asarray(U, dtype=float)
-        n = layout.n_steps
+        n, lead = layout.n_steps, U.shape[:-1]
+        k = len(lead)
         p = layout.p(U)
-        controls, mus = layout.controls(U), layout.mus(U)
-        states = np.empty(U.shape[:-1] + (n + 1, ocp.n_x))
-        costates = np.empty(U.shape[:-1] + (n, ocp.n_x))
-        states[..., 0, :] = x0
+        # stage-major buffers and views: stage i is one contiguous block
+        to_stage_major = (k,) + tuple(range(k)) + (k + 1,)
+        controls = layout.controls(U).transpose(to_stage_major)
+        mus = layout.mus(U).transpose(to_stage_major)
+        states = np.empty((n + 1,) + lead + (ocp.n_x,))
+        costates = np.empty((n,) + lead + (ocp.n_x,))
+        states[0] = x0
         for i in range(n):
-            states[..., i + 1, :] = ocp.stepper(
-                states[..., i, :], controls[..., i, :], p, dtau[i])
-        costates[..., n - 1, :] = ocp.Phi_grad(states[..., n, :], layout.nu(U), p)[0]
-        # costates[..., i, :] is lam_{i+1}
+            states[i + 1] = ocp.stepper(states[i], controls[i], p, dtau[i])
+        costates[n - 1] = ocp.Phi_grad(states[n], layout.nu(U), p)[0]
+        # costates[i] is lam_{i+1}
         for i in range(n - 1, 0, -1):
-            lam = costates[..., i, :]
-            hx = ocp.H_x(states[..., i, :], lam, controls[..., i, :], mus[..., i, :], p)
-            costates[..., i - 1, :] = lam + hx * dtau[i]
-        return states, costates
+            lam = costates[i]
+            costates[i - 1] = lam + ocp.H_x(states[i], lam, controls[i], mus[i], p) * dtau[i]
+        from_stage_major = tuple(range(1, k + 1)) + (0, k + 1)
+        return states.transpose(from_stage_major), costates.transpose(from_stage_major)
 
     def lift(self, x0, U) -> np.ndarray:
         """The lifted vector of a condensed U: U, then the states x_1..x_N
@@ -290,27 +307,31 @@ class HorizonProblem:
         x_{i+1} - stepper(x_i, u_i, p, dtau_i) and the costate defects
         lam_i - lam_{i+1} - dtau_i H_x(x_i, lam_{i+1}, u_i, mu_i, p)
         for i < N and lam_N - Phi_x.  U may carry leading batch axes; the
-        result then has the same leading axes.
+        result then has the same leading axes.  Either length makes one
+        stage call on whole stage stacks; the condensed rows read only its
+        H partials, since the recursions already gave x_next and H_x.
         """
         ocp, layout = self.ocp, self.layout
         U = np.asarray(U, dtype=float)
+        lead, n = U.shape[:-1], layout.n_steps
         length = U.shape[-1] if U.ndim else None
         if length == layout.dim:
             states, lam = self.trajectory(x0, U)
         elif length == layout.lifted_dim:
             lam = layout.costates(U)
-            states = np.concatenate([np.broadcast_to(x0, U.shape[:-1] + (1, ocp.n_x)),
-                                     layout.states(U)], axis=-2)
+            states = np.empty(lead + (n + 1, ocp.n_x))
+            states[..., 0, :] = x0
+            states[..., 1:, :] = layout.states(U)
         else:
             raise DimensionMismatch(f"U has shape {U.shape}, layout dim "
                                     f"{layout.dim} or lifted dim {layout.lifted_dim}")
-        n = layout.n_steps
         p, nu = layout.p(U), layout.nu(U)
         x, x_n = states[..., :n, :], states[..., n, :]
-        u, mu = layout.controls(U), layout.mus(U)
-        p_stages = np.broadcast_to(p[..., None, :], U.shape[:-1] + (n, layout.n_p))
-        dtau = self.dtau[:, None]
-        H_u, H_mu, H_p = ocp.H_ump(x, lam, u, mu, p_stages)
+        p_stages = np.empty(lead + (n, layout.n_p))
+        p_stages[...] = p[..., None, :]
+        dtau = self.dtau_column
+        x_next, hx, H_u, H_mu, H_p = ocp.stage(
+            x, lam, layout.controls(U), layout.mus(U), p_stages, dtau)
         Phi_x, psi, Phi_p = ocp.Phi_grad(x_n, nu, p)
         rows = [
             _component_major(dtau * H_u),
@@ -319,11 +340,9 @@ class HorizonProblem:
             Phi_p + self.dtau @ H_p,
         ]
         if length != layout.dim:  # lifted: the defect rows follow
-            hx = ocp.H_x(x[..., 1:, :], lam[..., 1:, :], u[..., 1:, :], mu[..., 1:, :],
-                         p_stages[..., 1:, :])
-            lam_target = np.concatenate(
-                [lam[..., 1:, :] + hx * dtau[1:], Phi_x[..., None, :]],
-                axis=-2)
-            rows += [_component_major(states[..., 1:, :] - ocp.stepper(x, u, p_stages, dtau)),
+            lam_target = np.empty(lam.shape)
+            lam_target[..., :-1, :] = lam[..., 1:, :] + hx[..., 1:, :] * dtau[1:]
+            lam_target[..., -1, :] = Phi_x
+            rows += [_component_major(states[..., 1:, :] - x_next),
                      _component_major(lam - lam_target)]
         return np.concatenate(rows, axis=-1)

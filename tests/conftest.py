@@ -27,7 +27,7 @@ def cart_terminal_cost(xn, p):
 
 
 def cart_stage_constraint(x, u, p):
-    """The cart's C, which its H_ump returns as H_mu."""
+    """The cart's C, which its stage callback returns as H_mu."""
     return np.array([u.T[0] + 0.2 * x.T[1] - 0.1 * p.T[0]]).T
 
 
@@ -52,16 +52,20 @@ def make_cart_problem(n_steps=10):
         l0, l1 = lam.T
         return np.array([0.1 * x0 - 0.3 * np.cos(x0) * l1, l0 + 0.2 * mu.T[0]]).T
 
-    def H_ump(x, lam, u, mu, p):
-        return (np.array([u.T[0] + lam.T[1] + mu.T[0]]).T,
+    stepper = euler_stepper(f)
+
+    def stage(x, lam, u, mu, p, dtau):
+        return (stepper(x, u, p, dtau),
+                H_x(x, lam, u, mu, p),
+                np.array([u.T[0] + lam.T[1] + mu.T[0]]).T,
                 cart_stage_constraint(x, u, p),
                 np.array([0.1 * p.T[0] + 0.2 * lam.T[1] - 0.1 * mu.T[0]]).T)
 
     ocp = OcpDefinition(
         n_x=2, n_u=1, n_mu=1, n_nu=1, n_p=1,
-        stepper=euler_stepper(f),
+        stepper=stepper,
         H_x=H_x,
-        H_ump=H_ump,
+        stage=stage,
         # Phi = cart_terminal_cost + nu . psi with psi = x_N[0] - 0.3
         Phi_grad=lambda xn, nu, p: (xn + nu * [1.0, 0.0],
                                     cart_terminal_constraint(xn, p),

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import discrete_lagrangian, fd_gradient, origin_probe
 from geonmpc.errors import ChartDomainViolation, DimensionMismatch
 from geonmpc.hemisphere import (
+    CHART_R2_MAX,
     Z_MIN,
     HemisphereParams,
     ambient_dynamics,
@@ -124,6 +127,20 @@ def test_problem_dimension():
     prob = make_problem(PARAMS, n_steps=20)
     assert prob.layout.dim == 63
     assert prob.layout.n_u == 2 and prob.layout.n_mu == 1
+
+
+ON_GUARD = {"+x": (math.sqrt(CHART_R2_MAX), 0.0),
+            "+y": (0.0, math.sqrt(CHART_R2_MAX)),
+            "diagonal": (math.sqrt(CHART_R2_MAX / 2),) * 2}
+
+
+@pytest.mark.parametrize("start", ON_GUARD.values(), ids=ON_GUARD.keys())
+def test_problem_accepts_a_start_on_the_chart_guard(start):
+    # HemisphereParams accepts a start on the guard, so make_problem must
+    # too: its callback probe must not step from there out of the chart
+    params = HemisphereParams(x0=start[0], y0=start[1])
+    assert CHART_R2_MAX - (start[0] ** 2 + start[1] ** 2) <= 1e-15
+    assert make_problem(params, 20).layout.dim == 63
 
 
 @pytest.mark.parametrize("n_steps", [0, -1])

@@ -40,14 +40,16 @@ def uniform(n_steps):
     return np.full(n_steps, 1.0 / n_steps)
 
 
-def zero_like_callbacks(n_x, n_u, n_mu, n_nu, n_p, f, stepper=None):
-    """OcpDefinition with the given dynamics and inert partials of the
-    Hamiltonian and the terminal Lagrangian."""
+def zero_like_callbacks(n_x, n_u, n_mu, n_nu, n_p, f):
+    """OcpDefinition with explicit-Euler steps of the given dynamics and
+    inert partials of the Hamiltonian and the terminal Lagrangian."""
+    stepper = euler_stepper(f)
+    H_parts = zero_parts((n_x,), (n_u,), (n_mu,), (n_p,))
     return OcpDefinition(
         n_x=n_x, n_u=n_u, n_mu=n_mu, n_nu=n_nu, n_p=n_p,
-        stepper=stepper if stepper is not None else euler_stepper(f),
+        stepper=stepper,
         H_x=zeros(n_x),
-        H_ump=zero_parts((n_u,), (n_mu,), (n_p,)),
+        stage=lambda x, lam, u, mu, p, dtau: (stepper(x, u, p, dtau),) + H_parts(x),
         Phi_grad=zero_parts((n_x,), (n_nu,), (n_p,)),
     )
 
@@ -230,9 +232,11 @@ def test_residual_matches_lagrangian_gradient():
 def test_dtau_scaling_doubles_stage_blocks():
     # state-independent dynamics keep the trajectory identical, so the
     # explicit dtau factor is the only change
+    inert = zero_like_callbacks(2, 1, 1, 1, 1, f=zeros(2))
     ocp = dataclasses.replace(
-        zero_like_callbacks(2, 1, 1, 1, 1, f=zeros(2)),
-        H_ump=lambda x, lam, u, mu, p: (2.0 * u + mu, u - 0.3, np.zeros_like(p)),
+        inert,
+        stage=lambda x, lam, u, mu, p, dtau: inert.stage(x, lam, u, mu, p, dtau)[:2] + (
+            2.0 * u + mu, u - 0.3, np.zeros_like(p)),
         Phi_grad=lambda xn, nu, p: (nu * [1.0, 0.0], xn[..., :1], np.zeros_like(p)))
     rng = np.random.default_rng(4)
     n = 5
@@ -383,26 +387,65 @@ def test_validate_at_rejects_callbacks_that_do_not_broadcast():
     args = (np.zeros(2), np.zeros(1), np.zeros(2),
             np.zeros(1), np.zeros(1), np.ones(1))
     prob.ocp.validate_at(*args)
-    H_ump = prob.ocp.H_ump
+    stage = prob.ocp.stage
     # right at one point, wrong shape for a stage stack
-    indexed = dataclasses.replace(prob.ocp, H_ump=lambda x, lam, u, mu, p: (
-        np.array([u[0] + lam[1] + mu[0]]),) + H_ump(x, lam, u, mu, p)[1:])
-    with pytest.raises(DimensionMismatch, match="^H_ump part 0 returned shape"):
+    indexed = dataclasses.replace(prob.ocp, stage=lambda x, lam, u, mu, p, dtau: (
+        stage(x, lam, u, mu, p, dtau)[:2] + (np.array([u[0] + lam[1] + mu[0]]),)
+        + stage(x, lam, u, mu, p, dtau)[3:]))
+    with pytest.raises(DimensionMismatch, match="^stage part 2 returned shape"):
         indexed.validate_at(*args)
     # right shape for a stack, but every row of H_p reads the first stage's mu
-    first_row = dataclasses.replace(prob.ocp, H_ump=lambda x, lam, u, mu, p: (
-        H_ump(x, lam, u, mu, p)[:2] + (0.1 * p + 0.2 * lam[..., 1:] - 0.1 * mu[0],)))
-    with pytest.raises(DimensionMismatch, match="^H_ump part 2 does not broadcast"):
+    first_row = dataclasses.replace(prob.ocp, stage=lambda x, lam, u, mu, p, dtau: (
+        stage(x, lam, u, mu, p, dtau)[:4] + (0.1 * p + 0.2 * lam[..., 1:] - 0.1 * mu[0],)))
+    with pytest.raises(DimensionMismatch, match="^stage part 4 does not broadcast"):
         first_row.validate_at(*args)
 
 
-@pytest.mark.parametrize("name", ["H_ump", "Phi_grad"])
+@pytest.mark.parametrize("name", ["stage", "Phi_grad"])
 def test_validate_at_counts_the_parts_of_a_fused_callback(name):
-    # a fused callback that returns two of its three partials
+    # a fused callback that returns two of its partials
+    parts = {"stage": 5, "Phi_grad": 3}[name]
     two_parts = dataclasses.replace(
         CART_OCP, **{name: lambda *args: getattr(CART_OCP, name)(*args)[:2]})
-    with pytest.raises(DimensionMismatch, match=f"^{name} returned 2 parts, expected 3"):
+    with pytest.raises(DimensionMismatch,
+                       match=f"^{name} returned 2 parts, expected {parts}"):
         two_parts.validate_at(*origin_probe(CART_OCP))
+
+
+# a probe point where every argument, and so every part of stage, is nonzero
+NONZERO_PROBE = (np.array([0.3, -0.2]), np.array([0.4]), np.array([-0.5, 0.6]),
+                 np.array([0.7]), np.array([0.1]), np.array([1.2]))
+
+
+@pytest.mark.parametrize("j, name", [(0, "stepper"), (1, "H_x")])
+def test_validate_at_rejects_a_stage_that_disagrees_with_the_condensed_callbacks(j, name):
+    # the lifted residual reads x_next and H_x from stage, the condensed
+    # recursions from stepper and H_x: a stage whose part j is doubled would
+    # make the two transcriptions disagree
+    def doubled(*args):
+        parts = list(CART_OCP.stage(*args))
+        parts[j] = 2.0 * parts[j]
+        return tuple(parts)
+
+    CART_OCP.validate_at(*NONZERO_PROBE)
+    broken = dataclasses.replace(CART_OCP, stage=doubled)
+    with pytest.raises(DimensionMismatch, match=f"^stage part {j} differs from {name} at"):
+        broken.validate_at(*NONZERO_PROBE)
+
+
+@pytest.mark.parametrize("case", [lifted_hemisphere_case, lifted_cart_case])
+def test_stage_steps_and_drifts_exactly_as_the_condensed_callbacks(case):
+    # bit for bit, not to a tolerance: this is what keeps the lifted rows
+    # equal to the condensed ones at the lift
+    prob, x0, base, spread = case()
+    layout, ocp = prob.layout, prob.ocp
+    V = base + spread * np.random.default_rng(11).standard_normal((3, base.size))
+    p = np.repeat(layout.p(V)[:, None, :], layout.n_steps, axis=1)
+    x, lam, u, mu = layout.states(V), layout.costates(V), layout.controls(V), layout.mus(V)
+    x_next, hx = ocp.stage(x, lam, u, mu, p, prob.dtau_column)[:2]
+    assert x_next.shape == hx.shape == x.shape
+    assert np.array_equal(x_next, ocp.stepper(x, u, p, prob.dtau_column))
+    assert np.array_equal(hx, ocp.H_x(x, lam, u, mu, p))
 
 
 def test_stepper_is_probed_with_a_column_of_step_lengths():
@@ -435,8 +478,9 @@ def one_part_first_point_only(callback, j):
 CART_OCP = make_cart_problem(4).ocp
 CALLBACKS = [f.name for f in dataclasses.fields(CART_OCP)
              if callable(getattr(CART_OCP, f.name))]
-# each partial of H and Phi -> (fused callback, index of its part)
-PARTIALS = {"H_u": ("H_ump", 0), "C": ("H_ump", 1), "H_p": ("H_ump", 2),
+# each part of a fused callback -> (fused callback, index of its part)
+PARTIALS = {"x_next": ("stage", 0), "stage_H_x": ("stage", 1),
+            "H_u": ("stage", 2), "C": ("stage", 3), "H_p": ("stage", 4),
             "Phi_x": ("Phi_grad", 0), "psi": ("Phi_grad", 1), "Phi_p": ("Phi_grad", 2)}
 
 
@@ -456,10 +500,11 @@ def test_validate_at_probes_every_callback(name):
 
 @pytest.mark.parametrize("case", [hemisphere_case, cart_case])
 def test_each_transcription_calls_every_callback(case):
-    # a callback that no row reads is dead protocol surface, and a repeated
-    # stage-stack call is wasted work: the lifted residual calls each
-    # callback once, the condensed one steps and recurses once per stage and
-    # reads Phi_x for lam_N and the terminal rows in two Phi_grad calls
+    # a callback that no transcription reads is dead protocol surface, and a
+    # repeated stage-stack call is wasted work: the lifted residual reads
+    # every row from one stage and one Phi_grad call, the condensed one steps
+    # and recurses once per stage, takes the H partials from one stage call
+    # and reads Phi_x for lam_N and the terminal rows in two Phi_grad calls
     prob, x0, base, _ = case()
     ocp, n = prob.ocp, prob.layout.n_steps
     names = {f.name for f in dataclasses.fields(ocp) if callable(getattr(ocp, f.name))}
@@ -473,17 +518,20 @@ def test_each_transcription_calls_every_callback(case):
 
     lifted = prob.lift(x0, base)
     prob.ocp = dataclasses.replace(ocp, **{name: recorded(name) for name in names})
-    for U, counts in [(base, {"stepper": n, "H_x": n - 1, "H_ump": 1, "Phi_grad": 2}),
-                      (lifted, dict.fromkeys(names, 1))]:
+    seen = set()
+    for U, counts in [(base, {"stepper": n, "H_x": n - 1, "stage": 1, "Phi_grad": 2}),
+                      (lifted, {"stage": 1, "Phi_grad": 1})]:
         called.clear()
         prob.assemble_residual(x0, U)
         assert called == counts
+        seen |= set(called)
+    assert seen == names
 
 
 def test_problem_rejects_callbacks_that_do_not_broadcast():
     ocp = make_cart_problem(4).ocp
     # every stage row of H_p reads the first stage's mu
-    first_row = dataclasses.replace(ocp, H_ump=lambda x, lam, u, mu, p: (
-        ocp.H_ump(x, lam, u, mu, p)[:2] + (0.1 * p + 0.2 * lam[..., 1:] - 0.1 * mu[0],)))
-    with pytest.raises(DimensionMismatch, match="^H_ump part 2"):
+    first_row = dataclasses.replace(ocp, stage=lambda x, lam, u, mu, p, dtau: (
+        ocp.stage(x, lam, u, mu, p, dtau)[:4] + (0.1 * p + 0.2 * lam[..., 1:] - 0.1 * mu[0],)))
+    with pytest.raises(DimensionMismatch, match="^stage part 4"):
         HorizonProblem(first_row, uniform(4), origin_probe(first_row))

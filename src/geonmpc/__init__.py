@@ -38,7 +38,6 @@ from .horizon import (
     DecisionLayout,
     HorizonProblem,
     OcpDefinition,
-    euler_stepper,
 )
 from .manifold import (
     ManifoldChart,
@@ -87,7 +86,6 @@ __all__ = [
     "chart_dynamics",
     "compare_preconditioning",
     "emit_plot_data",
-    "euler_stepper",
     "explicit_euler",
     "gmres_solve",
     "hemisphere_chart",

@@ -5,8 +5,10 @@ the left null vector of the Hessenberg matrix Hbar_j, scaled to z_0 = 1,
 the residual norm is beta / |z| and the residual is s z for some s, so one
 LAPACK solve of [Hbar_k | z] [y; s] = beta e_1 forms the iterate.  Left
 preconditioning solves M^-1 A x = M^-1 b, and the convergence test applies
-to the preconditioned residual norm.  NaN or inf in the right-hand side or
-in an operator or preconditioner output raises GeonmpcError.
+to the preconditioned residual norm.  The right-hand side and every
+operator and preconditioner output are checked once, as received: a wrong
+shape raises DimensionMismatch and NaN or inf GeonmpcError, each naming
+the source and the GMRES step.
 
 The report carries the Arnoldi basis V_{k+1} and the Hessenberg matrix
 Hbar_k, so M^-1 A V_k = V_{k+1} Hbar_k gives the operator's products on
@@ -15,11 +17,12 @@ the whole Krylov subspace without applying it again.
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, GeonmpcError
-from .linalg import as_vector, norm2
+from .linalg import norm2
 
 # An Arnoldi vector shorter than this means the Krylov subspace is exhausted
 # (happy breakdown): the current least-squares iterate is already optimal.
@@ -28,22 +31,11 @@ MAX_ITERS = 20  # Arnoldi steps per solve
 ABS_TOL = 1e-5  # stop once the preconditioned residual norm is this small
 
 
-class LinearOperator:
-    """A map v -> A v of fixed dimension, given as a callable."""
+class LinearOperator(NamedTuple):
+    """A map v -> A v on vectors of length dim; gmres_solve checks its outputs."""
 
-    def __init__(self, dim: int, apply):
-        if dim < 1:
-            raise DimensionMismatch("operator dim must be >= 1")
-        self.dim = dim
-        self._apply = apply
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        out = as_vector(self._apply(v))
-        if out.shape[0] != self.dim:
-            raise DimensionMismatch(
-                f"operator returned length {out.shape[0]}, expected {self.dim}"
-            )
-        return out
+    dim: int
+    apply: Callable
 
 
 def matrix_operator(a) -> LinearOperator:
@@ -65,7 +57,12 @@ class GmresReport:
     hessenberg: np.ndarray
 
 
-def _finite(v: np.ndarray, what: str, step: int) -> np.ndarray:
+def _checked(v, n: int, what: str, step: int) -> np.ndarray:
+    """v as a float vector of length n, finite, or an error naming what and step."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (n,):
+        raise DimensionMismatch(f"GMRES step {step}: {what} has shape {v.shape}, "
+                                f"expected ({n},)")
     # v.v is NaN or inf when v holds NaN or inf, and never warns then
     if not math.isfinite(v.dot(v)):
         raise GeonmpcError(f"GMRES step {step}: {what} holds NaN or inf")
@@ -82,15 +79,14 @@ def gmres_solve(op: LinearOperator, rhs, precond=None) -> GmresReport:
     lies in the range of the previous ones (the operator is singular on the
     subspace) keeps the previous iterate, reported as not converged.
     """
-    rhs = as_vector(rhs)
     n = op.dim
-    if rhs.shape[0] != n:
-        raise DimensionMismatch(f"rhs length {rhs.shape[0]}, operator dim {n}")
-    r = _finite(rhs, "the right-hand side", 0)
+    if n < 1:
+        raise DimensionMismatch(f"operator dim {n}, must be >= 1")
+    r = _checked(rhs, n, "the right-hand side", 0)
     if precond is not None:
         if precond.dim != n:
             raise DimensionMismatch(f"precond dim {precond.dim}, operator dim {n}")
-        r = _finite(precond.apply(r), "the preconditioner's output", 0)
+        r = _checked(precond.apply(r), n, "the preconditioner's output", 0)
 
     beta = norm2(r)
     history = [beta]
@@ -104,9 +100,9 @@ def gmres_solve(op: LinearOperator, rhs, precond=None) -> GmresReport:
     basis[0] = r / beta
     k = 0
     for j in range(MAX_ITERS):
-        w = _finite(op.apply(basis[j]), "the operator's output", j + 1)
+        w = _checked(op.apply(basis[j]), n, "the operator's output", j + 1)
         if precond is not None:
-            w = _finite(precond.apply(w), "the preconditioner's output", j + 1)
+            w = _checked(precond.apply(w), n, "the preconditioner's output", j + 1)
         # ndarray.dot: the BLAS calls of @, with less per-call overhead
         v = basis[: j + 1]
         h = v.dot(w)

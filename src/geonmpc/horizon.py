@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, GeonmpcError
 from .linalg import as_vector
 
 
@@ -112,12 +112,12 @@ class DecisionLayout:
         return vec[..., self.p_offset : self.dim]
 
 
-# validate_at probes one point, a stage stack and a batch of stage stacks;
-# row k of a stack sits at the point + k * PROBE_SHIFT.  The dtau of the
-# stepper and of stage is PROBE_DTAU: a scalar at one point, as the condensed
-# recursion passes it, and a lead + (1,) column on a stack, as the lifted
-# residual does.
-PROBE_LEADS = ((), (3,), (2, 3))
+# validate_at probes six single points, then a stage stack and a batch of
+# stage stacks of them; point k, and row k of a stack, is the probe point
+# + k * PROBE_SHIFT.  The dtau of the stepper and of stage is PROBE_DTAU: a
+# scalar at a single point, as the condensed recursion passes it, and a
+# lead + (1,) column on a stack, as the lifted residual does.
+PROBE_LEADS = ((3,), (2, 3))
 PROBE_SHIFT = 1e-6
 PROBE_DTAU = 1e-3
 
@@ -164,11 +164,12 @@ class OcpDefinition:
     Phi_grad: Callable     # (x_N, nu, p) -> ((n_x,), (n_nu,), (n_p,))
 
     def _probe(self, lead, x, u, lam, mu, nu, p, dtau) -> dict:
-        """label -> (output, component shape) of every callback output at one
-        input; part j of a fused callback is labelled "{name} part {j}".
+        """label -> output of every callback at one input with leading axes
+        lead; part j of a fused callback is labelled "{name} part {j}".
 
         Raise DimensionMismatch naming a callback that fails with a shape or
-        type error, or that returns the wrong number of parts.
+        type error or returns the wrong number of parts, or a part whose
+        shape is not lead + its component shape.
         """
         calls = {
             "stepper": (lambda: (self.stepper(x, u, p, dtau),), [(self.n_x,)]),
@@ -188,46 +189,48 @@ class OcpDefinition:
             if len(parts) != len(wants):
                 raise DimensionMismatch(f"{name} returned {len(parts)} parts, "
                                         f"expected {len(wants)}")
-            for j, part in enumerate(zip(parts, wants)):
-                probed[name if len(wants) == 1 else f"{name} part {j}"] = part
+            for j, (part, want) in enumerate(zip(parts, wants)):
+                label = name if len(wants) == 1 else f"{name} part {j}"
+                if np.shape(part) != lead + want:
+                    raise DimensionMismatch(f"{label} returned shape {np.shape(part)} "
+                                            f"for leading axes {lead}, expected {lead + want}")
+                probed[label] = part
         return probed
 
     def validate_at(self, x, u, lam, mu, nu, p) -> None:
-        """Probe every callback at one point and on stacks of nearby points.
+        """Probe every callback at single points and on stacks of them.
 
-        Raise DimensionMismatch naming a callback that fails on a stack,
-        returns the wrong number of parts, or returns a part that lacks the
-        leading axes or whose stacked rows differ from single-point calls,
-        and naming the part of stage whose x_next or H_x differs from the
-        stepper's or H_x's at the same input.
+        Raise DimensionMismatch naming a callback that fails, returns the
+        wrong number of parts or a part of the wrong shape, or returns stack
+        rows that differ from its single-point calls, and naming the part of
+        stage whose x_next or H_x differs from the stepper's or H_x's at the
+        same input.  Raise GeonmpcError naming a callback or part that
+        returns NaN or inf at a single point.
         """
         point = [as_vector(v) for v in (x, u, lam, mu, nu, p)]
         singles = [self._probe((), *(v + PROBE_SHIFT * k for v in point), PROBE_DTAU)
                    for k in range(int(np.prod(PROBE_LEADS[-1])))]
+        # label -> the single-point outputs, stacked along a new first axis
+        rows = {name: np.array([single[name] for single in singles]) for name in singles[0]}
+        for name, stacked in rows.items():
+            if not np.isfinite(stacked).all():
+                raise GeonmpcError(f"{name} returned NaN or inf at the probe point")
         for lead in PROBE_LEADS:
-            rows = int(np.prod(lead))
-            shift = PROBE_SHIFT * np.arange(rows).reshape(lead + (1,))
-            dtau = np.full(lead + (1,), PROBE_DTAU) if lead else PROBE_DTAU
-            outputs = self._probe(lead, *(v + shift for v in point), dtau)
-            for name, (out, want) in outputs.items():
-                if np.shape(out) != lead + want:
-                    raise DimensionMismatch(f"{name} returned shape {np.shape(out)} "
-                                            f"for leading axes {lead}, expected {lead + want}")
-                expect = np.reshape([singles[k][name][0] for k in range(rows)], lead + want)
-                if not np.allclose(out, expect, rtol=1e-12, atol=1e-12):
+            size = int(np.prod(lead))
+            shift = PROBE_SHIFT * np.arange(size).reshape(lead + (1,))
+            outputs = self._probe(lead, *(v + shift for v in point),
+                                  np.full(lead + (1,), PROBE_DTAU))
+            for name, out in outputs.items():
+                if not np.allclose(out, rows[name][:size].reshape(np.shape(out)),
+                                   rtol=1e-12, atol=1e-12):
                     raise DimensionMismatch(f"{name} does not broadcast: rows for leading "
                                             f"axes {lead} differ from single-point calls")
         # outputs holds the last, largest stack, whose rows match every probe
         for j, name in enumerate(("stepper", "H_x")):
-            if not np.allclose(outputs[f"stage part {j}"][0], outputs[name][0],
+            if not np.allclose(outputs[f"stage part {j}"], outputs[name],
                                rtol=1e-12, atol=1e-12):
                 raise DimensionMismatch(f"stage part {j} differs from {name} "
                                         f"at the same input")
-
-
-def euler_stepper(f) -> Callable:
-    """Plain explicit-Euler stepper over the given dynamics callback."""
-    return lambda x, u, p, dtau: x + dtau * f(x, u, p)
 
 
 def _component_major(stages) -> np.ndarray:

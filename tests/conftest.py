@@ -13,7 +13,12 @@ the partials under test.
 
 import numpy as np
 
-from geonmpc.horizon import HorizonProblem, OcpDefinition, euler_stepper
+from geonmpc.horizon import HorizonProblem, OcpDefinition
+
+
+def euler_stepper(f):
+    """Plain explicit-Euler stepper over the dynamics f(x, u, p)."""
+    return lambda x, u, p, dtau: x + dtau * f(x, u, p)
 
 
 def cart_running_cost(x, u, p):

@@ -1,3 +1,6 @@
+import re
+import types
+
 import numpy as np
 import pytest
 
@@ -150,11 +153,32 @@ def test_dimension_checks():
         gmres_solve(op, np.ones(4))
     with pytest.raises(DimensionMismatch):
         gmres_solve(op, np.ones(3), precond=matrix_operator(np.eye(2)))
-    with pytest.raises(DimensionMismatch):
-        LinearOperator(0, lambda v: v)
+    with pytest.raises(DimensionMismatch, match="^operator dim 0"):
+        gmres_solve(LinearOperator(0, lambda v: v), np.ones(0))
     bad = LinearOperator(3, lambda v: v[:2])
     with pytest.raises(DimensionMismatch):
         gmres_solve(bad, np.ones(3))
+
+
+@pytest.mark.parametrize("source, step", [
+    ("operator", 1),
+    ("preconditioner", 0),  # the preconditioned right-hand side
+])
+@pytest.mark.parametrize("wrong, shape", [(lambda v: v[:-1], (3,)),
+                                          (lambda v: v[None, :], (1, 4))],
+                         ids=["short", "2-d"])
+def test_any_operator_with_dim_and_apply_has_its_outputs_checked(source, step,
+                                                                 wrong, shape):
+    # gmres_solve reads only .dim and .apply, as the benchmark's proxy has
+    # them, and checks every output itself: a wrong shape names its source
+    # and step instead of surfacing as a numpy error inside the Arnoldi step
+    def operator(name):
+        return types.SimpleNamespace(
+            dim=4, apply=lambda v: wrong(2.0 * v) if name == source else 2.0 * v)
+
+    message = f"GMRES step {step}: the {source}'s output has shape {shape}, expected (4,)"
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+        gmres_solve(operator("operator"), np.ones(4), operator("preconditioner"))
 
 
 def test_report_shape():

@@ -7,16 +7,11 @@ import pytest
 
 from conftest import (cart_running_cost, cart_stage_constraint,
                       cart_terminal_constraint, cart_terminal_cost,
-                      discrete_lagrangian, fd_gradient, make_cart_problem,
-                      origin_probe)
-from geonmpc.errors import DimensionMismatch
+                      discrete_lagrangian, euler_stepper, fd_gradient,
+                      make_cart_problem, origin_probe)
+from geonmpc.errors import DimensionMismatch, GeonmpcError
 from geonmpc.hemisphere import HemisphereParams, initial_guess, make_problem
-from geonmpc.horizon import (
-    DecisionLayout,
-    HorizonProblem,
-    OcpDefinition,
-    euler_stepper,
-)
+from geonmpc.horizon import DecisionLayout, HorizonProblem, OcpDefinition
 from geonmpc.solver import FD_STEP, exact_jacobian
 
 
@@ -496,6 +491,41 @@ def test_validate_at_probes_every_callback(name):
     broken = dataclasses.replace(CART_OCP, **{name: broken})
     with pytest.raises(DimensionMismatch, match=f"^{label} "):
         broken.validate_at(*origin_probe(CART_OCP))
+
+
+@pytest.mark.parametrize("name, j", [("H_x", None), ("Phi_grad", 0)],
+                         ids=["H_x", "Phi_grad part 0"])
+def test_validate_at_names_a_callback_that_returns_nan(name, j):
+    # NaN at the probe is bad data, not a broadcasting fault
+    callback = getattr(CART_OCP, name)
+    if j is None:
+        broken, label = lambda *args: callback(*args) + np.nan, name
+    else:
+        def broken(*args):
+            parts = list(callback(*args))
+            parts[j] = parts[j] + np.nan
+            return tuple(parts)
+        label = f"{name} part {j}"
+    broken_ocp = dataclasses.replace(CART_OCP, **{name: broken})
+    with pytest.raises(GeonmpcError,
+                       match=f"^{label} returned NaN or inf at the probe point$"):
+        broken_ocp.validate_at(*origin_probe(CART_OCP))
+
+
+def test_validate_at_calls_each_callback_once_per_distinct_input():
+    # six single points and two stacks of them: no input is probed twice
+    called = collections.Counter()
+
+    def counted(name):
+        def call(*args):
+            called[name] += 1
+            return getattr(CART_OCP, name)(*args)
+        return call
+
+    dataclasses.replace(
+        CART_OCP, **{name: counted(name) for name in CALLBACKS}
+    ).validate_at(*origin_probe(CART_OCP))
+    assert called == {name: 8 for name in CALLBACKS}
 
 
 @pytest.mark.parametrize("case", [hemisphere_case, cart_case])

@@ -209,15 +209,15 @@ def initial_guess(layout, params: HemisphereParams) -> np.ndarray:
 def residual_rows(U, x0, dtau, params: HemisphereParams) -> np.ndarray:
     """Independent, fully written-out optimality rows for the hemisphere.
 
-    Hand-indexed layout [u | u_s | mu | nu | p]; kept free of the generic
-    assembly machinery so the two paths can check each other.
+    Hand-indexed layout [(u, u_s) per stage | mu | nu | p]; kept free of
+    the generic assembly machinery so the two paths can check each other.
     """
     U = np.asarray(U, dtype=float)
     n = len(dtau)
     if U.shape[0] != 3 * n + 3:
         raise ValueError(f"expected length {3 * n + 3}, got {U.shape[0]}")
-    u = U[0:n]
-    u_s = U[n : 2 * n]
+    u = U[0 : 2 * n : 2]
+    u_s = U[1 : 2 * n : 2]
     mu = U[2 * n : 3 * n]
     nu = U[3 * n : 3 * n + 2]
     p = U[3 * n + 2]
@@ -245,8 +245,8 @@ def residual_rows(U, x0, dtau, params: HemisphereParams) -> np.ndarray:
         band = (u[i] - c_u) ** 2 + u_s[i] ** 2 - r_u ** 2
         steer = ss[i] * (-np.sin(u[i]) * lam[i + 1, 0] + np.cos(u[i]) * lam[i + 1, 1])
         advance = ss[i] * (np.cos(u[i]) * lam[i + 1, 0] + np.sin(u[i]) * lam[i + 1, 1])
-        out[i] = dt * p * (steer + 2.0 * (u[i] - c_u) * mu[i])
-        out[n + i] = dt * p * (2.0 * mu[i] * u_s[i] - w_s)
+        out[2 * i] = dt * p * (steer + 2.0 * (u[i] - c_u) * mu[i])
+        out[2 * i + 1] = dt * p * (2.0 * mu[i] * u_s[i] - w_s)
         out[2 * n + i] = dt * p * band
         p_row += dt * (advance + mu[i] * band - w_s * u_s[i])
     out[3 * n] = xs[n, 0] - params.x_f

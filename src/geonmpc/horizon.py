@@ -21,19 +21,19 @@ transcriptions:
   defect rows tie consecutive stages together.  One stage call on whole
   stage stacks and one Phi_grad call give every row, with no stage loop.
 
-Decision vector layout (component-major inside each block):
+Decision vector layout (stage-major inside each block):
 
-    [ u^(0)_0..u^(0)_{N-1}, u^(1)_0.., ... | mu^(0)_0.., ... | nu | p ]
+    [ u_0^(0)..u_0^(n_u-1), u_1^(0).., ... | mu_0^(0).., mu_1^(0).., ... | nu | p ]
 
 followed, in the lifted vector, by
 
-    [ x^(0)_1..x^(0)_N, x^(1)_1.., ... | lam^(0)_1..lam^(0)_N, ... ]
+    [ x_1^(0)..x_1^(n_x-1), x_2^(0).., ... | lam_1^(0).., lam_2^(0).., ... ]
 
 Residual rows use the same layout, so Jacobian blocks of F line up with
 the corresponding unknown blocks: the state-defect rows sit in the state
-block and the costate-defect rows in the costate block.  A (B, length)
-stack of decision vectors gives the (B, length) stack of their residuals
-from one assembly.
+block, block lower-bidiagonal, and the costate-defect rows in the costate
+block, block upper-bidiagonal.  A (B, length) stack of decision vectors
+gives the (B, length) stack of their residuals from one assembly.
 """
 
 from dataclasses import dataclass
@@ -98,12 +98,10 @@ class DecisionLayout:
         """Costates lam_1..lam_N of a lifted vector as a (..., n_steps, n_x) view."""
         return self._stages(vec, self.dim + self.n_steps * self.n_x, self.n_x)
 
-    # Component j of stage i lives at offset + j*n_steps + i: the block
-    # reshaped to (width, n_steps) and transposed is the stage view.
+    # Component j of stage i lives at offset + i*width + j: a plain reshape.
     def _stages(self, vec: np.ndarray, offset: int, width: int) -> np.ndarray:
         block = vec[..., offset : offset + width * self.n_steps]
-        return np.swapaxes(
-            block.reshape(vec.shape[:-1] + (width, self.n_steps)), -1, -2)
+        return block.reshape(vec.shape[:-1] + (self.n_steps, width))
 
     def nu(self, vec: np.ndarray) -> np.ndarray:
         return vec[..., self.nu_offset : self.p_offset]
@@ -220,11 +218,14 @@ class OcpDefinition:
             shift = PROBE_SHIFT * np.arange(size).reshape(lead + (1,))
             outputs = self._probe(lead, *(v + shift for v in point),
                                   np.full(lead + (1,), PROBE_DTAU))
-            for name, out in outputs.items():
-                if not np.allclose(out, rows[name][:size].reshape(np.shape(out)),
-                                   rtol=1e-12, atol=1e-12):
-                    raise DimensionMismatch(f"{name} does not broadcast: rows for leading "
-                                            f"axes {lead} differ from single-point calls")
+            # one comparison per stack: every part's (size, -1) rows side by side
+            got = [np.reshape(outputs[name], (size, -1)) for name in rows]
+            want = [rows[name][:size].reshape(size, -1) for name in rows]
+            if not np.allclose(np.hstack(got), np.hstack(want), rtol=1e-12, atol=1e-12):
+                name = next(name for name, a, b in zip(rows, got, want)
+                            if not np.allclose(a, b, rtol=1e-12, atol=1e-12))
+                raise DimensionMismatch(f"{name} does not broadcast: rows for leading "
+                                        f"axes {lead} differ from single-point calls")
         # outputs holds the last, largest stack, whose rows match every probe
         for j, name in enumerate(("stepper", "H_x")):
             if not np.allclose(outputs[f"stage part {j}"], outputs[name],
@@ -233,16 +234,11 @@ class OcpDefinition:
                                         f"at the same input")
 
 
-def _component_major(stages) -> np.ndarray:
-    """(..., n_steps, n) stage rows -> (..., n * n_steps) residual block."""
-    return np.swapaxes(stages, -1, -2).reshape(stages.shape[:-2] + (-1,))
-
-
 class HorizonProblem:
     """An OCP definition bound to step lengths and a decision layout.
 
-    dtau holds the step lengths over the normalized horizon, one per stage,
-    as any 1-d sequence of numbers; it is kept as a float array.  probe is
+    dtau holds the positive, finite step lengths of the normalized horizon,
+    one per stage, as any 1-d sequence; it is kept as a float array.  probe is
     a point (x, u, lam, mu, nu, p) inside the callbacks' domain; the
     constructor runs OcpDefinition.validate_at there, so callbacks that do
     not broadcast are rejected before any assembly.
@@ -252,6 +248,10 @@ class HorizonProblem:
         dtau = as_vector(dtau)
         if len(dtau) < 1:
             raise DimensionMismatch("dtau needs at least one step")
+        bad = np.flatnonzero(~((dtau > 0) & (dtau < np.inf)))  # NaN fails both
+        if bad.size:
+            raise GeonmpcError(f"dtau[{bad[0]}] = {dtau[bad[0]]}: step lengths "
+                               f"must be positive and finite")
         ocp.validate_at(*probe)
         self.ocp = ocp
         self.dtau = dtau
@@ -271,7 +271,7 @@ class HorizonProblem:
         n, lead = layout.n_steps, U.shape[:-1]
         k = len(lead)
         p = layout.p(U)
-        # stage-major buffers and views: stage i is one contiguous block
+        # time-first buffers and views: stage i is one contiguous block
         to_stage_major = (k,) + tuple(range(k)) + (k + 1,)
         controls = layout.controls(U).transpose(to_stage_major)
         mus = layout.mus(U).transpose(to_stage_major)
@@ -295,9 +295,8 @@ class HorizonProblem:
         if U.ndim < 1 or U.shape[-1] != self.layout.dim:
             raise DimensionMismatch(f"U has shape {U.shape}, layout dim {self.layout.dim}")
         states, costates = self.trajectory(x0, U)
-        return np.concatenate(
-            [U, _component_major(states[..., 1:, :]), _component_major(costates)],
-            axis=-1)
+        return np.concatenate([U, states[..., 1:, :].reshape(U.shape[:-1] + (-1,)),
+                               costates.reshape(U.shape[:-1] + (-1,))], axis=-1)
 
     def assemble_residual(self, x0, U) -> np.ndarray:
         """Stack the optimality residual over the whole horizon.
@@ -337,8 +336,8 @@ class HorizonProblem:
             x, lam, layout.controls(U), layout.mus(U), p_stages, dtau)
         Phi_x, psi, Phi_p = ocp.Phi_grad(x_n, nu, p)
         rows = [
-            _component_major(dtau * H_u),
-            _component_major(dtau * H_mu),
+            (dtau * H_u).reshape(lead + (-1,)),
+            (dtau * H_mu).reshape(lead + (-1,)),
             psi,
             Phi_p + self.dtau @ H_p,
         ]
@@ -346,6 +345,6 @@ class HorizonProblem:
             lam_target = np.empty(lam.shape)
             lam_target[..., :-1, :] = lam[..., 1:, :] + hx[..., 1:, :] * dtau[1:]
             lam_target[..., -1, :] = Phi_x
-            rows += [_component_major(states[..., 1:, :] - x_next),
-                     _component_major(lam - lam_target)]
+            rows += [(states[..., 1:, :] - x_next).reshape(lead + (-1,)),
+                     (lam - lam_target).reshape(lead + (-1,))]
         return np.concatenate(rows, axis=-1)

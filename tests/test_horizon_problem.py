@@ -108,22 +108,22 @@ def test_layout_block_roundtrip():
         assert np.count_nonzero(vec) == vec.size
 
 
-def test_layout_component_major_order():
-    # component j of stage i sits at j*n_steps + i inside its block
+def test_layout_stage_major_order():
+    # component j of stage i sits at i*width + j inside its block
     layout = DecisionLayout(n_steps=3, n_u=2, n_mu=1, n_nu=1, n_p=1, n_x=0)
     for lead in [(), (2,)]:
         vec = np.zeros(lead + (layout.dim,))
         layout.controls(vec)[..., 1, :] = (5.0, 7.0)
         layout.mus(vec)[..., 2, :] = 9.0
-        assert np.all(vec[..., 1] == 5.0)
-        assert np.all(vec[..., 3 + 1] == 7.0)
+        assert np.all(vec[..., 1 * 2 + 0] == 5.0)
+        assert np.all(vec[..., 1 * 2 + 1] == 7.0)
         assert np.all(vec[..., layout.mu_offset + 2] == 9.0)
         assert np.count_nonzero(vec) == 3 * int(np.prod(lead))
 
 
 def test_lifted_layout_views():
     # p, states and costates of a lifted vector are writable views; the
-    # states and costates are component-major blocks after the condensed ones
+    # states and costates are stage-major blocks after the condensed ones
     layout = DecisionLayout(n_steps=3, n_u=2, n_mu=1, n_nu=1, n_p=1, n_x=2)
     assert layout.lifted_dim == layout.dim + 2 * 3 * 2
     for lead in [(), (2,)]:
@@ -133,10 +133,10 @@ def test_lifted_layout_views():
         layout.costates(vec)[..., 2, :] = (9.0, 11.0)
         assert layout.p(vec).shape == lead + (1,)
         assert np.all(vec[..., layout.p_offset] == 4.0)
-        assert np.all(vec[..., layout.dim + 1] == 5.0)
-        assert np.all(vec[..., layout.dim + 3 + 1] == 7.0)
-        assert np.all(vec[..., layout.dim + 6 + 2] == 9.0)
-        assert np.all(vec[..., layout.dim + 6 + 3 + 2] == 11.0)
+        assert np.all(vec[..., layout.dim + 1 * 2 + 0] == 5.0)
+        assert np.all(vec[..., layout.dim + 1 * 2 + 1] == 7.0)
+        assert np.all(vec[..., layout.dim + 6 + 2 * 2 + 0] == 9.0)
+        assert np.all(vec[..., layout.dim + 6 + 2 * 2 + 1] == 11.0)
         assert np.count_nonzero(vec) == 5 * int(np.prod(lead))
         assert np.array_equal(layout.states(vec)[..., 1, :],
                               np.broadcast_to([5.0, 7.0], lead + (2,)))
@@ -322,6 +322,50 @@ def test_lifted_rows_equal_condensed_rows(case):
         rows = prob.assemble_residual(x0, lifted)
         assert np.array_equal(prob.assemble_residual(x0, U), rows[..., :prob.layout.dim])
         assert np.max(np.abs(rows[..., prob.layout.dim:])) <= 1e-14
+
+
+def test_lifted_jacobian_rows_line_up_with_unknowns():
+    # in stage order each row block of the lifted Jacobian reads only its
+    # own stage and one neighbour; an unread unknown differences to exactly 0
+    params = HemisphereParams()
+    prob = make_problem(params, 3)
+    layout, n, n_x = prob.layout, 3, prob.ocp.n_x
+    x0 = np.array([params.x0, params.y0])
+    lifted = prob.lift(x0, initial_guess(layout, params))
+    lifted += 0.01 * np.random.default_rng(8).standard_normal(layout.lifted_dim)
+    jac = exact_jacobian(prob, x0, lifted)
+    controls = slice(0, n * layout.n_u)
+    states = slice(layout.dim, layout.dim + n * n_x)
+    costates = slice(layout.dim + n * n_x, layout.lifted_dim)
+    stage_of_u = np.arange(n * layout.n_u) // layout.n_u
+    stage_of_x = np.arange(n * n_x) // n_x
+    gap = stage_of_x[:, None] - stage_of_x[None, :]  # row stage - column stage
+    # controls: block diagonal with n_u x n_u blocks
+    off_block = stage_of_u[:, None] != stage_of_u[None, :]
+    assert np.all(jac[controls, controls][off_block] == 0.0)
+    assert np.count_nonzero(jac[controls, controls][~off_block]) > 0
+    # state defects x_{i+1} - stepper(x_i, ...): unit diagonal, block lower-bidiagonal
+    block = jac[states, states]
+    assert np.max(np.abs(np.diag(block) - 1.0)) <= 1e-6
+    assert np.all(np.triu(block, 1) == 0.0)
+    assert np.all(block[(gap < 0) | (gap > 1)] == 0.0)
+    assert np.count_nonzero(block[gap == 1]) > 0
+    # costate defects lam_i - lam_{i+1} - dtau H_x: block upper-bidiagonal
+    block = jac[costates, costates]
+    assert np.max(np.abs(np.diag(block) - 1.0)) <= 1e-6
+    assert np.all(np.tril(block, -1) == 0.0)
+    assert np.all(block[(gap > 0) | (gap < -1)] == 0.0)
+    assert np.count_nonzero(block[gap == -1]) > 0
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -0.05])
+def test_problem_rejects_bad_step_lengths(step):
+    ocp = make_problem(HemisphereParams(), 20).ocp
+    dtau = uniform(20)
+    dtau[7] = step
+    with pytest.raises(GeonmpcError, match=rf"^dtau\[7\] = {step}: step lengths "
+                                           r"must be positive and finite$"):
+        HorizonProblem(ocp, dtau, origin_probe(ocp))
 
 
 def test_lifted_defect_rows():

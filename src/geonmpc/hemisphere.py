@@ -14,9 +14,10 @@ assembly in horizon.py.
 Note the default start point: with the heading band strictly inside
 (0, pi), dy/dt = z sin(u) > 0 everywhere on the open upper hemisphere,
 so only targets with y_f > y0 are reachable.  A start at y0 = +0.5 for
-the target (0.5, 0) is therefore unreachable; the shipped default uses
-the y-mirrored start (-0.5, -0.5), which produces the mirror-image
-trajectory and the same minimum time.
+the target (0.5, 0) is therefore unreachable, and initial_guess rejects
+it up front: its chart heading, -0.4636, lies outside the band.  The
+shipped default uses the y-mirrored start (-0.5, -0.5), which produces
+the mirror-image trajectory and the same minimum time.
 """
 
 import math
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartDomainViolation, DimensionMismatch
+from .errors import ChartDomainViolation, DimensionMismatch, InitializationFailure
 from .horizon import HorizonProblem, OcpDefinition
 from .manifold import ManifoldChart, ManifoldConstraint
 
@@ -197,11 +198,42 @@ def make_problem(params: HemisphereParams, n_steps: int) -> HorizonProblem:
 
 
 def initial_guess(layout, params: HemisphereParams) -> np.ndarray:
-    """Stationary-in-the-band guess: controls at the band center, slack at
-    full radius, mu canceling the slack row, p at the great-circle length."""
+    """The straight chart path to the target, each block set so that the
+    rows it feeds hold on that path.
+
+    * Heading: u = atan2(y_f - y0, x_f - x0) on every stage, on the 2 pi
+      branch nearest c_u.  The chart guard is a disk, so the segment stays
+      in the chart.
+    * Slack: u_s = sqrt(r_u^2 - (u - c_u)^2), so the band row C = 0.
+    * Multiplier: mu = w_s / (2 u_s), so the slack row 2 mu u_s - w_s = 0.
+    * Terminal multiplier: nu = -(cos u, sin u) / z(x_f, y_f), the terminal
+      costate of a constant-heading minimum-time path.  Against the
+      velocity, it zeroes the steering term of the last stage's heading
+      row.  Its scale comes from the parameter row 1 + sum dtau H_p = 0
+      with C = 0 and w_s u_s neglected: z (cos u, sin u) . nu = -1 at the
+      target.
+    * p: the great-circle length from start to target.
+
+    The chart velocity p z (cos u, sin u) keeps its heading in the band,
+    so every reachable target's displacement angle lies in the closed band
+    [c_u - r_u, c_u + r_u].  The guess needs u_s > 0, so it is defined on
+    the open band only; a heading outside it, or on its edge, raises
+    InitializationFailure before any residual is evaluated.  An edge
+    heading that rounds a hair inside passes, with a tiny u_s, and Newton
+    then finds the Jacobian singular.
+    """
+    u = math.atan2(params.y_f - params.y0, params.x_f - params.x0)
+    u += 2.0 * math.pi * round((params.c_u - u) / (2.0 * math.pi))
+    if not abs(u - params.c_u) < params.r_u:
+        raise InitializationFailure(
+            f"target unreachable: chart heading {u:.6g} outside the open band "
+            f"({params.c_u - params.r_u:.6g}, {params.c_u + params.r_u:.6g})")
+    u_s = math.sqrt(params.r_u ** 2 - (u - params.c_u) ** 2)
+    z_f = chart_height((params.x_f, params.y_f))
     U = np.zeros(layout.dim)
-    layout.controls(U)[:] = (params.c_u, params.r_u)
-    layout.mus(U)[:] = params.w_s / (2.0 * params.r_u)
+    layout.controls(U)[:] = (u, u_s)
+    layout.mus(U)[:] = params.w_s / (2.0 * u_s)
+    layout.nu(U)[:] = (-math.cos(u) / z_f, -math.sin(u) / z_f)
     layout.p(U)[:] = great_circle_distance(params)
     return U
 

@@ -238,7 +238,9 @@ class HorizonProblem:
     """An OCP definition bound to step lengths and a decision layout.
 
     dtau holds the positive, finite step lengths of the normalized horizon,
-    one per stage, as any 1-d sequence; it is kept as a float array.  probe is
+    one per stage, as any 1-d sequence; it is kept as a float array.  They
+    need not sum to 1: the physical horizon length is p * sum(dtau), which
+    is p itself only when they do, as make_problem's steps do.  probe is
     a point (x, u, lam, mu, nu, p) inside the callbacks' domain; the
     constructor runs OcpDefinition.validate_at there, so callbacks that do
     not broadcast are rejected before any assembly.

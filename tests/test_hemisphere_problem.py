@@ -155,10 +155,27 @@ def test_initial_guess_structure():
     gc = great_circle_distance(PARAMS)
     assert 1.19 < gc < 1.21
     assert prob.layout.p(U0)[0] == gc
+    # every stage heads along the straight chart segment to the target
+    heading = math.atan2(PARAMS.y_f - PARAMS.y0, PARAMS.x_f - PARAMS.x0)
+    assert np.all(prob.layout.controls(U0)[:, 0] == heading)
+    # nu is the costate against that heading, scaled by the target height
+    z_f = lift_to_sphere((PARAMS.x_f, PARAMS.y_f))[2]
+    nu = -np.array([math.cos(heading), math.sin(heading)]) / z_f
+    assert np.allclose(prob.layout.nu(U0), nu, rtol=1e-15, atol=0)
     f0 = prob.assemble_residual(np.array([PARAMS.x0, PARAMS.y0]), U0)
     # slack and band rows vanish exactly at the guess
     assert np.max(np.abs(prob.layout.controls(f0)[:, 1])) == 0.0
     assert np.max(np.abs(prob.layout.mus(f0))) == 0.0
+
+
+def test_initial_guess_heading_on_the_band_branch():
+    # a band center shifted by 2 pi is the same band of headings: the guess
+    # takes the heading on that branch rather than rejecting it
+    layout = make_problem(PARAMS, 20).layout
+    heading = math.atan2(PARAMS.y_f - PARAMS.y0, PARAMS.x_f - PARAMS.x0)
+    shifted = HemisphereParams(c_u=PARAMS.c_u + 2.0 * math.pi)
+    assert layout.controls(initial_guess(layout, shifted))[0, 0] == pytest.approx(
+        heading + 2.0 * math.pi, rel=1e-15)
 
 
 def test_residual_constant_row_without_multipliers():

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from geonmpc.errors import InitializationFailure
 from geonmpc.gmres import GmresReport, gmres_solve, matrix_operator
 from geonmpc.hemisphere import (
     HemisphereParams,
+    great_circle_distance,
     initial_guess,
     make_problem,
     plant_step,
@@ -19,6 +21,7 @@ from geonmpc.horizon import DecisionLayout
 from geonmpc.linalg import inverse
 from geonmpc.simulate import run_simulation
 from geonmpc.solver import (
+    INIT_TOL,
     NmpcController,
     PreconditionerState,
     exact_jacobian,
@@ -199,6 +202,78 @@ def test_initialize_hemisphere_solution(hemi):
     assert np.all(headings >= PARAMS.c_u - PARAMS.r_u - 1e-3)
     assert np.all(headings <= PARAMS.c_u + PARAMS.r_u + 1e-3)
     assert np.all(prob.layout.mus(u_star) > 0)  # multipliers hold the band active
+
+
+def counted_newton_iterations(monkeypatch) -> list:
+    """A list that gains one entry per Newton iteration of initialize: one
+    exact_jacobian call each."""
+    calls = []
+    real = geonmpc.solver.exact_jacobian
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(geonmpc.solver, "exact_jacobian", counted)
+    return calls
+
+
+def test_shipped_start_initializes_in_few_newton_iterations(monkeypatch):
+    # the straight-path guess takes 7 iterations; the band-center guess
+    # with nu = 0 took 13
+    iters = counted_newton_iterations(monkeypatch)
+    prob = make_problem(PARAMS, 20)
+    x0 = np.array([PARAMS.x0, PARAMS.y0])
+    U = initialize(prob, x0, initial_guess(prob.layout, PARAMS))
+    assert np.linalg.norm(prob.assemble_residual(x0, U)) <= INIT_TOL
+    assert len(iters) <= 8
+
+
+def sweep_params(angle: float) -> HemisphereParams:
+    """Start 1.1 chart units from the target (0.5, 0), displaced at `angle`:
+    the chart heading of the straight path to the target."""
+    return HemisphereParams(x0=0.5 - 1.1 * math.cos(angle), y0=-1.1 * math.sin(angle))
+
+
+@pytest.mark.parametrize("angle", [0.405, 0.41, 0.42, 0.43, 0.45, 0.5, 0.55, 0.595])
+def test_init_converges_inside_the_heading_band(monkeypatch, angle):
+    # the reachable targets are those whose displacement angle lies in the
+    # band [c_u - r_u, c_u + r_u] = [0.4, 0.6]; inside it, init converges
+    params = sweep_params(angle)
+    prob = make_problem(params, 20)
+    x0 = np.array([params.x0, params.y0])
+    iters = counted_newton_iterations(monkeypatch)
+    U = initialize(prob, x0, initial_guess(prob.layout, params))
+    assert np.linalg.norm(prob.assemble_residual(x0, U)) <= INIT_TOL
+    # on the sphere the speed is at most 1, so no time beats the geodesic
+    assert prob.layout.p(U)[0] >= great_circle_distance(params)
+    assert len(iters) <= 10
+
+
+@pytest.mark.parametrize("angle", [0.39, 0.395, 0.605, 0.61])
+def test_init_rejects_a_heading_outside_the_band(monkeypatch, angle):
+    params = sweep_params(angle)
+    prob = make_problem(params, 20)
+    calls = []
+    monkeypatch.setattr(prob, "assemble_residual", lambda *args: calls.append(1))
+    with pytest.raises(InitializationFailure, match="unreachable"):
+        initialize(prob, np.array([params.x0, params.y0]),
+                   initial_guess(prob.layout, params))
+    assert calls == []  # rejected before any residual is evaluated
+
+
+@pytest.mark.parametrize("angle", [0.4, 0.6])
+def test_init_fails_fast_on_the_band_edge(monkeypatch, angle):
+    # on the closed edge the slack is 0 and its multiplier unbounded; the
+    # computed heading may round a hair inside the band, so the guess may
+    # pass and the first Newton step then meets a singular Jacobian
+    params = sweep_params(angle)
+    prob = make_problem(params, 20)
+    iters = counted_newton_iterations(monkeypatch)
+    with pytest.raises(InitializationFailure):
+        initialize(prob, np.array([params.x0, params.y0]),
+                   initial_guess(prob.layout, params))
+    assert len(iters) <= 1
 
 
 # ------------------------------------------------------------ sample update

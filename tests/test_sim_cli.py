@@ -498,12 +498,15 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
 
     def test_solver_failure_exits_2(self, tmp_path, capsys):
-        # mirrored start is infeasible for these dynamics; init cannot
-        # converge and the CLI must report a solver failure
+        # mirrored start is infeasible for these dynamics: its chart
+        # heading lies outside the band, and the CLI must report a solver
+        # failure that says the target is unreachable
         path = tmp_path / "sim.ini"
         path.write_text("y0 = 0.5\n")
         assert main(["init-only", "--config", str(path)]) == 2
-        assert "solver failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "solver failure" in err
+        assert "unreachable" in err
 
     @pytest.mark.parametrize("source, name", [
         ("operator", "jacobian_vector_product"),

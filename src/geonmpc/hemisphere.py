@@ -84,8 +84,9 @@ def lift_to_sphere(z_coords) -> np.ndarray:
 
 
 def ambient_dynamics(state, u: float) -> np.ndarray:
-    x, y, z = state
-    cu, su = np.cos(u), np.sin(u)
+    # Python floats: six scalar products without numpy's scalar dispatch
+    x, y, z = np.asarray(state, dtype=float).tolist()
+    cu, su = float(np.cos(u)), float(np.sin(u))
     return np.array([z * cu, z * su, -x * cu - y * su])
 
 
@@ -218,17 +219,27 @@ def initial_guess(layout, params: HemisphereParams) -> np.ndarray:
     so every reachable target's displacement angle lies in the closed band
     [c_u - r_u, c_u + r_u].  The guess needs u_s > 0, so it is defined on
     the open band only; a heading outside it, or on its edge, raises
-    InitializationFailure before any residual is evaluated.  An edge
-    heading that rounds a hair inside passes, with a tiny u_s, and Newton
-    then finds the Jacobian singular.
+    InitializationFailure ("target unreachable") before any residual is
+    evaluated.  The edge is c_u -+ r_u as computed, so a heading equal to
+    it counts as on it even where |u - c_u| rounds below r_u.  A start at
+    the target raises InitializationFailure too: it has no heading.
     """
+    if (params.x0, params.y0) == (params.x_f, params.y_f):
+        raise InitializationFailure(
+            f"start ({params.x0:.6g}, {params.y0:.6g}) is at the target: "
+            "the minimum time is 0, so there is no heading to steer")
     u = math.atan2(params.y_f - params.y0, params.x_f - params.x0)
     u += 2.0 * math.pi * round((params.c_u - u) / (2.0 * math.pi))
-    if not abs(u - params.c_u) < params.r_u:
+    # the band edges as computed, the bounds run_simulation clips to: an edge
+    # heading equals one although |u - c_u| may round a hair below r_u; one
+    # a hair inside them may still have its slack round to 0
+    lo, hi = params.c_u - params.r_u, params.c_u + params.r_u
+    slack_sq = params.r_u ** 2 - (u - params.c_u) ** 2
+    if not (lo < u < hi and slack_sq > 0.0):
         raise InitializationFailure(
             f"target unreachable: chart heading {u:.6g} outside the open band "
-            f"({params.c_u - params.r_u:.6g}, {params.c_u + params.r_u:.6g})")
-    u_s = math.sqrt(params.r_u ** 2 - (u - params.c_u) ** 2)
+            f"({lo:.6g}, {hi:.6g})")
+    u_s = math.sqrt(slack_sq)
     z_f = chart_height((params.x_f, params.y_f))
     U = np.zeros(layout.dim)
     layout.controls(U)[:] = (u, u_s)

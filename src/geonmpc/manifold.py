@@ -41,7 +41,7 @@ class ManifoldConstraint:
     jacobian_g: Callable
 
     def defect(self, y) -> float:
-        return float(np.max(np.abs(self.g(y))))
+        return float(abs(np.asarray(self.g(y))).max())
 
 
 @dataclass(frozen=True)
@@ -75,13 +75,14 @@ def trapezoidal(field) -> Callable:
     def step(tau, state, dtau):
         state = as_vector(state)
         f0 = as_vector(field(tau, state))
-        base = state + 0.5 * dtau * f0
+        half, tau_next = 0.5 * dtau, tau + dtau
+        base = state + half * f0
         nxt = state + dtau * f0
         for _ in range(TRAPEZOIDAL_MAX_ITERS):
-            new = base + 0.5 * dtau * as_vector(field(tau + dtau, nxt))
-            delta = float(np.max(np.abs(new - nxt)))
+            new = base + half * as_vector(field(tau_next, nxt))
+            delta = float(abs(new - nxt).max())
             nxt = new
-            if delta <= TRAPEZOIDAL_TOL * max(1.0, float(np.max(np.abs(nxt)))):
+            if delta <= TRAPEZOIDAL_TOL * max(1.0, float(abs(nxt).max())):
                 return nxt
         raise ProjectionDivergence(
             f"trapezoidal stage iteration stalled at delta={delta:.3e}"
@@ -120,13 +121,13 @@ def project_onto_manifold(constraint: ManifoldConstraint, y_hat) -> np.ndarray:
     y = y_hat.copy()
     for _ in range(PROJECTION_MAX_ITERS):
         res = as_vector(constraint.g(y))
-        if float(np.max(np.abs(res))) <= PROJECTION_TOL:
+        if float(abs(res).max()) <= PROJECTION_TOL:
             return y
         gy = np.asarray(constraint.jacobian_g(y), dtype=float)
         dlam = inverse(gy @ gt) @ -res
         y = y + gt @ dlam
     raise ProjectionDivergence(
-        f"projection residual {float(np.max(np.abs(constraint.g(y)))):.3e} "
+        f"projection residual {constraint.defect(y):.3e} "
         f"after {PROJECTION_MAX_ITERS} iterations"
     )
 
@@ -162,7 +163,7 @@ def symmetric_projection_step(constraint: ManifoldConstraint, method: Callable,
     for _ in range(SYMMETRIC_MAX_ITERS):
         y_next = advance(mu)
         res = as_vector(constraint.g(y_next))
-        if float(np.max(np.abs(res))) <= PROJECTION_TOL:
+        if float(abs(res).max()) <= PROJECTION_TOL:
             return y_next
         jac = np.empty((m, m))
         for j in range(m):
@@ -171,6 +172,6 @@ def symmetric_projection_step(constraint: ManifoldConstraint, method: Callable,
             jac[:, j] = (as_vector(constraint.g(advance(mu_j))) - res) / fd
         mu = mu + inverse(jac) @ -res
     raise ProjectionDivergence(
-        f"multiplier iteration residual {float(np.max(np.abs(res))):.3e} "
+        f"multiplier iteration residual {float(abs(res).max()):.3e} "
         f"after {SYMMETRIC_MAX_ITERS} iterations"
     )

@@ -121,12 +121,22 @@ def _clamp_p(problem, U) -> None:
     np.maximum(pblk, P_MIN, out=pblk)
 
 
+def _init_failure(problem, U, message, res, damping_history):
+    """InitializationFailure at iterate U; its message says so when U's
+    parameter block sits at its floor, where the step cannot shrink p."""
+    if np.any(problem.layout.p(U) == P_MIN):
+        message += f"; the parameter block sits at its floor P_MIN = {P_MIN:g}"
+    return InitializationFailure(message, final_residual=res,
+                                 damping_history=damping_history)
+
+
 def initialize(problem, x0, U0) -> np.ndarray:
     """Solve the optimality system at x0 by damped Newton with dense steps.
 
     Damping halves until the residual norm strictly decreases; failure to
     descend, a singular Jacobian, or running out of iterations raises
-    InitializationFailure carrying the final residual and damping history.
+    InitializationFailure carrying the final residual and damping history,
+    and noting when the failing iterate's parameter block is at P_MIN.
     """
     U = as_vector(U0).copy()
     _clamp_p(problem, U)
@@ -140,10 +150,9 @@ def initialize(problem, x0, U0) -> np.ndarray:
         try:
             step = inverse(jac) @ -fvec
         except SingularMatrix as exc:
-            raise InitializationFailure(
-                f"singular Jacobian during initialization: {exc}",
-                final_residual=res, damping_history=damping_history,
-            ) from exc
+            raise _init_failure(
+                problem, U, f"singular Jacobian during initialization: {exc}",
+                res, damping_history) from exc
         alpha = 1.0
         while alpha >= MIN_DAMPING:
             u_try = U + alpha * step
@@ -157,19 +166,16 @@ def initialize(problem, x0, U0) -> np.ndarray:
                 break
             alpha *= 0.5
         else:
-            raise InitializationFailure(
-                f"no descent direction at residual {res:.3e}",
-                final_residual=res, damping_history=damping_history,
-            )
+            raise _init_failure(
+                problem, U, f"no descent direction at residual {res:.3e}",
+                res, damping_history)
         damping_history.append(alpha)
         U, fvec, res = u_try, f_try, r_try
     if res <= INIT_TOL:
         return U
-    raise InitializationFailure(
-        f"residual {res:.3e} above tolerance {INIT_TOL:g} "
-        f"after {INIT_MAX_ITERS} iterations",
-        final_residual=res, damping_history=damping_history,
-    )
+    raise _init_failure(
+        problem, U, f"residual {res:.3e} above tolerance {INIT_TOL:g} "
+        f"after {INIT_MAX_ITERS} iterations", res, damping_history)
 
 
 class NmpcController:

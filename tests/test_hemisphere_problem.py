@@ -46,6 +46,18 @@ def test_ambient_dynamics_tangency():
         assert abs(y @ ambient_dynamics(y, u)) <= 1e-14
 
 
+def test_ambient_dynamics_accepts_any_length_3_sequence():
+    state = [0.3, -0.2, math.sqrt(0.87)]
+    out = ambient_dynamics(np.array(state), 0.45)
+    # the products in numpy scalars, in the same order: the same bits
+    x, y, z = np.array(state)
+    cu, su = np.cos(0.45), np.sin(0.45)
+    assert np.array_equal(out, [z * cu, z * su, -x * cu - y * su])
+    assert out.dtype == np.float64 and out.shape == (3,)
+    for seq in (state, tuple(state)):
+        assert np.array_equal(ambient_dynamics(seq, 0.45), out)
+
+
 def test_chart_dynamics_examples():
     assert np.allclose(chart_dynamics(np.zeros(2), 0.0, 1.0), [1.0, 0.0],
                        rtol=0, atol=1e-15)

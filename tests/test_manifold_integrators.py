@@ -4,6 +4,7 @@ from scipy.integrate import solve_ivp
 
 import geonmpc.manifold
 from geonmpc.errors import ChartDomainViolation, ProjectionDivergence
+from geonmpc.hemisphere import ambient_dynamics, lift_to_sphere, sphere_constraint
 from geonmpc.manifold import (
     ManifoldChart,
     ManifoldConstraint,
@@ -142,6 +143,12 @@ def test_chart_roundtrip():
         assert SPHERE.defect(lifted) <= 1e-12
 
 
+def test_defect_is_a_python_float():
+    defect = SPHERE.defect(np.array([0.0, 0.0, 2.0]))
+    assert type(defect) is float
+    assert defect == 3.0
+
+
 # ---------------------------------------------------------- projection step
 
 def test_projection_fixed_point_on_manifold():
@@ -256,3 +263,50 @@ def test_first_order_with_euler_base(stepper_name):
 
     e1, e2 = run(40), run(80)
     assert 1.6 <= e1 / e2 <= 2.4
+
+
+# ------------------------------------------------------------ amount of work
+# The benchmark's stepper replay: the sphere field under a fixed heading,
+# dt = 0.00625 from the default start.  Each count is exact, so a faster
+# step cannot drop an iteration unnoticed.
+
+SPHERE_DT = 0.00625
+REPLAY_HEADINGS = np.linspace(0.45, 0.55, 20)
+
+
+def sphere_field(u, calls):
+    def field(tau, y):
+        calls.append(tau)
+        return ambient_dynamics(y, u)
+
+    return field
+
+
+def test_trapezoidal_sphere_step_makes_six_field_calls():
+    # f at the step's start, then five fixed-point iterations at its end
+    y = lift_to_sphere((-0.5, -0.5))
+    for k, u in enumerate(REPLAY_HEADINGS):
+        calls = []
+        y = trapezoidal(sphere_field(u, calls))(k * SPHERE_DT, y, SPHERE_DT)
+        assert calls == [k * SPHERE_DT] + [k * SPHERE_DT + SPHERE_DT] * 5
+
+
+@pytest.mark.parametrize("stepper, method, g_per_step", [
+    (standard_projection_step, explicit_euler, 3),
+    (standard_projection_step, trapezoidal, 1),
+    (symmetric_projection_step, trapezoidal, 1),
+], ids=["proj_euler", "proj_trap", "sym_trap"])
+def test_projection_steps_make_a_fixed_number_of_g_calls(stepper, method,
+                                                         g_per_step):
+    # perfbench reports these as manifold.<stepper>.g_evals_per_step
+    sphere = sphere_constraint()
+    calls = []
+    counted = ManifoldConstraint(g=lambda y: calls.append(1) or sphere.g(y),
+                                 jacobian_g=sphere.jacobian_g)
+    y = lift_to_sphere((-0.5, -0.5))
+    for k, u in enumerate(REPLAY_HEADINGS):
+        del calls[:]
+        y = stepper(counted, method(sphere_field(u, [])), k * SPHERE_DT, y,
+                    SPHERE_DT)
+        assert len(calls) == g_per_step
+        assert sphere.defect(y) <= geonmpc.manifold.PROJECTION_TOL

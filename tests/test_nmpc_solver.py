@@ -22,6 +22,7 @@ from geonmpc.linalg import inverse
 from geonmpc.simulate import run_simulation
 from geonmpc.solver import (
     INIT_TOL,
+    P_MIN,
     NmpcController,
     PreconditionerState,
     exact_jacobian,
@@ -250,30 +251,68 @@ def test_init_converges_inside_the_heading_band(monkeypatch, angle):
     assert len(iters) <= 10
 
 
-@pytest.mark.parametrize("angle", [0.39, 0.395, 0.605, 0.61])
-def test_init_rejects_a_heading_outside_the_band(monkeypatch, angle):
-    params = sweep_params(angle)
+def assert_rejected_before_any_residual(monkeypatch, params, match):
     prob = make_problem(params, 20)
     calls = []
     monkeypatch.setattr(prob, "assemble_residual", lambda *args: calls.append(1))
-    with pytest.raises(InitializationFailure, match="unreachable"):
+    with pytest.raises(InitializationFailure, match=match):
         initialize(prob, np.array([params.x0, params.y0]),
                    initial_guess(prob.layout, params))
-    assert calls == []  # rejected before any residual is evaluated
+    assert calls == []
+
+
+@pytest.mark.parametrize("angle", [0.39, 0.395, 0.605, 0.61])
+def test_init_rejects_a_heading_outside_the_band(monkeypatch, angle):
+    assert_rejected_before_any_residual(monkeypatch, sweep_params(angle),
+                                        "target unreachable")
 
 
 @pytest.mark.parametrize("angle", [0.4, 0.6])
 def test_init_fails_fast_on_the_band_edge(monkeypatch, angle):
     # on the closed edge the slack is 0 and its multiplier unbounded; the
-    # computed heading may round a hair inside the band, so the guess may
-    # pass and the first Newton step then meets a singular Jacobian
-    params = sweep_params(angle)
+    # computed heading equals the edge c_u -+ r_u as computed, although
+    # |u - c_u| rounds a quarter ulp below r_u, and counts as on it
+    assert_rejected_before_any_residual(monkeypatch, sweep_params(angle),
+                                        "target unreachable")
+
+
+def test_init_rejects_an_edge_heading_without_slack(monkeypatch):
+    # with r_u = 0.27 the edge heading 0.23 lies a hair above c_u - r_u as
+    # computed, yet (u - c_u)^2 rounds to r_u^2, so the slack would be 0
+    assert_rejected_before_any_residual(
+        monkeypatch, replace(sweep_params(0.23), r_u=0.27), "target unreachable")
+
+
+def test_init_rejects_a_start_at_the_target(monkeypatch):
+    assert_rejected_before_any_residual(
+        monkeypatch, HemisphereParams(x0=PARAMS.x_f, y0=PARAMS.y_f),
+        "is at the target")
+
+
+def next_to_target(distance: float) -> HemisphereParams:
+    """Start `distance` chart units from the target, at the band centre."""
+    return HemisphereParams(x0=0.5 - distance * math.cos(PARAMS.c_u),
+                            y0=-distance * math.sin(PARAMS.c_u))
+
+
+@pytest.mark.parametrize("distance", [1e-4, 8e-4])
+def test_init_next_to_the_target_names_the_p_floor(distance):
+    # the minimum time is below P_MIN, so the floored p cannot reach it
+    params = next_to_target(distance)
     prob = make_problem(params, 20)
-    iters = counted_newton_iterations(monkeypatch)
-    with pytest.raises(InitializationFailure):
+    with pytest.raises(InitializationFailure,
+                       match=r"^no descent direction .*its floor P_MIN"):
         initialize(prob, np.array([params.x0, params.y0]),
                    initial_guess(prob.layout, params))
-    assert len(iters) <= 1
+
+
+def test_init_converges_next_to_the_target_above_the_p_floor():
+    params = next_to_target(8.7e-4)
+    prob = make_problem(params, 20)
+    x0 = np.array([params.x0, params.y0])
+    U = initialize(prob, x0, initial_guess(prob.layout, params))
+    assert np.linalg.norm(prob.assemble_residual(x0, U)) <= INIT_TOL
+    assert P_MIN < prob.layout.p(U)[0] < 1.01e-3
 
 
 # ------------------------------------------------------------ sample update

@@ -508,6 +508,14 @@ class TestCli:
         assert "solver failure" in err
         assert "unreachable" in err
 
+    def test_start_at_the_target_exits_2_and_says_so(self, tmp_path, capsys):
+        path = tmp_path / "sim.ini"
+        path.write_text("x0 = 0.5\ny0 = 0\n")
+        assert main(["init-only", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "solver failure" in err
+        assert "start (0.5, 0) is at the target" in err
+
     @pytest.mark.parametrize("source, name", [
         ("operator", "jacobian_vector_product"),
         ("preconditioner", "matrix_operator"),

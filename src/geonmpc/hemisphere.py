@@ -63,7 +63,9 @@ class HemisphereParams:
 def _height(zt):
     """z = sqrt(1 - x^2 - y^2) from zt = (x, y), guarded away from the equator.
 
-    x and y may be scalars or arrays; a scalar skips the array reduction.
+    x and y may be scalars or arrays; a scalar skips the array reduction,
+    and Python floats stay Python floats (math.sqrt, correctly rounded
+    like np.sqrt).
     """
     r2 = zt[0] * zt[0] + zt[1] * zt[1]
     inside = r2 <= CHART_R2_MAX
@@ -71,7 +73,7 @@ def _height(zt):
         raise ChartDomainViolation(
             f"x^2+y^2 = {np.max(r2):.6f} is not within the chart limit {CHART_R2_MAX:.6f}"
         )
-    return np.sqrt(1.0 - r2)
+    return math.sqrt(1.0 - r2) if type(r2) is float else np.sqrt(1.0 - r2)
 
 
 def chart_height(z_coords) -> float:
@@ -151,17 +153,34 @@ def make_ocp(params: HemisphereParams) -> OcpDefinition:
     Phi = p + nu . (x_N - x_f) has Phi_x = nu, Phi_nu = psi and Phi_p = 1.
 
     Callbacks read components from transposes (``xt = x.T``, ``xt[0]``)
-    and pack results back with ``.T``: a single point runs on numpy
-    scalars, a stage or batch stack on arrays.
+    and pack results back with ``.T``, so a stage or batch stack runs on
+    arrays.  stepper and H_x, which the condensed recursions call once per
+    stage on single points, run a single point (``x.ndim == 1``) on Python
+    floats instead: the same formulas in the same operation order, with
+    math's cos, sin and sqrt, so a point's output equals its row of a stack
+    call bit for bit, at a fraction of numpy's per-scalar cost.
     """
     c_u, r_u, w_s = params.c_u, params.r_u, params.w_s
 
     def stepper(x, u, p, dtau):
+        if x.ndim == 1:
+            x0, x1 = x.tolist()
+            u0 = u.item(0)
+            speed = p.item(0) * _height((x0, x1))
+            return np.array([x0 + dtau * (speed * math.cos(u0)),
+                             x1 + dtau * (speed * math.sin(u0))])
         u0 = u.T[0]
         speed = p.T[0] * _height(x.T)
         return x + dtau * np.array([speed * np.cos(u0), speed * np.sin(u0)]).T
 
     def H_x(x, lam, u, mu, p):
+        if x.ndim == 1:
+            x0, x1 = x.tolist()
+            l0, l1 = lam.tolist()
+            u0 = u.item(0)
+            drift = math.cos(u0) * l0 + math.sin(u0) * l1
+            scale = -(p.item(0) / _height((x0, x1))) * drift
+            return np.array([scale * x0, scale * x1])
         xt, lt, u0 = x.T, lam.T, u.T[0]
         drift = np.cos(u0) * lt[0] + np.sin(u0) * lt[1]
         return (-(p.T[0] / _height(xt)) * drift * xt).T

@@ -267,28 +267,35 @@ class HorizonProblem:
         """States x_0..x_N, shape (..., N+1, n_x), and costates lam_1..lam_N,
         shape (..., N, n_x), of a condensed U, which may be a (..., dim)
         stack.  Both recursions run in order over the stages; no row reads
-        lam_0, so the backward one stops at lam_1."""
-        ocp, dtau, layout = self.ocp, self.dtau, self.layout
+        lam_0, so the backward one stops at lam_1.  Each step reads stage
+        views of U and a Python float step length, and its result is kept
+        in a list; each recursion's list becomes one time-first array at
+        its end."""
+        ocp, layout = self.ocp, self.layout
         U = np.asarray(U, dtype=float)
         n, lead = layout.n_steps, U.shape[:-1]
         k = len(lead)
         p = layout.p(U)
-        # time-first buffers and views: stage i is one contiguous block
+        dtau = self.dtau.tolist()
+        # stage views, time first: controls[i] is stage i's (..., n_u) slice
         to_stage_major = (k,) + tuple(range(k)) + (k + 1,)
-        controls = layout.controls(U).transpose(to_stage_major)
-        mus = layout.mus(U).transpose(to_stage_major)
-        states = np.empty((n + 1,) + lead + (ocp.n_x,))
-        costates = np.empty((n,) + lead + (ocp.n_x,))
-        states[0] = x0
-        for i in range(n):
-            states[i + 1] = ocp.stepper(states[i], controls[i], p, dtau[i])
-        costates[n - 1] = ocp.Phi_grad(states[n], layout.nu(U), p)[0]
-        # costates[i] is lam_{i+1}
+        controls = list(layout.controls(U).transpose(to_stage_major))
+        mus = list(layout.mus(U).transpose(to_stage_major))
+        x = np.empty(lead + (ocp.n_x,))
+        x[...] = x0
+        states = [x]
+        for u, dt in zip(controls, dtau):
+            x = ocp.stepper(x, u, p, dt)
+            states.append(x)
+        lam = ocp.Phi_grad(x, layout.nu(U), p)[0]
+        costates = [lam]  # lam_N first; reversed below, so costates[i] is lam_{i+1}
         for i in range(n - 1, 0, -1):
-            lam = costates[i]
-            costates[i - 1] = lam + ocp.H_x(states[i], lam, controls[i], mus[i], p) * dtau[i]
+            lam = lam + ocp.H_x(states[i], lam, controls[i], mus[i], p) * dtau[i]
+            costates.append(lam)
+        costates.reverse()
         from_stage_major = tuple(range(1, k + 1)) + (0, k + 1)
-        return states.transpose(from_stage_major), costates.transpose(from_stage_major)
+        return (np.array(states).transpose(from_stage_major),
+                np.array(costates).transpose(from_stage_major))
 
     def lift(self, x0, U) -> np.ndarray:
         """The lifted vector of a condensed U: U, then the states x_1..x_N

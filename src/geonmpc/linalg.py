@@ -6,6 +6,8 @@ unknowns at most), so numpy's LAPACK bindings do the factorization; this
 module adds the singularity guard the solver's fallbacks rely on.
 """
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch, SingularMatrix
@@ -56,5 +58,10 @@ def inverse(a) -> np.ndarray:
 
 
 def norm2(x) -> float:
-    """Euclidean norm, the norm used for all residual reporting."""
-    return float(np.linalg.norm(as_vector(x)))
+    """Euclidean norm, the norm used for all residual reporting.
+
+    This is np.linalg.norm's own sum for a vector, sqrt(v . v) on a
+    contiguous v, so the result has the same bits, without its wrapper.
+    """
+    v = as_vector(x).ravel()
+    return math.sqrt(v.dot(v))

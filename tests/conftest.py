@@ -11,9 +11,15 @@ The oracle calls the stepper alone, to regenerate the states, and none of
 the partials under test.
 """
 
-import numpy as np
+from dataclasses import replace
 
+import numpy as np
+import pytest
+
+from geonmpc.config import SimConfig
 from geonmpc.horizon import HorizonProblem, OcpDefinition
+from geonmpc.simulate import run_simulation
+from geonmpc.solver import NmpcController
 
 
 def euler_stepper(f):
@@ -116,3 +122,31 @@ def fd_gradient(fun, U, h=1e-7):
         dn[k] -= h
         grad[k] = (fun(up) - fun(dn)) / (2.0 * h)
     return grad
+
+
+@pytest.fixture(scope="session")
+def shipped_loop():
+    """The shipped configuration's closed loop, each preconditioner setting
+    run at most once per session: a callable precond_enabled -> (records,
+    samples), where samples holds each sample's (measured state, tracked
+    vector after the update, SampleTelemetry)."""
+    runs = {}
+
+    def run(precond_enabled):
+        if precond_enabled not in runs:
+            samples = []
+            inner = NmpcController.sample_update
+
+            def sample_update(self, x, t_now):
+                u_apply, telemetry = inner(self, x, t_now)
+                samples.append((x.copy(), self.U.copy(), telemetry))
+                return u_apply, telemetry
+
+            cfg = replace(SimConfig(), output_dir=None, precond_enabled=precond_enabled)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(NmpcController, "sample_update", sample_update)
+                records = run_simulation(cfg, write_output=False)
+            runs[precond_enabled] = records, samples
+        return runs[precond_enabled]
+
+    return run

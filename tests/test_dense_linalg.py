@@ -92,3 +92,19 @@ def test_blas_helpers():
     x = np.array([1.0, 2.0, 2.0])
     assert norm2(x) == 3.0
     assert norm2(np.zeros(4)) == 0.0
+
+
+def test_norm2_has_the_bits_of_numpy_norm():
+    rng = np.random.default_rng(4)
+    vectors = [scale * rng.standard_normal(n)
+               for n in (1, 2, 63, 143, 1000) for scale in (1e-150, 1.0, 1e150)]
+    # strided views: numpy's norm sums a contiguous copy, and so must norm2
+    vectors += [v[::3] for v in vectors]
+    vectors += [np.zeros(5), np.zeros(0), np.array([3.0, np.inf, 1.0]),
+                np.array([-np.inf, 2.0]), np.array([1.0, np.nan]),
+                np.array([np.inf, np.nan])]
+    for v in vectors:
+        got, want = norm2(v), np.linalg.norm(v)
+        assert type(got) is float
+        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+    assert norm2([3.0, 4.0]) == 5.0

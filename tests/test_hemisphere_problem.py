@@ -16,6 +16,7 @@ from geonmpc.hemisphere import (
     hemisphere_chart,
     initial_guess,
     lift_to_sphere,
+    make_ocp,
     make_problem,
     plant_step,
     residual_rows,
@@ -82,6 +83,44 @@ def test_chart_guard_rejects_nan():
         plant_step(nan_point, 0.5, 0.00625)
     with pytest.raises(ChartDomainViolation):
         chart_dynamics(np.array([[0.1, 0.2], [np.nan, 0.0]]), 0.5, 1.0)
+
+
+def test_single_points_equal_their_stack_rows(shipped_loop):
+    # the condensed recursions call stepper and H_x on single points, which
+    # run on Python floats; at every stage of every sample of the
+    # unpreconditioned shipped loop, a point's output must equal its row
+    # of one stack call bit for bit
+    problem = make_problem(PARAMS, 20)
+    ocp, layout = problem.ocp, problem.layout
+    _, samples = shipped_loop(False)
+    x, lam, u, mu, p = [], [], [], [], []
+    for x0, U, _ in samples:
+        states, costates = problem.trajectory(x0, U)
+        x.append(states[:-1])
+        lam.append(costates)
+        u.append(layout.controls(U))
+        mu.append(layout.mus(U))
+        p.append(np.tile(layout.p(U), (layout.n_steps, 1)))
+    x, lam, u, mu, p = map(np.array, (x, lam, u, mu, p))  # (samples, N, .)
+    step_rows = ocp.stepper(x, u, p, problem.dtau_column)
+    hx_rows = ocp.H_x(x, lam, u, mu, p)
+    dtau = problem.dtau.tolist()
+    for s, i in np.ndindex(x.shape[:2]):
+        assert np.array_equal(ocp.stepper(x[s, i], u[s, i], p[s, i], dtau[i]),
+                              step_rows[s, i])
+        assert np.array_equal(ocp.H_x(x[s, i], lam[s, i], u[s, i], mu[s, i], p[s, i]),
+                              hx_rows[s, i])
+
+
+@pytest.mark.parametrize("point", [(0.9, 0.5), (np.sqrt(CHART_R2_MAX) + 1e-9, 0.0),
+                                   (np.nan, 0.0), (0.1, np.nan)])
+def test_single_point_callbacks_keep_the_chart_guard(point):
+    ocp = make_ocp(PARAMS)
+    x, u, p = np.array(point), np.array([0.5, 0.1]), np.array([1.2])
+    with pytest.raises(ChartDomainViolation):
+        ocp.stepper(x, u, p, 0.05)
+    with pytest.raises(ChartDomainViolation):
+        ocp.H_x(x, np.array([0.1, -0.1]), u, np.array([0.02]), p)
 
 
 def test_forward_band_moves_y_upward():

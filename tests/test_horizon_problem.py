@@ -207,6 +207,29 @@ def test_recursion_reevaluation_is_bitwise_stable():
     assert np.array_equal(costates1, costates2)
 
 
+@pytest.mark.parametrize("problem", ["hemisphere", "cart"])
+def test_trajectory_of_a_stack_equals_its_rows(problem):
+    rng = np.random.default_rng(9)
+    if problem == "hemisphere":
+        params = HemisphereParams()
+        prob = make_problem(params, 20)
+        x0 = np.array([params.x0, params.y0])
+        U = initial_guess(prob.layout, params) + 1e-3 * rng.standard_normal(
+            (2, 3, prob.layout.dim))
+    else:
+        prob = make_cart_problem(8)
+        x0 = np.array([0.1, -0.2])
+        U = rng.standard_normal((2, 3, prob.layout.dim))
+    states, costates = prob.trajectory(x0, U)
+    n, n_x = prob.layout.n_steps, prob.ocp.n_x
+    assert states.shape == (2, 3, n + 1, n_x)
+    assert costates.shape == (2, 3, n, n_x)
+    for j in np.ndindex(2, 3):
+        row_states, row_costates = prob.trajectory(x0, U[j])
+        assert np.array_equal(states[j], row_states)
+        assert np.array_equal(costates[j], row_costates)
+
+
 # --------------------------------------------------------------- residual
 
 def test_residual_matches_lagrangian_gradient():

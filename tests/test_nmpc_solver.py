@@ -568,6 +568,17 @@ def test_default_run_gmres_counts():
     assert max(iters) <= 7
 
 
+@pytest.mark.parametrize("precond_enabled, iters_total", [(True, 424), (False, 2066)])
+def test_shipped_loop_counts(shipped_loop, precond_enabled, iters_total):
+    # gate 04's means (2.16 and 10.54) as exact, deterministic totals, and
+    # every GMRES solve of both loops reaches its tolerance
+    records, samples = shipped_loop(precond_enabled)
+    telemetry = [tel for _, _, tel in samples]
+    assert len(records) == len(telemetry) == 196
+    assert sum(tel.gmres_iters for tel in telemetry) == iters_total
+    assert sum(not tel.gmres_converged for tel in telemetry) == 0
+
+
 @pytest.mark.parametrize("n_steps, mean_cap, max_cap",
                          [(20, 2.2, 3), (40, 2.4, 4), (80, 2.5, 5)])
 def test_block_update_gmres_counts(n_steps, mean_cap, max_cap):

@@ -157,8 +157,10 @@ def make_ocp(params: HemisphereParams) -> OcpDefinition:
     arrays.  stepper and H_x, which the condensed recursions call once per
     stage on single points, run a single point (``x.ndim == 1``) on Python
     floats instead: the same formulas in the same operation order, with
-    math's cos, sin and sqrt, so a point's output equals its row of a stack
-    call bit for bit, at a fraction of numpy's per-scalar cost.
+    math's cos, sin and sqrt, at a fraction of numpy's per-scalar cost.  A
+    point's output equals its row of a stack call bit for bit wherever
+    math's cos and sin round as numpy's do; the tests check this over every
+    stage of the shipped loop.
     """
     c_u, r_u, w_s = params.c_u, params.r_u, params.w_s
 

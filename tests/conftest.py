@@ -1,4 +1,5 @@
-"""Shared fixtures: a small flat-space OCP and a finite-difference oracle.
+"""Shared fixtures: a small flat-space OCP, a finite-difference oracle, and
+the shipped configuration's closed loop, run once per session.
 
 The flat problem uses an explicit-Euler stepper directly on its dynamics,
 so the assembled residual must equal the exact gradient of the discrete

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartDomainViolation, DimensionMismatch, InitializationFailure
+from .errors import ChartDomainViolation, InitializationFailure
 from .horizon import HorizonProblem, OcpDefinition
 from .manifold import ManifoldChart, ManifoldConstraint
 
@@ -58,6 +58,12 @@ class HemisphereParams:
             raise ValueError("start point must lie inside the chart guard")
         if not self.x_f ** 2 + self.y_f ** 2 <= CHART_R2_MAX:
             raise ValueError("target point must lie inside the chart guard")
+
+    @property
+    def heading_band(self) -> tuple:
+        """The band's edges (c_u - r_u, c_u + r_u) as computed: the bounds
+        initial_guess tests a heading against and run_simulation clips to."""
+        return self.c_u - self.r_u, self.c_u + self.r_u
 
 
 def _height(zt):
@@ -212,11 +218,9 @@ def make_ocp(params: HemisphereParams) -> OcpDefinition:
 
 
 def make_problem(params: HemisphereParams, n_steps: int) -> HorizonProblem:
-    if not n_steps >= 1:
-        raise DimensionMismatch(f"n_steps must be >= 1, got {n_steps}")
     probe = (np.array(PROBE_XY), np.array([params.c_u, params.r_u]),
              np.array([0.1, -0.1]), np.array([0.02]), np.zeros(2), np.array([1.2]))
-    return HorizonProblem(make_ocp(params), np.full(n_steps, 1.0 / n_steps), probe)
+    return HorizonProblem(make_ocp(params), n_steps, probe)
 
 
 def initial_guess(layout, params: HemisphereParams) -> np.ndarray:
@@ -231,7 +235,7 @@ def initial_guess(layout, params: HemisphereParams) -> np.ndarray:
     * Terminal multiplier: nu = -(cos u, sin u) / z(x_f, y_f), the terminal
       costate of a constant-heading minimum-time path.  Against the
       velocity, it zeroes the steering term of the last stage's heading
-      row.  Its scale comes from the parameter row 1 + sum dtau H_p = 0
+      row.  Its scale comes from the parameter row 1 + dtau sum H_p = 0
       with C = 0 and w_s u_s neglected: z (cos u, sin u) . nu = -1 at the
       target.
     * p: the great-circle length from start to target.
@@ -251,10 +255,10 @@ def initial_guess(layout, params: HemisphereParams) -> np.ndarray:
             "the minimum time is 0, so there is no heading to steer")
     u = math.atan2(params.y_f - params.y0, params.x_f - params.x0)
     u += 2.0 * math.pi * round((params.c_u - u) / (2.0 * math.pi))
-    # the band edges as computed, the bounds run_simulation clips to: an edge
-    # heading equals one although |u - c_u| may round a hair below r_u; one
-    # a hair inside them may still have its slack round to 0
-    lo, hi = params.c_u - params.r_u, params.c_u + params.r_u
+    # an edge heading equals one of the band's edges although |u - c_u| may
+    # round a hair below r_u; one a hair inside them may still have its
+    # slack round to 0
+    lo, hi = params.heading_band
     slack_sq = params.r_u ** 2 - (u - params.c_u) ** 2
     if not (lo < u < hi and slack_sq > 0.0):
         raise InitializationFailure(

@@ -3,13 +3,13 @@
 A problem is defined by four autonomous callbacks (the stepper, the
 costate drift H_x, a stage callback that returns the next state and every
 partial of the Hamiltonian H at a stage, and the partials of the terminal
-Lagrangian Phi), by the step lengths of the normalized horizon, and by a
-decision-vector layout.  Every optimality row is one of these partials,
-the constraint rows included: C = dH/dmu and psi = dPhi/dnu.  No callback
-takes a time argument: with a free horizon length the normalized time is
-not physical time.  The residual stacks the optimality conditions into one
-vector F whose zero is the discrete first-order optimum, in one of two
-transcriptions:
+Lagrangian Phi), by the number N of equal steps dtau = 1/N of the
+normalized horizon [0, 1], and by a decision-vector layout.  Every
+optimality row is one of these partials, the constraint rows included:
+C = dH/dmu and psi = dPhi/dnu.  No callback takes a time argument: with a
+free horizon length the normalized time is not physical time.  The
+residual stacks the optimality conditions into one vector F whose zero is
+the discrete first-order optimum, in one of two transcriptions:
 
 * condensed (single shooting): the decision vector holds the controls and
   multipliers only, and the states and costates come from the forward
@@ -36,6 +36,7 @@ block, block upper-bidiagonal.  A (B, length) stack of decision vectors
 gives the (B, length) stack of their residuals from one assembly.
 """
 
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -112,9 +113,8 @@ class DecisionLayout:
 
 # validate_at probes six single points, then a stage stack and a batch of
 # stage stacks of them; point k, and row k of a stack, is the probe point
-# + k * PROBE_SHIFT.  The dtau of the stepper and of stage is PROBE_DTAU: a
-# scalar at a single point, as the condensed recursion passes it, and a
-# lead + (1,) column on a stack, as the lifted residual does.
+# + k * PROBE_SHIFT.  The dtau of the stepper and of stage is PROBE_DTAU, a
+# Python float on points and stacks alike, as every residual passes it.
 PROBE_LEADS = ((3,), (2, 3))
 PROBE_SHIFT = 1e-6
 PROBE_DTAU = 1e-3
@@ -129,8 +129,8 @@ class OcpDefinition:
     share those axes, and each output carries them in front of the shapes
     below.  The condensed recursions call stepper and H_x on (..., n_x)
     slices one stage at a time; every other call, and every call of the
-    lifted residual, sees whole (..., n_steps, n) stage stacks, with the
-    dtau of stage an (n_steps, 1) column of step lengths.
+    lifted residual, sees whole (..., n_steps, n) stage stacks.  dtau is
+    always one Python float, the uniform step 1/n_steps.
 
     Every optimality row is a partial of the Hamiltonian
     H = L + lam . f + mu . C or of the terminal Lagrangian
@@ -161,7 +161,7 @@ class OcpDefinition:
     stage: Callable        # (x, lam, u, mu, p, dtau) -> (x_next, H_x, H_u, H_mu, H_p)
     Phi_grad: Callable     # (x_N, nu, p) -> ((n_x,), (n_nu,), (n_p,))
 
-    def _probe(self, lead, x, u, lam, mu, nu, p, dtau) -> dict:
+    def _probe(self, lead, x, u, lam, mu, nu, p) -> dict:
         """label -> output of every callback at one input with leading axes
         lead; part j of a fused callback is labelled "{name} part {j}".
 
@@ -170,9 +170,9 @@ class OcpDefinition:
         shape is not lead + its component shape.
         """
         calls = {
-            "stepper": (lambda: (self.stepper(x, u, p, dtau),), [(self.n_x,)]),
+            "stepper": (lambda: (self.stepper(x, u, p, PROBE_DTAU),), [(self.n_x,)]),
             "H_x": (lambda: (self.H_x(x, lam, u, mu, p),), [(self.n_x,)]),
-            "stage": (lambda: self.stage(x, lam, u, mu, p, dtau),
+            "stage": (lambda: self.stage(x, lam, u, mu, p, PROBE_DTAU),
                       [(self.n_x,), (self.n_x,), (self.n_u,), (self.n_mu,), (self.n_p,)]),
             "Phi_grad": (lambda: self.Phi_grad(x, nu, p),
                          [(self.n_x,), (self.n_nu,), (self.n_p,)]),
@@ -206,7 +206,7 @@ class OcpDefinition:
         returns NaN or inf at a single point.
         """
         point = [as_vector(v) for v in (x, u, lam, mu, nu, p)]
-        singles = [self._probe((), *(v + PROBE_SHIFT * k for v in point), PROBE_DTAU)
+        singles = [self._probe((), *(v + PROBE_SHIFT * k for v in point))
                    for k in range(int(np.prod(PROBE_LEADS[-1])))]
         # label -> the single-point outputs, stacked along a new first axis
         rows = {name: np.array([single[name] for single in singles]) for name in singles[0]}
@@ -216,8 +216,7 @@ class OcpDefinition:
         for lead in PROBE_LEADS:
             size = int(np.prod(lead))
             shift = PROBE_SHIFT * np.arange(size).reshape(lead + (1,))
-            outputs = self._probe(lead, *(v + shift for v in point),
-                                  np.full(lead + (1,), PROBE_DTAU))
+            outputs = self._probe(lead, *(v + shift for v in point))
             # one comparison per stack: every part's (size, -1) rows side by side
             got = [np.reshape(outputs[name], (size, -1)) for name in rows]
             want = [rows[name][:size].reshape(size, -1) for name in rows]
@@ -235,31 +234,28 @@ class OcpDefinition:
 
 
 class HorizonProblem:
-    """An OCP definition bound to step lengths and a decision layout.
+    """An OCP definition bound to a uniform grid and a decision layout.
 
-    dtau holds the positive, finite step lengths of the normalized horizon,
-    one per stage, as any 1-d sequence; it is kept as a float array.  They
-    need not sum to 1: the physical horizon length is p * sum(dtau), which
-    is p itself only when they do, as make_problem's steps do.  probe is
-    a point (x, u, lam, mu, nu, p) inside the callbacks' domain; the
-    constructor runs OcpDefinition.validate_at there, so callbacks that do
-    not broadcast are rejected before any assembly.
+    The normalized horizon [0, 1] has n_steps equal steps, an integer >= 1;
+    dtau = 1 / n_steps is the Python float every callback call receives,
+    so p is the physical horizon length.  probe is a point
+    (x, u, lam, mu, nu, p) inside the callbacks' domain; the constructor
+    runs OcpDefinition.validate_at there, so callbacks that do not
+    broadcast are rejected before any assembly.
     """
 
-    def __init__(self, ocp: OcpDefinition, dtau, probe):
-        dtau = as_vector(dtau)
-        if len(dtau) < 1:
-            raise DimensionMismatch("dtau needs at least one step")
-        bad = np.flatnonzero(~((dtau > 0) & (dtau < np.inf)))  # NaN fails both
-        if bad.size:
-            raise GeonmpcError(f"dtau[{bad[0]}] = {dtau[bad[0]]}: step lengths "
-                               f"must be positive and finite")
+    def __init__(self, ocp: OcpDefinition, n_steps, probe):
+        try:
+            n = operator.index(n_steps)  # an int or a numpy integer
+        except TypeError:
+            n = 0  # not an integer: rejected with the counts below 1
+        if n < 1:
+            raise DimensionMismatch(f"n_steps must be an integer >= 1, got {n_steps!r}")
         ocp.validate_at(*probe)
         self.ocp = ocp
-        self.dtau = dtau
-        self.dtau_column = dtau[:, None]  # the dtau stage sees on stage stacks
+        self.dtau = 1.0 / n
         self.layout = DecisionLayout(
-            n_steps=len(dtau), n_u=ocp.n_u, n_mu=ocp.n_mu,
+            n_steps=n, n_u=ocp.n_u, n_mu=ocp.n_mu,
             n_nu=ocp.n_nu, n_p=ocp.n_p, n_x=ocp.n_x,
         )
 
@@ -268,15 +264,14 @@ class HorizonProblem:
         shape (..., N, n_x), of a condensed U, which may be a (..., dim)
         stack.  Both recursions run in order over the stages; no row reads
         lam_0, so the backward one stops at lam_1.  Each step reads stage
-        views of U and a Python float step length, and its result is kept
-        in a list; each recursion's list becomes one time-first array at
+        views of U and the float step dtau, and its result is kept in a
+        list; each recursion's list becomes one time-first array at
         its end."""
         ocp, layout = self.ocp, self.layout
         U = np.asarray(U, dtype=float)
         n, lead = layout.n_steps, U.shape[:-1]
         k = len(lead)
-        p = layout.p(U)
-        dtau = self.dtau.tolist()
+        p, dtau = layout.p(U), self.dtau
         # stage views, time first: controls[i] is stage i's (..., n_u) slice
         to_stage_major = (k,) + tuple(range(k)) + (k + 1,)
         controls = list(layout.controls(U).transpose(to_stage_major))
@@ -284,13 +279,13 @@ class HorizonProblem:
         x = np.empty(lead + (ocp.n_x,))
         x[...] = x0
         states = [x]
-        for u, dt in zip(controls, dtau):
-            x = ocp.stepper(x, u, p, dt)
+        for u in controls:
+            x = ocp.stepper(x, u, p, dtau)
             states.append(x)
         lam = ocp.Phi_grad(x, layout.nu(U), p)[0]
         costates = [lam]  # lam_N first; reversed below, so costates[i] is lam_{i+1}
         for i in range(n - 1, 0, -1):
-            lam = lam + ocp.H_x(states[i], lam, controls[i], mus[i], p) * dtau[i]
+            lam = lam + ocp.H_x(states[i], lam, controls[i], mus[i], p) * dtau
             costates.append(lam)
         costates.reverse()
         from_stage_major = tuple(range(1, k + 1)) + (0, k + 1)
@@ -312,11 +307,11 @@ class HorizonProblem:
 
         A condensed U (length dim) gives the rows at its trajectory: H_u
         blocks, H_mu = C blocks, Phi_nu = psi, then the parameter
-        stationarity rows Phi_p + sum dtau H_p.  A lifted U (length
+        stationarity rows Phi_p + dtau sum H_p.  A lifted U (length
         lifted_dim) gives the same rows at the states and costates it
         carries, followed by the state defects
-        x_{i+1} - stepper(x_i, u_i, p, dtau_i) and the costate defects
-        lam_i - lam_{i+1} - dtau_i H_x(x_i, lam_{i+1}, u_i, mu_i, p)
+        x_{i+1} - stepper(x_i, u_i, p, dtau) and the costate defects
+        lam_i - lam_{i+1} - dtau H_x(x_i, lam_{i+1}, u_i, mu_i, p)
         for i < N and lam_N - Phi_x.  U may carry leading batch axes; the
         result then has the same leading axes.  Either length makes one
         stage call on whole stage stacks; the condensed rows read only its
@@ -340,7 +335,7 @@ class HorizonProblem:
         x, x_n = states[..., :n, :], states[..., n, :]
         p_stages = np.empty(lead + (n, layout.n_p))
         p_stages[...] = p[..., None, :]
-        dtau = self.dtau_column
+        dtau = self.dtau
         x_next, hx, H_u, H_mu, H_p = ocp.stage(
             x, lam, layout.controls(U), layout.mus(U), p_stages, dtau)
         Phi_x, psi, Phi_p = ocp.Phi_grad(x_n, nu, p)
@@ -348,11 +343,11 @@ class HorizonProblem:
             (dtau * H_u).reshape(lead + (-1,)),
             (dtau * H_mu).reshape(lead + (-1,)),
             psi,
-            Phi_p + self.dtau @ H_p,
+            Phi_p + dtau * H_p.sum(axis=-2),
         ]
         if length != layout.dim:  # lifted: the defect rows follow
             lam_target = np.empty(lam.shape)
-            lam_target[..., :-1, :] = lam[..., 1:, :] + hx[..., 1:, :] * dtau[1:]
+            lam_target[..., :-1, :] = lam[..., 1:, :] + hx[..., 1:, :] * dtau
             lam_target[..., -1, :] = Phi_x
             rows += [(states[..., 1:, :] - x_next).reshape(lead + (-1,)),
                      (lam - lam_target).reshape(lead + (-1,))]

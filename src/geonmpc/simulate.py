@@ -74,7 +74,6 @@ def run_simulation(cfg: SimConfig, write_output: bool = True
     problem = make_problem(cfg.params, cfg.n_steps)
     controller = NmpcController(problem, precondition=cfg.precond_enabled)
     x = np.array([cfg.params.x0, cfg.params.y0])
-    heading_band = (cfg.params.c_u - cfg.params.r_u, cfg.params.c_u + cfg.params.r_u)
     records: List[TrajectoryRecord] = []
 
     try:
@@ -84,7 +83,7 @@ def run_simulation(cfg: SimConfig, write_output: bool = True
             u_apply, telemetry = controller.sample_update(x, t)
             # the plant gets a heading inside its band even when the one
             # Newton step per sample leaves the warm start slightly outside
-            u_apply[0] = np.clip(u_apply[0], *heading_band)
+            u_apply[0] = np.clip(u_apply[0], *cfg.params.heading_band)
             p = float(problem.layout.p(controller.U)[0])
             records.append(_make_record(t, x, u_apply, p, telemetry))
             if p <= cfg.p_stop:

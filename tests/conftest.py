@@ -83,7 +83,7 @@ def make_cart_problem(n_steps=10):
                                     cart_terminal_constraint(xn, p),
                                     np.full_like(p, 0.1)),
     )
-    return HorizonProblem(ocp, np.full(n_steps, 1.0 / n_steps), origin_probe(ocp))
+    return HorizonProblem(ocp, n_steps, origin_probe(ocp))
 
 
 def origin_probe(ocp):
@@ -102,7 +102,7 @@ def discrete_lagrangian(problem, x0, U, L, phi, C, psi):
     states = [np.asarray(x0, dtype=float)]
     for i in range(layout.n_steps):
         states.append(problem.ocp.stepper(
-            states[i], layout.controls(U)[i], p, problem.dtau[i]))
+            states[i], layout.controls(U)[i], p, problem.dtau))
     x_n = states[layout.n_steps]
     total = float(phi(x_n, p)) + float(nu @ psi(x_n, p))
     for i in range(layout.n_steps):
@@ -110,7 +110,7 @@ def discrete_lagrangian(problem, x0, U, L, phi, C, psi):
         mu_i = layout.mus(U)[i]
         stage = float(L(states[i], u_i, p))
         stage += float(mu_i @ C(states[i], u_i, p))
-        total += stage * problem.dtau[i]
+        total += stage * problem.dtau
     return total
 
 

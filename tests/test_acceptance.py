@@ -171,7 +171,7 @@ def test_06a_dual_residual_paths():
         layout.p(decision)[:] += rng.uniform(-0.1, 0.1, 1)
         x0 = np.array([params.x0, params.y0]) + rng.uniform(-0.05, 0.05, 2)
         generic = problem.assemble_residual(x0, decision)
-        direct = residual_rows(decision, x0, problem.dtau, params)
+        direct = residual_rows(decision, x0, np.full(layout.n_steps, problem.dtau), params)
         worst = max(worst, float(np.max(np.abs(generic - direct))))
         # the lifted rows at the lift of the draw, and its defect rows
         lifted = problem.assemble_residual(x0, problem.lift(x0, decision))

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from conftest import discrete_lagrangian, fd_gradient, origin_probe
+from conftest import discrete_lagrangian, fd_gradient
+from geonmpc.config import KEYS
 from geonmpc.errors import ChartDomainViolation, DimensionMismatch
 from geonmpc.hemisphere import (
     CHART_R2_MAX,
@@ -23,7 +25,6 @@ from geonmpc.hemisphere import (
     sphere_constraint,
     terminal_psi,
 )
-from geonmpc.horizon import HorizonProblem
 from geonmpc.manifold import explicit_euler, local_coordinates_step, standard_projection_step
 
 PARAMS = HemisphereParams()
@@ -102,11 +103,10 @@ def test_single_points_equal_their_stack_rows(shipped_loop):
         mu.append(layout.mus(U))
         p.append(np.tile(layout.p(U), (layout.n_steps, 1)))
     x, lam, u, mu, p = map(np.array, (x, lam, u, mu, p))  # (samples, N, .)
-    step_rows = ocp.stepper(x, u, p, problem.dtau_column)
+    step_rows = ocp.stepper(x, u, p, problem.dtau)
     hx_rows = ocp.H_x(x, lam, u, mu, p)
-    dtau = problem.dtau.tolist()
     for s, i in np.ndindex(x.shape[:2]):
-        assert np.array_equal(ocp.stepper(x[s, i], u[s, i], p[s, i], dtau[i]),
+        assert np.array_equal(ocp.stepper(x[s, i], u[s, i], p[s, i], problem.dtau),
                               step_rows[s, i])
         assert np.array_equal(ocp.H_x(x[s, i], lam[s, i], u[s, i], mu[s, i], p[s, i]),
                               hx_rows[s, i])
@@ -229,6 +229,16 @@ def test_initial_guess_heading_on_the_band_branch():
         heading + 2.0 * math.pi, rel=1e-15)
 
 
+def test_heading_band_is_one_read_only_pair():
+    # initial_guess's edge test and run_simulation's clip both read it, so it
+    # is a derived property, not a field or a config key
+    assert PARAMS.heading_band == (PARAMS.c_u - PARAMS.r_u, PARAMS.c_u + PARAMS.r_u)
+    with pytest.raises(AttributeError):
+        PARAMS.heading_band = (0.0, 1.0)
+    assert "heading_band" not in {f.name for f in dataclasses.fields(PARAMS)}
+    assert "heading_band" not in KEYS
+
+
 def test_residual_constant_row_without_multipliers():
     prob = make_problem(PARAMS, 20)
     U = np.zeros(prob.layout.dim)
@@ -255,16 +265,13 @@ def random_decision_vectors(layout, count, seed=101):
 
 
 def test_dual_path_residual_equality():
-    uniform = make_problem(PARAMS, 20)
-    # steps growing linearly from 0.5/N to 1.5/N; they still sum to 1
-    graded = np.linspace(0.5, 1.5, uniform.layout.n_steps)
-    graded /= graded.sum()
+    prob = make_problem(PARAMS, 20)
     x0 = np.array([PARAMS.x0, PARAMS.y0])
-    for prob in (uniform, HorizonProblem(uniform.ocp, graded, origin_probe(uniform.ocp))):
-        for U in random_decision_vectors(prob.layout, 100):
-            generic = prob.assemble_residual(x0, U)
-            analytic = residual_rows(U, x0, prob.dtau, PARAMS)
-            assert np.max(np.abs(generic - analytic)) <= 1e-12
+    dtau = np.full(prob.layout.n_steps, prob.dtau)
+    for U in random_decision_vectors(prob.layout, 100):
+        generic = prob.assemble_residual(x0, U)
+        analytic = residual_rows(U, x0, dtau, PARAMS)
+        assert np.max(np.abs(generic - analytic)) <= 1e-12
 
 
 def test_residual_is_lagrangian_gradient():
@@ -288,7 +295,7 @@ def test_residual_is_lagrangian_gradient():
 def test_residual_rows_rejects_wrong_length():
     prob = make_problem(PARAMS, 20)
     with pytest.raises(ValueError):
-        residual_rows(np.zeros(10), np.zeros(2), prob.dtau, PARAMS)
+        residual_rows(np.zeros(10), np.zeros(2), np.full(20, prob.dtau), PARAMS)
 
 
 # -------------------------------------------------- chart/ambient agreement

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,10 +32,6 @@ def zero_parts(*shapes):
     return callback
 
 
-def uniform(n_steps):
-    return np.full(n_steps, 1.0 / n_steps)
-
-
 def zero_like_callbacks(n_x, n_u, n_mu, n_nu, n_p, f):
     """OcpDefinition with explicit-Euler steps of the given dynamics and
     inert partials of the Hamiltonian and the terminal Lagrangian."""
@@ -54,29 +51,20 @@ def zero_like_callbacks(n_x, n_u, n_mu, n_nu, n_p, f):
 def test_uniform_grid():
     prob = make_problem(HemisphereParams(), 20)
     assert prob.layout.n_steps == 20
-    assert np.all(prob.dtau == 1.0 / 20)
-    assert abs(prob.dtau.sum() - 1.0) <= 1e-12
+    assert type(prob.dtau) is float and prob.dtau == 1.0 / 20
+    # a numpy integer is a step count too
+    assert HorizonProblem(prob.ocp, np.int64(20), origin_probe(prob.ocp)).dtau == prob.dtau
 
 
-def test_grid_rejects_empty():
-    ocp = make_cart_problem(4).ocp
-    with pytest.raises(DimensionMismatch):
-        HorizonProblem(ocp, np.array([]), origin_probe(ocp))
-
-
-def test_grid_accepts_a_list_and_rejects_a_matrix():
-    # a list is the same grid as its array; a (1, n) array is not a grid of
-    # one stage but a shape error, raised before any assembly
-    ocp = make_cart_problem(4).ocp
-    dtau = uniform(4)
-    from_array = HorizonProblem(ocp, dtau, origin_probe(ocp))
-    from_list = HorizonProblem(ocp, dtau.tolist(), origin_probe(ocp))
-    U = np.random.default_rng(2).standard_normal(from_array.layout.dim)
-    x0 = np.array([0.3, -0.2])
-    assert np.array_equal(from_list.assemble_residual(x0, U),
-                          from_array.assemble_residual(x0, U))
-    with pytest.raises(DimensionMismatch):
-        HorizonProblem(ocp, dtau[None, :], origin_probe(ocp))
+@pytest.mark.parametrize("n_steps", [0, -3, 2.5])
+def test_problem_rejects_bad_step_counts(n_steps):
+    # one check, in HorizonProblem, for every caller: make_problem's count
+    # reaches it unchanged
+    message = rf"^n_steps must be an integer >= 1, got {re.escape(repr(n_steps))}$"
+    with pytest.raises(DimensionMismatch, match=message):
+        HorizonProblem(CART_OCP, n_steps, origin_probe(CART_OCP))
+    with pytest.raises(DimensionMismatch, match=message):
+        make_problem(HemisphereParams(), n_steps)
 
 
 # ----------------------------------------------------------------- layout
@@ -153,7 +141,7 @@ def test_layout_offsets_reproducible():
 
 def test_forward_zero_dynamics_keeps_state():
     ocp = zero_like_callbacks(2, 1, 1, 1, 1, f=zeros(2))
-    prob = HorizonProblem(ocp, uniform(6), origin_probe(ocp))
+    prob = HorizonProblem(ocp, 6, origin_probe(ocp))
     x0 = np.array([0.4, -1.2])
     U = np.zeros(prob.layout.dim)
     states, _ = prob.trajectory(x0, U)
@@ -170,7 +158,7 @@ def test_forward_hand_iterated_two_steps():
         return (p.T[0] * s * np.array([np.cos(u0), np.sin(u0)])).T
 
     ocp = zero_like_callbacks(2, 1, 1, 2, 1, f=f)
-    prob = HorizonProblem(ocp, uniform(2), origin_probe(ocp))
+    prob = HorizonProblem(ocp, 2, origin_probe(ocp))
     U = np.zeros(prob.layout.dim)
     prob.layout.p(U)[:] = 1.0
     states, _ = prob.trajectory(np.zeros(2), U)
@@ -183,7 +171,7 @@ def test_terminal_costate_equals_nu():
     ocp = dataclasses.replace(
         zero_like_callbacks(2, 1, 1, 2, 1, f=zeros(2)),
         Phi_grad=lambda xn, nu, p: (nu, xn.copy(), np.zeros_like(p)))
-    prob = HorizonProblem(ocp, uniform(4), origin_probe(ocp))
+    prob = HorizonProblem(ocp, 4, origin_probe(ocp))
     U = np.zeros(prob.layout.dim)
     nu = np.array([0.7, -0.3])
     prob.layout.nu(U)[:] = nu
@@ -247,29 +235,26 @@ def test_residual_matches_lagrangian_gradient():
     assert np.max(np.abs(fvec[:n] - grad[:n])) <= 1e-6
 
 
-def test_dtau_scaling_doubles_stage_blocks():
-    # state-independent dynamics keep the trajectory identical, so the
-    # explicit dtau factor is the only change
+def test_stage_rows_are_the_step_times_the_stage_partials():
+    # zero dynamics keep every state at x0, so the partials are known in
+    # closed form: each stage row is dtau times its partial, psi carries no
+    # factor, and the parameter row is Phi_p + dtau sum H_p
     inert = zero_like_callbacks(2, 1, 1, 1, 1, f=zeros(2))
     ocp = dataclasses.replace(
         inert,
         stage=lambda x, lam, u, mu, p, dtau: inert.stage(x, lam, u, mu, p, dtau)[:2] + (
-            2.0 * u + mu, u - 0.3, np.zeros_like(p)),
-        Phi_grad=lambda xn, nu, p: (nu * [1.0, 0.0], xn[..., :1], np.zeros_like(p)))
-    rng = np.random.default_rng(4)
-    n = 5
-    prob1, prob2 = (
-        HorizonProblem(ocp, np.full(n, length / n), origin_probe(ocp))
-        for length in (1.0, 2.0))
-    U = rng.standard_normal(prob1.layout.dim)
+            2.0 * u + mu, u - 0.3, u * p),
+        Phi_grad=lambda xn, nu, p: (nu * [1.0, 0.0], xn[..., :1], 3.0 * p))
+    prob = HorizonProblem(ocp, 5, origin_probe(ocp))
+    layout = prob.layout
+    U = np.random.default_rng(4).standard_normal(layout.dim)
     x0 = np.array([0.5, 0.5])
-    f1 = prob1.assemble_residual(x0, U)
-    f2 = prob2.assemble_residual(x0, U)
-    stage_rows = 2 * n  # H_u block plus H_mu = C block
-    assert np.array_equal(f2[:stage_rows], 2.0 * f1[:stage_rows])
-    # terminal constraint rows carry no dtau factor
-    assert np.array_equal(f2[prob1.layout.nu_offset:prob1.layout.p_offset],
-                          f1[prob1.layout.nu_offset:prob1.layout.p_offset])
+    u, mu, p = layout.controls(U), layout.mus(U), layout.p(U)
+    F = prob.assemble_residual(x0, U)
+    assert np.array_equal(layout.controls(F), prob.dtau * (2.0 * u + mu))
+    assert np.array_equal(layout.mus(F), prob.dtau * (u - 0.3))
+    assert np.array_equal(layout.nu(F), x0[:1])
+    assert layout.p(F) == pytest.approx(3.0 * p + prob.dtau * (u * p).sum(), rel=1e-15)
 
 
 def test_assemble_residual_deterministic():
@@ -379,16 +364,6 @@ def test_lifted_jacobian_rows_line_up_with_unknowns():
     assert np.all(np.tril(block, -1) == 0.0)
     assert np.all(block[(gap > 0) | (gap < -1)] == 0.0)
     assert np.count_nonzero(block[gap == -1]) > 0
-
-
-@pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -0.05])
-def test_problem_rejects_bad_step_lengths(step):
-    ocp = make_problem(HemisphereParams(), 20).ocp
-    dtau = uniform(20)
-    dtau[7] = step
-    with pytest.raises(GeonmpcError, match=rf"^dtau\[7\] = {step}: step lengths "
-                                           r"must be positive and finite$"):
-        HorizonProblem(ocp, dtau, origin_probe(ocp))
 
 
 def test_lifted_defect_rows():
@@ -504,19 +479,30 @@ def test_stage_steps_and_drifts_exactly_as_the_condensed_callbacks(case):
     V = base + spread * np.random.default_rng(11).standard_normal((3, base.size))
     p = np.repeat(layout.p(V)[:, None, :], layout.n_steps, axis=1)
     x, lam, u, mu = layout.states(V), layout.costates(V), layout.controls(V), layout.mus(V)
-    x_next, hx = ocp.stage(x, lam, u, mu, p, prob.dtau_column)[:2]
+    x_next, hx = ocp.stage(x, lam, u, mu, p, prob.dtau)[:2]
     assert x_next.shape == hx.shape == x.shape
-    assert np.array_equal(x_next, ocp.stepper(x, u, p, prob.dtau_column))
+    assert np.array_equal(x_next, ocp.stepper(x, u, p, prob.dtau))
     assert np.array_equal(hx, ocp.H_x(x, lam, u, mu, p))
 
 
-def test_stepper_is_probed_with_a_column_of_step_lengths():
-    # a stepper that takes dtau for a number works on the condensed
-    # recursion's scalar step but not on the lifted residual's column
+def test_a_stepper_that_takes_dtau_for_a_number_assembles_both_transcriptions():
+    # dtau is one float for points and stage stacks alike, so scalar math on
+    # it passes validate_at and runs in the condensed and lifted residuals
+    def stepper(x, u, p, dtau):
+        return x + math.sqrt(dtau) * u
+
     ocp = dataclasses.replace(
-        CART_OCP, stepper=lambda x, u, p, dtau: x + math.sqrt(dtau) * u)
-    with pytest.raises(DimensionMismatch, match="^stepper failed for leading axes"):
-        HorizonProblem(ocp, uniform(4), origin_probe(ocp))
+        CART_OCP, stepper=stepper,
+        stage=lambda x, lam, u, mu, p, dtau: (
+            (stepper(x, u, p, dtau),) + CART_OCP.stage(x, lam, u, mu, p, dtau)[1:]))
+    prob = HorizonProblem(ocp, 4, origin_probe(ocp))
+    x0 = np.array([0.2, -0.1])
+    U = 0.3 * np.random.default_rng(12).standard_normal(prob.layout.dim)
+    states, _ = prob.trajectory(x0, U)
+    assert np.array_equal(states[1], x0 + 0.5 * prob.layout.controls(U)[0])
+    rows = prob.assemble_residual(x0, prob.lift(x0, U))
+    assert np.array_equal(prob.assemble_residual(x0, U), rows[:prob.layout.dim])
+    assert np.max(np.abs(rows[prob.layout.dim:])) <= 1e-14
 
 
 def first_point_only(callback):
@@ -631,4 +617,4 @@ def test_problem_rejects_callbacks_that_do_not_broadcast():
     first_row = dataclasses.replace(ocp, stage=lambda x, lam, u, mu, p, dtau: (
         ocp.stage(x, lam, u, mu, p, dtau)[:4] + (0.1 * p + 0.2 * lam[..., 1:] - 0.1 * mu[0],)))
     with pytest.raises(DimensionMismatch, match="^stage part 4"):
-        HorizonProblem(first_row, uniform(4), origin_probe(first_row))
+        HorizonProblem(first_row, 4, origin_probe(first_row))

@@ -130,7 +130,8 @@ class OcpDefinition:
     below.  The condensed recursions call stepper and H_x on (..., n_x)
     slices one stage at a time; every other call, and every call of the
     lifted residual, sees whole (..., n_steps, n) stage stacks.  dtau is
-    always one Python float, the uniform step 1/n_steps.
+    always one Python float: the uniform step 1/n_steps in a residual,
+    PROBE_DTAU in validate_at.
 
     Every optimality row is a partial of the Hamiltonian
     H = L + lam . f + mu . C or of the terminal Lagrangian

@@ -36,8 +36,8 @@ class SimConfig:
 
     def __post_init__(self):
         # the float checks are negated so that NaN fails them too
-        if self.n_steps < 2:
-            raise ConfigError("n must be >= 2")
+        if self.n_steps < 1:
+            raise ConfigError("n must be >= 1")
         if not 0 < self.dt < math.inf:
             raise ConfigError("dt must be positive and finite")
         if not 0 < self.p_stop < math.inf:

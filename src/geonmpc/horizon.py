@@ -11,15 +11,15 @@ free horizon length the normalized time is not physical time.  The
 residual stacks the optimality conditions into one vector F whose zero is
 the discrete first-order optimum, in one of two transcriptions:
 
-* condensed (single shooting): the decision vector holds the controls and
-  multipliers only, and the states and costates come from the forward
-  state recursion with the caller's structure-preserving stepper and the
-  backward costate recursion with H_x, one stage at a time; the stage
-  callback then gives the stage rows on whole stage stacks;
 * lifted (multiple shooting): the states x_1..x_N and the costates
-  lam_1..lam_N are unknowns too, the same rows are evaluated on them, and
+  lam_1..lam_N are unknowns beside the controls and multipliers, and
   defect rows tie consecutive stages together.  One stage call on whole
-  stage stacks and one Phi_grad call give every row, with no stage loop.
+  stage stacks and one Phi_grad call give every row, with no stage loop;
+* condensed (single shooting): the decision vector holds the controls and
+  multipliers only.  lift fills in the states and costates by the forward
+  recursion with the caller's structure-preserving stepper and the
+  backward one with H_x, and the rows are the lifted ones read there,
+  without the defect rows, which the recursions make zero.
 
 Decision vector layout (stage-major inside each block):
 
@@ -260,16 +260,21 @@ class HorizonProblem:
             n_nu=ocp.n_nu, n_p=ocp.n_p, n_x=ocp.n_x,
         )
 
-    def trajectory(self, x0, U) -> tuple:
-        """States x_0..x_N, shape (..., N+1, n_x), and costates lam_1..lam_N,
-        shape (..., N, n_x), of a condensed U, which may be a (..., dim)
-        stack.  Both recursions run in order over the stages; no row reads
-        lam_0, so the backward one stops at lam_1.  Each step reads stage
-        views of U and the float step dtau, and its result is kept in a
-        list; each recursion's list becomes one time-first array at
-        its end."""
-        ocp, layout = self.ocp, self.layout
+    def lift(self, x0, U) -> np.ndarray:
+        """The lifted vector of a condensed U, which may be a (..., dim)
+        stack: U, then the states x_1..x_N and costates lam_1..lam_N that
+        the forward stepper and backward H_x recursions give."""
         U = np.asarray(U, dtype=float)
+        if U.ndim < 1 or U.shape[-1] != self.layout.dim:
+            raise DimensionMismatch(f"U has shape {U.shape}, layout dim {self.layout.dim}")
+        return self._lift(x0, U)[0]
+
+    def _lift(self, x0, U) -> tuple:
+        """(lifted vector, Phi_grad at x_N) of a float condensed U.  The
+        recursions run in stage order on stage views of U; no row reads
+        lam_0, so the backward one stops at lam_1.  Every block is
+        stage-major, so the steps' results are the lifted blocks in order."""
+        ocp, layout = self.ocp, self.layout
         n, lead = layout.n_steps, U.shape[:-1]
         k = len(lead)
         p, dtau = layout.p(U), self.dtau
@@ -283,70 +288,60 @@ class HorizonProblem:
         for u in controls:
             x = ocp.stepper(x, u, p, dtau)
             states.append(x)
-        lam = ocp.Phi_grad(x, layout.nu(U), p)[0]
+        terminal = ocp.Phi_grad(x, layout.nu(U), p)
+        lam = terminal[0]
         costates = [lam]  # lam_N first; reversed below, so costates[i] is lam_{i+1}
         for i in range(n - 1, 0, -1):
             lam = lam + ocp.H_x(states[i], lam, controls[i], mus[i], p) * dtau
             costates.append(lam)
         costates.reverse()
-        from_stage_major = tuple(range(1, k + 1)) + (0, k + 1)
-        return (np.array(states).transpose(from_stage_major),
-                np.array(costates).transpose(from_stage_major))
-
-    def lift(self, x0, U) -> np.ndarray:
-        """The lifted vector of a condensed U: U, then the states x_1..x_N
-        and costates lam_1..lam_N of its trajectory."""
-        U = np.asarray(U, dtype=float)
-        if U.ndim < 1 or U.shape[-1] != self.layout.dim:
-            raise DimensionMismatch(f"U has shape {U.shape}, layout dim {self.layout.dim}")
-        states, costates = self.trajectory(x0, U)
-        return np.concatenate([U, states[..., 1:, :].reshape(U.shape[:-1] + (-1,)),
-                               costates.reshape(U.shape[:-1] + (-1,))], axis=-1)
+        return np.concatenate([U, *states[1:], *costates], axis=-1), terminal
 
     def assemble_residual(self, x0, U) -> np.ndarray:
         """Stack the optimality residual over the whole horizon.
 
-        A condensed U (length dim) gives the rows at its trajectory: H_u
-        blocks, H_mu = C blocks, Phi_nu = psi, then the parameter
-        stationarity rows Phi_p + dtau sum H_p.  A lifted U (length
-        lifted_dim) gives the same rows at the states and costates it
-        carries, followed by the state defects
-        x_{i+1} - stepper(x_i, u_i, p, dtau) and the costate defects
-        lam_i - lam_{i+1} - dtau H_x(x_i, lam_{i+1}, u_i, mu_i, p)
-        for i < N and lam_N - Phi_x.  U may carry leading batch axes; the
-        result then has the same leading axes.  Either length makes one
-        stage call on whole stage stacks; the condensed rows read only its
-        H partials, since the recursions already gave x_next and H_x.
+        A lifted U (length lifted_dim) gives, at the states and costates
+        it carries, the H_u blocks, the H_mu = C blocks, Phi_nu = psi, the
+        parameter stationarity rows Phi_p + dtau sum H_p, and then the
+        state defects x_{i+1} - stepper(x_i, u_i, p, dtau) and the costate
+        defects lam_i - lam_{i+1} - dtau H_x(x_i, lam_{i+1}, u_i, mu_i, p)
+        for i < N and lam_N - Phi_x.  A condensed U (length dim) gives the
+        same rows read at lift(x0, U) without the defect rows, which are
+        zero there by construction; its terminal rows reuse the Phi_grad
+        call that gave lam_N.  U may carry leading batch axes; the result
+        then has the same leading axes.  Either length makes one stage call
+        on whole stage stacks.
         """
         ocp, layout = self.ocp, self.layout
         U = np.asarray(U, dtype=float)
         lead, n = U.shape[:-1], layout.n_steps
         length = U.shape[-1] if U.ndim else None
+        lifted = length == layout.lifted_dim
         if length == layout.dim:
-            states, lam = self.trajectory(x0, U)
-        elif length == layout.lifted_dim:
-            lam = layout.costates(U)
-            states = np.empty(lead + (n + 1, ocp.n_x))
-            states[..., 0, :] = x0
-            states[..., 1:, :] = layout.states(U)
-        else:
+            U, terminal = self._lift(x0, U)
+        elif not lifted:
             raise DimensionMismatch(f"U has shape {U.shape}, layout dim "
                                     f"{layout.dim} or lifted dim {layout.lifted_dim}")
-        p, nu = layout.p(U), layout.nu(U)
+        p, nu, lam = layout.p(U), layout.nu(U), layout.costates(U)
+        states = np.empty(lead + (n + 1, ocp.n_x))
+        states[..., 0, :] = x0
+        states[..., 1:, :] = layout.states(U)
         x, x_n = states[..., :n, :], states[..., n, :]
         p_stages = np.empty(lead + (n, layout.n_p))
         p_stages[...] = p[..., None, :]
         dtau = self.dtau
         x_next, hx, H_u, H_mu, H_p = ocp.stage(
             x, lam, layout.controls(U), layout.mus(U), p_stages, dtau)
-        Phi_x, psi, Phi_p = ocp.Phi_grad(x_n, nu, p)
+        if lifted:
+            terminal = ocp.Phi_grad(x_n, nu, p)
+        Phi_x, psi, Phi_p = terminal
         rows = [
             (dtau * H_u).reshape(lead + (-1,)),
             (dtau * H_mu).reshape(lead + (-1,)),
             psi,
             Phi_p + dtau * H_p.sum(axis=-2),
         ]
-        if length != layout.dim:  # lifted: the defect rows follow
+        if lifted:  # the defect rows follow
             lam_target = np.empty(lam.shape)
             lam_target[..., :-1, :] = lam[..., 1:, :] + hx[..., 1:, :] * dtau
             lam_target[..., -1, :] = Phi_x

@@ -16,8 +16,8 @@ The preconditioned controller iterates on the lifted (multiple-shooting)
 decision vector, whose residual runs every problem callback once, with no
 stage loop.  Its Jacobian is a chain of stage blocks that unpreconditioned
 GMRES would need about 2N products to couple end to end, so the
-unpreconditioned controller, and a start whose lifted Jacobian is
-singular, iterate on the condensed (single-shooting) vector instead.
+unpreconditioned controller iterates on the condensed (single-shooting)
+vector instead, and a start whose lifted Jacobian is singular fails.
 
 Cold start solves the condensed residual to tight tolerance with damped
 Newton and dense LAPACK steps, from a caller-supplied structured guess.
@@ -194,7 +194,9 @@ class NmpcController:
 
     def initialize(self, x0, t0: float, U0) -> np.ndarray:
         """Solve the condensed system at x0, start tracking it, and return
-        the condensed solution."""
+        the condensed solution.  A preconditioned controller tracks its lift
+        and raises InitializationFailure when the lifted Jacobian there is
+        singular: unpreconditioned GMRES cannot solve the lifted system."""
         U = initialize(self.problem, x0, U0)
         self.U = U
         self.precond = PreconditionerState()  # nothing carries over from a previous run
@@ -202,8 +204,9 @@ class NmpcController:
             self.U = self.problem.lift(x0, U)
             self.refresh_preconditioner(x0, t0)
             if self.precond.inverse is None:
-                # unpreconditioned GMRES cannot solve the lifted system
-                self.U = U
+                self.U = None
+                raise InitializationFailure("singular lifted Jacobian at the start: run "
+                                            "without the preconditioner (--no-precond)")
         return U
 
     def refresh_preconditioner(self, x0, t_now: float) -> None:

@@ -96,9 +96,9 @@ def test_single_points_equal_their_stack_rows(shipped_loop):
     _, samples = shipped_loop(False)
     x, lam, u, mu, p = [], [], [], [], []
     for x0, U, _ in samples:
-        states, costates = problem.trajectory(x0, U)
-        x.append(states[:-1])
-        lam.append(costates)
+        lifted = problem.lift(x0, U)
+        x.append(np.vstack([x0, layout.states(lifted)[:-1]]))  # x_0..x_{N-1}
+        lam.append(layout.costates(lifted))
         u.append(layout.controls(U))
         mu.append(layout.mus(U))
         p.append(np.tile(layout.p(U), (layout.n_steps, 1)))

@@ -144,7 +144,8 @@ def test_forward_zero_dynamics_keeps_state():
     prob = HorizonProblem(ocp, 6, origin_probe(ocp))
     x0 = np.array([0.4, -1.2])
     U = np.zeros(prob.layout.dim)
-    states, _ = prob.trajectory(x0, U)
+    states = prob.layout.states(prob.lift(x0, U))
+    assert states.shape == (6, 2)
     assert np.all(states == x0)
 
 
@@ -161,10 +162,11 @@ def test_forward_hand_iterated_two_steps():
     prob = HorizonProblem(ocp, 2, origin_probe(ocp))
     U = np.zeros(prob.layout.dim)
     prob.layout.p(U)[:] = 1.0
-    states, _ = prob.trajectory(np.zeros(2), U)
-    assert np.allclose(states[1], [0.5, 0.0], rtol=0, atol=1e-15)
-    assert abs(states[2][0] - (0.5 + 0.5 * np.sqrt(0.75))) <= 1e-15
-    assert states[2][1] == 0.0
+    # states holds x_1, x_2
+    states = prob.layout.states(prob.lift(np.zeros(2), U))
+    assert np.allclose(states[0], [0.5, 0.0], rtol=0, atol=1e-15)
+    assert abs(states[1][0] - (0.5 + 0.5 * np.sqrt(0.75))) <= 1e-15
+    assert states[1][1] == 0.0
 
 
 def test_terminal_costate_equals_nu():
@@ -175,7 +177,7 @@ def test_terminal_costate_equals_nu():
     U = np.zeros(prob.layout.dim)
     nu = np.array([0.7, -0.3])
     prob.layout.nu(U)[:] = nu
-    _, costates = prob.trajectory(np.zeros(2), U)
+    costates = prob.layout.costates(prob.lift(np.zeros(2), U))
     # costates holds lam_1..lam_4, so lam_N is the last row
     assert costates.shape == (4, 2)
     assert np.array_equal(costates[3], nu)
@@ -189,10 +191,9 @@ def test_recursion_reevaluation_is_bitwise_stable():
     rng = np.random.default_rng(2)
     U = rng.standard_normal(prob.layout.dim)
     x0 = np.array([0.1, -0.2])
-    states1, costates1 = prob.trajectory(x0, U)
-    states2, costates2 = prob.trajectory(x0, U)
-    assert np.array_equal(states1, states2)
-    assert np.array_equal(costates1, costates2)
+    lifted1, lifted2 = prob.lift(x0, U), prob.lift(x0, U)
+    assert np.array_equal(prob.layout.states(lifted1), prob.layout.states(lifted2))
+    assert np.array_equal(prob.layout.costates(lifted1), prob.layout.costates(lifted2))
 
 
 @pytest.mark.parametrize("problem", ["hemisphere", "cart"])
@@ -208,14 +209,15 @@ def test_trajectory_of_a_stack_equals_its_rows(problem):
         prob = make_cart_problem(8)
         x0 = np.array([0.1, -0.2])
         U = rng.standard_normal((2, 3, prob.layout.dim))
-    states, costates = prob.trajectory(x0, U)
-    n, n_x = prob.layout.n_steps, prob.ocp.n_x
-    assert states.shape == (2, 3, n + 1, n_x)
-    assert costates.shape == (2, 3, n, n_x)
+    layout = prob.layout
+    lifted = prob.lift(x0, U)
+    states, costates = layout.states(lifted), layout.costates(lifted)
+    n, n_x = layout.n_steps, prob.ocp.n_x
+    assert states.shape == costates.shape == (2, 3, n, n_x)
     for j in np.ndindex(2, 3):
-        row_states, row_costates = prob.trajectory(x0, U[j])
-        assert np.array_equal(states[j], row_states)
-        assert np.array_equal(costates[j], row_costates)
+        row = prob.lift(x0, U[j])
+        assert np.array_equal(states[j], layout.states(row))
+        assert np.array_equal(costates[j], layout.costates(row))
 
 
 # --------------------------------------------------------------- residual
@@ -319,8 +321,9 @@ def lifted_cart_case():
 
 @pytest.mark.parametrize("case", [hemisphere_case, cart_case])
 def test_lifted_rows_equal_condensed_rows(case):
-    # the lifted residual at lift(U) evaluates the same row formulas on the
-    # same numbers, and the lift satisfies every defect row
+    # the condensed residual is the lifted one read at lift(U), its terminal
+    # rows from the Phi_grad call that gave lam_N, and the lift satisfies
+    # every defect row
     prob, x0, base, spread = case()
     stack = base + spread * np.random.default_rng(3).standard_normal((4, prob.layout.dim))
     for U in [*stack, stack]:
@@ -472,8 +475,8 @@ def test_validate_at_rejects_a_stage_that_disagrees_with_the_condensed_callbacks
 
 @pytest.mark.parametrize("case", [lifted_hemisphere_case, lifted_cart_case])
 def test_stage_steps_and_drifts_exactly_as_the_condensed_callbacks(case):
-    # bit for bit, not to a tolerance: this is what keeps the lifted rows
-    # equal to the condensed ones at the lift
+    # bit for bit, not to a tolerance: this is what keeps the defect rows
+    # exactly zero at the lift
     prob, x0, base, spread = case()
     layout, ocp = prob.layout, prob.ocp
     V = base + spread * np.random.default_rng(11).standard_normal((3, base.size))
@@ -498,8 +501,8 @@ def test_a_stepper_that_takes_dtau_for_a_number_assembles_both_transcriptions():
     prob = HorizonProblem(ocp, 4, origin_probe(ocp))
     x0 = np.array([0.2, -0.1])
     U = 0.3 * np.random.default_rng(12).standard_normal(prob.layout.dim)
-    states, _ = prob.trajectory(x0, U)
-    assert np.array_equal(states[1], x0 + 0.5 * prob.layout.controls(U)[0])
+    x_1 = prob.layout.states(prob.lift(x0, U))[0]
+    assert np.array_equal(x_1, x0 + 0.5 * prob.layout.controls(U)[0])
     rows = prob.assemble_residual(x0, prob.lift(x0, U))
     assert np.array_equal(prob.assemble_residual(x0, U), rows[:prob.layout.dim])
     assert np.max(np.abs(rows[prob.layout.dim:])) <= 1e-14
@@ -587,7 +590,7 @@ def test_each_transcription_calls_every_callback(case):
     # repeated stage-stack call is wasted work: the lifted residual reads
     # every row from one stage and one Phi_grad call, the condensed one steps
     # and recurses once per stage, takes the H partials from one stage call
-    # and reads Phi_x for lam_N and the terminal rows in two Phi_grad calls
+    # and reads lam_N and the terminal rows from one Phi_grad call
     prob, x0, base, _ = case()
     ocp, n = prob.ocp, prob.layout.n_steps
     names = {f.name for f in dataclasses.fields(ocp) if callable(getattr(ocp, f.name))}
@@ -602,7 +605,7 @@ def test_each_transcription_calls_every_callback(case):
     lifted = prob.lift(x0, base)
     prob.ocp = dataclasses.replace(ocp, **{name: recorded(name) for name in names})
     seen = set()
-    for U, counts in [(base, {"stepper": n, "H_x": n - 1, "stage": 1, "Phi_grad": 2}),
+    for U, counts in [(base, {"stepper": n, "H_x": n - 1, "stage": 1, "Phi_grad": 1}),
                       (lifted, {"stage": 1, "Phi_grad": 1})]:
         called.clear()
         prob.assemble_residual(x0, U)

@@ -340,22 +340,21 @@ def test_tracked_vector_follows_precondition(hemi, precondition):
     assert ctl.U.shape == (prob.layout.lifted_dim if precondition else prob.layout.dim,)
 
 
-def test_singular_lifted_jacobian_keeps_the_condensed_iterate(hemi, monkeypatch):
+def test_singular_lifted_jacobian_fails_initialization(hemi, monkeypatch):
     # unpreconditioned GMRES cannot solve the lifted system, so a start whose
-    # lifted Jacobian is singular tracks the condensed vector instead
-    prob, x0, u_star = hemi
+    # lifted Jacobian is singular fails and names the unpreconditioned mode
+    prob, x0, _ = hemi
     monkeypatch.setattr(geonmpc.solver, "exact_jacobian", lambda problem, x, U: (
         np.zeros((U.size, U.size)) if U.size == prob.layout.lifted_dim
         else exact_jacobian(problem, x, U)))
     ctl = NmpcController(prob)
-    assert np.array_equal(
-        ctl.initialize(x0, 0.0, initial_guess(prob.layout, PARAMS)), u_star)
-    assert np.array_equal(ctl.U, u_star)
-    assert ctl.precond.inverse is None
-    _, tel = ctl.sample_update(x0, 0.0)
-    assert not tel.precond_used
-    assert ctl.U.shape == (prob.layout.dim,)
-    assert tel.residual_norm <= 1e-8
+    with pytest.raises(InitializationFailure,
+                       match=r"^singular lifted Jacobian at the start: .*--no-precond\)$"):
+        ctl.initialize(x0, 0.0, initial_guess(prob.layout, PARAMS))
+    # nothing is tracked, so the controller cannot step
+    assert ctl.U is None
+    with pytest.raises(InitializationFailure, match="before initialize"):
+        ctl.sample_update(x0, 0.0)
 
 
 def test_sample_update_requires_initialize(hemi):

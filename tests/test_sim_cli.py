@@ -110,7 +110,7 @@ y_f = 0.1
     @pytest.mark.parametrize("line", [
         "dt = 0",
         "dt = -0.25",
-        "n = 1",
+        "n = 0",
         "p_stop = 0",
         "max_samples = 0",
         "r_u = -0.1",   # problem-parameter validation surfaces as ConfigError
@@ -157,8 +157,8 @@ y_f = 0.1
         assert (cfg.params.x0, cfg.params.y0) == (0.9, 0.1)
 
     def test_replace_is_validated(self):
-        with pytest.raises(ConfigError):
-            replace(SimConfig(), n_steps=1)
+        with pytest.raises(ConfigError, match="^n must be >= 1$"):
+            replace(SimConfig(), n_steps=0)
 
     def test_readme_config_block_lists_the_defaults(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -272,7 +272,11 @@ class TestRunSimulation:
             run_simulation(short_config(max_samples=3), write_output=False)
         assert isinstance(info.value.__cause__, InitializationFailure)
 
-    def test_degenerate_refresh_jacobian_runs_unpreconditioned(self, monkeypatch):
+    def test_degenerate_lifted_jacobian_at_the_start_exits_2(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # the cold start solves the condensed system; a singular lifted
+        # Jacobian at its lift leaves the preconditioned controller nothing
+        # to precondition with, so the run fails and names the way out
         real_init, real_jac = solver.initialize, solver.exact_jacobian
         in_init = {"now": False}
 
@@ -289,9 +293,14 @@ class TestRunSimulation:
 
         monkeypatch.setattr(solver, "initialize", init)
         monkeypatch.setattr(solver, "exact_jacobian", jac)
-        records = run_simulation(short_config(max_samples=5), write_output=False)
-        assert len(records) == 5
-        assert all(math.isnan(r.precond_age) for r in records)
+        with pytest.raises(SimulationAborted, match="no samples completed") as info:
+            run_simulation(short_config(max_samples=5), write_output=False)
+        assert isinstance(info.value.__cause__, InitializationFailure)
+        assert main(["--max-samples", "5", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "solver failure" in err
+        assert "singular lifted Jacobian at the start" in err
+        assert "--no-precond" in err
 
     def test_nan_step_aborts_at_the_chart_guard(self, monkeypatch):
         # a GMRES step that turns NaN at sample 3 makes the horizon rollout
@@ -426,6 +435,17 @@ class TestCli:
         assert lines[2] == "U ="
         # N=20 horizon: 2*20 controls + 20 multipliers + 2 terminal + 1 time
         assert len(lines) == 3 + 63
+
+    def test_init_only_runs_a_one_step_horizon(self, tmp_path, capsys):
+        # n = 1 is the smallest horizon HorizonProblem accepts, and the
+        # config takes the same rule
+        path = tmp_path / "sim.ini"
+        path.write_text("n = 1\n")
+        assert main(["init-only", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert float(lines[0].split("=")[1]) < 1e-8
+        # 2 controls + 1 multiplier + 2 terminal + 1 time
+        assert len(lines) == 3 + 6
 
     def test_init_only_builds_no_lifted_jacobian(self, capsys, monkeypatch):
         # the command prints the condensed solution only, so it has no use

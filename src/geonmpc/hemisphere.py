@@ -161,34 +161,33 @@ def make_ocp(params: HemisphereParams) -> OcpDefinition:
     Callbacks read components from transposes (``xt = x.T``, ``xt[0]``)
     and pack results back with ``.T``, so a stage or batch stack runs on
     arrays.  stepper and H_x, which the condensed recursions call once per
-    stage on single points, run a single point (``x.ndim == 1``) on Python
-    floats instead: the same formulas in the same operation order, with
-    math's cos, sin and sqrt, at a fraction of numpy's per-scalar cost.  A
-    point's output equals its row of a stack call bit for bit wherever
-    math's cos and sin round as numpy's do; the tests check this over every
-    stage of the shipped loop.
+    stage, take a single point as lists of Python floats (``type(x) is
+    list``) and return a list: the same formulas in the same operation
+    order, with math's cos, sin and sqrt, at a fraction of numpy's
+    per-scalar cost.  A point's output equals its row of a stack call bit
+    for bit wherever math's cos and sin round as numpy's do; the tests
+    check this over every stage of the shipped loop.
     """
     c_u, r_u, w_s = params.c_u, params.r_u, params.w_s
 
     def stepper(x, u, p, dtau):
-        if x.ndim == 1:
-            x0, x1 = x.tolist()
-            u0 = u.item(0)
-            speed = p.item(0) * _height((x0, x1))
-            return np.array([x0 + dtau * (speed * math.cos(u0)),
-                             x1 + dtau * (speed * math.sin(u0))])
+        if type(x) is list:
+            x0, x1 = x
+            u0 = u[0]
+            speed = p[0] * _height(x)
+            return [x0 + dtau * (speed * math.cos(u0)), x1 + dtau * (speed * math.sin(u0))]
         u0 = u.T[0]
         speed = p.T[0] * _height(x.T)
         return x + dtau * np.array([speed * np.cos(u0), speed * np.sin(u0)]).T
 
     def H_x(x, lam, u, mu, p):
-        if x.ndim == 1:
-            x0, x1 = x.tolist()
-            l0, l1 = lam.tolist()
-            u0 = u.item(0)
+        if type(x) is list:
+            x0, x1 = x
+            l0, l1 = lam
+            u0 = u[0]
             drift = math.cos(u0) * l0 + math.sin(u0) * l1
-            scale = -(p.item(0) / _height((x0, x1))) * drift
-            return np.array([scale * x0, scale * x1])
+            scale = -(p[0] / _height(x)) * drift
+            return [scale * x0, scale * x1]
         xt, lt, u0 = x.T, lam.T, u.T[0]
         drift = np.cos(u0) * lt[0] + np.sin(u0) * lt[1]
         return (-(p.T[0] / _height(xt)) * drift * xt).T

@@ -19,7 +19,10 @@ the discrete first-order optimum, in one of two transcriptions:
   multipliers only.  lift fills in the states and costates by the forward
   recursion with the caller's structure-preserving stepper and the
   backward one with H_x, and the rows are the lifted ones read there,
-  without the defect rows, which the recursions make zero.
+  without the defect rows, which the recursions make zero.  On a single
+  decision vector the recursions run on lists of Python floats, one stage
+  call at a time, with one conversion from the vector and one into the
+  lifted vector; on a stack they run on stage views.
 
 Decision vector layout (stage-major inside each block):
 
@@ -127,11 +130,14 @@ class OcpDefinition:
     Callbacks take arrays whose last axis is the component and broadcast
     over any leading stage or batch axes: all array arguments of one call
     share those axes, and each output carries them in front of the shapes
-    below.  The condensed recursions call stepper and H_x on (..., n_x)
-    slices one stage at a time; every other call, and every call of the
-    lifted residual, sees whole (..., n_steps, n) stage stacks.  dtau is
-    always one Python float: the uniform step 1/n_steps in a residual,
-    PROBE_DTAU in validate_at.
+    below.  The condensed recursions call stepper and H_x one stage at a
+    time: on a single decision vector they pass one point as lists of
+    Python floats, and stepper and H_x then return a list of n_x floats
+    (the recursions feed the stepper's list back in as the next x); on a
+    stack of decision vectors they pass (..., n) stage slices.  Every other
+    call, and every call of the lifted residual, sees whole
+    (..., n_steps, n) stage stacks.  dtau is always one Python float: the
+    uniform step 1/n_steps in a residual, PROBE_DTAU in validate_at.
 
     Every optimality row is a partial of the Hamiltonian
     H = L + lam . f + mu . C or of the terminal Lagrangian
@@ -157,8 +163,8 @@ class OcpDefinition:
     n_mu: int
     n_nu: int
     n_p: int
-    stepper: Callable      # (x, u, p, dtau) -> next x
-    H_x: Callable          # (x, lam, u, mu, p) -> (n_x,)
+    stepper: Callable      # (x, u, p, dtau) -> next x; lists in, list out on a point
+    H_x: Callable          # (x, lam, u, mu, p) -> (n_x,); lists in, list out on a point
     stage: Callable        # (x, lam, u, mu, p, dtau) -> (x_next, H_x, H_u, H_mu, H_p)
     Phi_grad: Callable     # (x_N, nu, p) -> ((n_x,), (n_nu,), (n_p,))
 
@@ -166,13 +172,15 @@ class OcpDefinition:
         """label -> output of every callback at one input with leading axes
         lead; part j of a fused callback is labelled "{name} part {j}".
 
-        Raise DimensionMismatch naming a callback that fails with a shape or
-        type error or returns the wrong number of parts, or a part whose
-        shape is not lead + its component shape.
+        Raise DimensionMismatch naming a callback that fails with a shape,
+        type or attribute error or returns the wrong number of parts, or a
+        part whose shape is not lead + its component shape.
         """
+        # the condensed recursions pass stepper and H_x a single point as lists
+        px, pu, plam, pmu, pp = (v if lead else v.tolist() for v in (x, u, lam, mu, p))
         calls = {
-            "stepper": (lambda: (self.stepper(x, u, p, PROBE_DTAU),), [(self.n_x,)]),
-            "H_x": (lambda: (self.H_x(x, lam, u, mu, p),), [(self.n_x,)]),
+            "stepper": (lambda: (self.stepper(px, pu, pp, PROBE_DTAU),), [(self.n_x,)]),
+            "H_x": (lambda: (self.H_x(px, plam, pu, pmu, pp),), [(self.n_x,)]),
             "stage": (lambda: self.stage(x, lam, u, mu, p, PROBE_DTAU),
                       [(self.n_x,), (self.n_x,), (self.n_u,), (self.n_mu,), (self.n_p,)]),
             "Phi_grad": (lambda: self.Phi_grad(x, nu, p),
@@ -182,7 +190,7 @@ class OcpDefinition:
         for name, (call, wants) in calls.items():
             try:
                 parts = tuple(call())
-            except (TypeError, ValueError, IndexError) as exc:
+            except (TypeError, ValueError, IndexError, AttributeError) as exc:
                 raise DimensionMismatch(f"{name} failed for leading axes {lead}: "
                                         f"{type(exc).__name__}: {exc}") from exc
             if len(parts) != len(wants):
@@ -197,7 +205,9 @@ class OcpDefinition:
         return probed
 
     def validate_at(self, x, u, lam, mu, nu, p) -> None:
-        """Probe every callback at single points and on stacks of them.
+        """Probe every callback at single points and on stacks of them;
+        stepper and H_x take the single points as lists, as the condensed
+        recursions pass them.
 
         Raise DimensionMismatch naming a callback that fails, returns the
         wrong number of parts or a part of the wrong shape, or returns stack
@@ -226,10 +236,10 @@ class OcpDefinition:
                             if not np.allclose(a, b, rtol=1e-12, atol=1e-12))
                 raise DimensionMismatch(f"{name} does not broadcast: rows for leading "
                                         f"axes {lead} differ from single-point calls")
-        # outputs holds the last, largest stack, whose rows match every probe
+        # at the single points: stage as the lifted residual calls it, stepper
+        # and H_x as the condensed recursions do
         for j, name in enumerate(("stepper", "H_x")):
-            if not np.allclose(outputs[f"stage part {j}"], outputs[name],
-                               rtol=1e-12, atol=1e-12):
+            if not np.allclose(rows[f"stage part {j}"], rows[name], rtol=1e-12, atol=1e-12):
                 raise DimensionMismatch(f"stage part {j} differs from {name} "
                                         f"at the same input")
 
@@ -271,9 +281,41 @@ class HorizonProblem:
 
     def _lift(self, x0, U) -> tuple:
         """(lifted vector, Phi_grad at x_N) of a float condensed U.  The
-        recursions run in stage order on stage views of U; no row reads
-        lam_0, so the backward one stops at lam_1.  Every block is
-        stage-major, so the steps' results are the lifted blocks in order."""
+        recursions run in stage order; no row reads lam_0, so the backward
+        one stops at lam_1.  A single U runs them on lists of Python floats,
+        converted from U once and into the lifted vector once; a stack runs
+        them on stage views (_lift_stack)."""
+        if U.ndim > 1:
+            return self._lift_stack(x0, U)
+        ocp, layout = self.ocp, self.layout
+        n, dtau = layout.n_steps, self.dtau
+        values = U.tolist()
+        p = values[layout.p_offset:]
+
+        def stages(offset, width):  # stage i's slice of a block, as layout._stages cuts it
+            return [values[offset + i * width : offset + (i + 1) * width] for i in range(n)]
+
+        controls, mus = stages(0, layout.n_u), stages(layout.mu_offset, layout.n_mu)
+        x = np.empty(ocp.n_x)
+        x[...] = x0
+        states = [x.tolist()]
+        for u in controls:
+            states.append(ocp.stepper(states[-1], u, p, dtau))
+        terminal = ocp.Phi_grad(np.array(states[-1]), layout.nu(U), layout.p(U))
+        lam = np.asarray(terminal[0], dtype=float).tolist()
+        costates = [lam]  # lam_N first; reversed into the lifted vector
+        for i in range(n - 1, 0, -1):
+            hx = ocp.H_x(states[i], lam, controls[i], mus[i], p)
+            lam = [l + h * dtau for l, h in zip(lam, hx)]
+            costates.append(lam)
+        for block in states[1:] + costates[::-1]:
+            values += block
+        return np.array(values), terminal
+
+    def _lift_stack(self, x0, U) -> tuple:
+        """_lift of a (..., dim) stack, on stage views of U.  Every block
+        is stage-major, so the steps' results are the lifted blocks in
+        order."""
         ocp, layout = self.ocp, self.layout
         n, lead = layout.n_steps, U.shape[:-1]
         k = len(lead)

@@ -9,8 +9,7 @@ each sample's GMRES report gives H a Krylov block update: GMRES has
 already formed H J V_k on its basis V_k, and the update makes H J = I on
 that whole subspace, so H tracks the Jacobian without extra residual
 calls; a refresh replaces it.  A refresh that finds the Jacobian singular
-keeps the inverse already held, block-updated, until the next period; with
-none held, GMRES runs unpreconditioned.
+keeps the inverse already held, block-updated, until the next period.
 
 The preconditioned controller iterates on the lifted (multiple-shooting)
 decision vector, whose residual runs every problem callback once, with no
@@ -226,7 +225,9 @@ class NmpcController:
         if self.U is None:
             raise InitializationFailure("sample_update before initialize")
         self.refresh_preconditioner(x, t_now)
-        precond_used = self.precond.inverse is not None
+        # initialize leaves a preconditioned controller holding an inverse,
+        # and a singular refresh keeps it
+        precond_used = self.precondition
         precond_op = matrix_operator(self.precond.inverse) if precond_used else None
         U = self.U
         f0 = self.problem.assemble_residual(x, U)

@@ -12,6 +12,7 @@ The oracle calls the stepper alone, to regenerate the states, and none of
 the partials under test.
 """
 
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -23,9 +24,21 @@ from geonmpc.simulate import run_simulation
 from geonmpc.solver import NmpcController
 
 
+def on_lists(callback):
+    """An array callback that also takes a single point as lists of Python
+    floats, as the condensed recursions pass stepper and H_x one, and then
+    returns a list: the same arithmetic on the same numbers."""
+    @functools.wraps(callback)
+    def call(*args):
+        if type(args[0]) is not list:
+            return callback(*args)
+        return callback(*(np.array(a) if type(a) is list else a for a in args)).tolist()
+    return call
+
+
 def euler_stepper(f):
     """Plain explicit-Euler stepper over the dynamics f(x, u, p)."""
-    return lambda x, u, p, dtau: x + dtau * f(x, u, p)
+    return on_lists(lambda x, u, p, dtau: x + dtau * f(x, u, p))
 
 
 def cart_running_cost(x, u, p):
@@ -52,13 +65,15 @@ def make_cart_problem(n_steps=10):
     """Nonlinear point-mass problem: every callback branch is exercised.
 
     Callbacks unpack components along the last axis and pack results back
-    with ``.T``, so they broadcast over stage and batch axes.
+    with ``.T``, so they broadcast over stage and batch axes; stepper and
+    H_x take single-point lists through on_lists.
     """
 
     def f(x, u, p):
         x0, x1 = x.T
         return np.array([x1, u.T[0] - 0.3 * np.sin(x0) + 0.2 * p.T[0]]).T
 
+    @on_lists
     def H_x(x, lam, u, mu, p):
         x0 = x.T[0]
         l0, l1 = lam.T

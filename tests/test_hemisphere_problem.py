@@ -88,9 +88,9 @@ def test_chart_guard_rejects_nan():
 
 def test_single_points_equal_their_stack_rows(shipped_loop):
     # the condensed recursions call stepper and H_x on single points, which
-    # run on Python floats; at every stage of every sample of the
-    # unpreconditioned shipped loop, a point's output must equal its row
-    # of one stack call bit for bit
+    # they pass as lists of Python floats; at every stage of every sample of
+    # the unpreconditioned shipped loop, a point's output list must equal its
+    # row of one stack call bit for bit
     problem = make_problem(PARAMS, 20)
     ocp, layout = problem.ocp, problem.layout
     _, samples = shipped_loop(False)
@@ -106,21 +106,23 @@ def test_single_points_equal_their_stack_rows(shipped_loop):
     step_rows = ocp.stepper(x, u, p, problem.dtau)
     hx_rows = ocp.H_x(x, lam, u, mu, p)
     for s, i in np.ndindex(x.shape[:2]):
-        assert np.array_equal(ocp.stepper(x[s, i], u[s, i], p[s, i], problem.dtau),
-                              step_rows[s, i])
-        assert np.array_equal(ocp.H_x(x[s, i], lam[s, i], u[s, i], mu[s, i], p[s, i]),
-                              hx_rows[s, i])
+        xp, lamp, up, mup, pp = (a[s, i].tolist() for a in (x, lam, u, mu, p))
+        step, hx = ocp.stepper(xp, up, pp, problem.dtau), ocp.H_x(xp, lamp, up, mup, pp)
+        assert type(step) is list and type(hx) is list
+        assert np.array_equal(step, step_rows[s, i])
+        assert np.array_equal(hx, hx_rows[s, i])
 
 
 @pytest.mark.parametrize("point", [(0.9, 0.5), (np.sqrt(CHART_R2_MAX) + 1e-9, 0.0),
                                    (np.nan, 0.0), (0.1, np.nan)])
 def test_single_point_callbacks_keep_the_chart_guard(point):
+    # single points arrive as lists, as the condensed recursions pass them
     ocp = make_ocp(PARAMS)
-    x, u, p = np.array(point), np.array([0.5, 0.1]), np.array([1.2])
+    x, u, p = [float(c) for c in point], [0.5, 0.1], [1.2]
     with pytest.raises(ChartDomainViolation):
         ocp.stepper(x, u, p, 0.05)
     with pytest.raises(ChartDomainViolation):
-        ocp.H_x(x, np.array([0.1, -0.1]), u, np.array([0.02]), p)
+        ocp.H_x(x, [0.1, -0.1], u, [0.02], p)
 
 
 def test_forward_band_moves_y_upward():

@@ -9,7 +9,7 @@ import pytest
 from conftest import (cart_running_cost, cart_stage_constraint,
                       cart_terminal_constraint, cart_terminal_cost,
                       discrete_lagrangian, euler_stepper, fd_gradient,
-                      make_cart_problem, origin_probe)
+                      make_cart_problem, on_lists, origin_probe)
 from geonmpc.errors import DimensionMismatch, GeonmpcError
 from geonmpc.hemisphere import HemisphereParams, initial_guess, make_problem
 from geonmpc.horizon import DecisionLayout, HorizonProblem, OcpDefinition
@@ -40,7 +40,7 @@ def zero_like_callbacks(n_x, n_u, n_mu, n_nu, n_p, f):
     return OcpDefinition(
         n_x=n_x, n_u=n_u, n_mu=n_mu, n_nu=n_nu, n_p=n_p,
         stepper=stepper,
-        H_x=zeros(n_x),
+        H_x=on_lists(zeros(n_x)),
         stage=lambda x, lam, u, mu, p, dtau: (stepper(x, u, p, dtau),) + H_parts(x),
         Phi_grad=zero_parts((n_x,), (n_nu,), (n_p,)),
     )
@@ -198,6 +198,8 @@ def test_recursion_reevaluation_is_bitwise_stable():
 
 @pytest.mark.parametrize("problem", ["hemisphere", "cart"])
 def test_trajectory_of_a_stack_equals_its_rows(problem):
+    # a stack's recursions run on stage views, a single vector's on lists of
+    # Python floats: the two give the same bits
     rng = np.random.default_rng(9)
     if problem == "hemisphere":
         params = HemisphereParams()
@@ -491,6 +493,7 @@ def test_stage_steps_and_drifts_exactly_as_the_condensed_callbacks(case):
 def test_a_stepper_that_takes_dtau_for_a_number_assembles_both_transcriptions():
     # dtau is one float for points and stage stacks alike, so scalar math on
     # it passes validate_at and runs in the condensed and lifted residuals
+    @on_lists
     def stepper(x, u, p, dtau):
         return x + math.sqrt(dtau) * u
 
@@ -555,7 +558,7 @@ def test_validate_at_names_a_callback_that_returns_nan(name, j):
     # NaN at the probe is bad data, not a broadcasting fault
     callback = getattr(CART_OCP, name)
     if j is None:
-        broken, label = lambda *args: callback(*args) + np.nan, name
+        broken, label = lambda *args: np.asarray(callback(*args)) + np.nan, name
     else:
         def broken(*args):
             parts = list(callback(*args))
@@ -566,6 +569,40 @@ def test_validate_at_names_a_callback_that_returns_nan(name, j):
     with pytest.raises(GeonmpcError,
                        match=f"^{label} returned NaN or inf at the probe point$"):
         broken_ocp.validate_at(*origin_probe(CART_OCP))
+
+
+def on_single_points(callback, fault):
+    """The callback with fault applied to what it returns for a single
+    point, which the condensed recursions pass as lists."""
+    def call(*args):
+        out = callback(*args)
+        return fault(out) if type(args[0]) is list else out
+    return call
+
+
+@pytest.mark.parametrize("name", ["stepper", "H_x"])
+@pytest.mark.parametrize("fault, message", [
+    (lambda out: out[:-1], r"returned shape \(1,\) for leading axes \(\), expected \(2,\)$"),
+    (lambda out: [v + 1e-6 for v in out],
+     r"does not broadcast: rows for leading axes \(3,\) differ from single-point calls$"),
+], ids=["short", "off"])
+def test_validate_at_probes_the_single_point_lists(name, fault, message):
+    # the condensed recursions call stepper and H_x on lists: a list branch
+    # that returns the wrong length, or values that differ from the same
+    # points' rows of a stack call, is named
+    broken = dataclasses.replace(
+        CART_OCP, **{name: on_single_points(getattr(CART_OCP, name), fault)})
+    with pytest.raises(DimensionMismatch, match=f"^{name} {message}"):
+        broken.validate_at(*NONZERO_PROBE)
+
+
+@pytest.mark.parametrize("name", ["stepper", "H_x"])
+def test_validate_at_names_a_callback_that_takes_no_lists(name):
+    # the cart's array callback without its list branch reads x.T of a list
+    broken = dataclasses.replace(CART_OCP, **{name: getattr(CART_OCP, name).__wrapped__})
+    with pytest.raises(DimensionMismatch,
+                       match=f"^{name} failed for leading axes \\(\\): AttributeError: "):
+        broken.validate_at(*NONZERO_PROBE)
 
 
 def test_validate_at_calls_each_callback_once_per_distinct_input():

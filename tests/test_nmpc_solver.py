@@ -409,36 +409,6 @@ def test_preconditioner_refresh_period(hemi):
     assert ctl.precond.built_at == 0.25
 
 
-def singular_controller():
-    rng = np.random.default_rng(30)
-    a = np.zeros((8, 8))
-    a[:4, :4] = rng.standard_normal((4, 4))  # rank-deficient snapshot
-    ctl = NmpcController(StubProblem(a, np.zeros(8)))
-    ctl.U = 0.01 * rng.standard_normal(8)
-    return ctl
-
-
-def test_singular_preconditioner_falls_back():
-    ctl = singular_controller()
-    u_apply, tel = ctl.sample_update(np.zeros(2), 0.0)
-    assert ctl.precond.inverse is None
-    assert not tel.precond_used
-    assert not tel.update_skipped
-    assert np.isnan(tel.precond_age)
-    assert np.isfinite(tel.residual_norm)
-
-
-def test_singular_refresh_waits_one_period(monkeypatch):
-    ctl = singular_controller()
-    builds = []
-    monkeypatch.setattr(geonmpc.solver, "exact_jacobian",
-                        lambda *args: builds.append(1) or exact_jacobian(*args))
-    for k in range(5):  # all inside one 0.2 s refresh period
-        ctl.sample_update(np.zeros(2), 0.01 * k)
-    assert len(builds) == 1
-    assert ctl.precond.inverse is None
-
-
 def test_singular_refresh_keeps_the_held_inverse(monkeypatch):
     ctl = stale_stub_controller()
     held = ctl.precond.inverse

@@ -19,10 +19,9 @@ the discrete first-order optimum, in one of two transcriptions:
   multipliers only.  lift fills in the states and costates by the forward
   recursion with the caller's structure-preserving stepper and the
   backward one with H_x, and the rows are the lifted ones read there,
-  without the defect rows, which the recursions make zero.  On a single
-  decision vector the recursions run on lists of Python floats, one stage
-  call at a time, with one conversion from the vector and one into the
-  lifted vector; on a stack they run on stage views.
+  without the defect rows, which the recursions make zero.  They run on
+  lists of Python floats for a single decision vector, on stage views
+  for a stack.
 
 Decision vector layout (stage-major inside each block):
 
@@ -205,9 +204,8 @@ class OcpDefinition:
         return probed
 
     def validate_at(self, x, u, lam, mu, nu, p) -> None:
-        """Probe every callback at single points and on stacks of them;
-        stepper and H_x take the single points as lists, as the condensed
-        recursions pass them.
+        """Probe every callback at single points (lists for stepper and
+        H_x, as the condensed recursions pass them) and on stacks of them.
 
         Raise DimensionMismatch naming a callback that fails, returns the
         wrong number of parts or a part of the wrong shape, or returns stack

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartDomainViolation, InitializationFailure
+from .errors import ChartDomainViolation, GeonmpcError, InitializationFailure
 from .horizon import HorizonProblem, OcpDefinition
 from .manifold import ManifoldChart, ManifoldConstraint
 
@@ -160,13 +160,18 @@ def make_ocp(params: HemisphereParams) -> OcpDefinition:
 
     Callbacks read components from transposes (``xt = x.T``, ``xt[0]``)
     and pack results back with ``.T``, so a stage or batch stack runs on
-    arrays.  stepper and H_x, which the condensed recursions call once per
-    stage, take a single point as lists of Python floats (``type(x) is
-    list``) and return a list: the same formulas in the same operation
-    order, with math's cos, sin and sqrt, at a fraction of numpy's
-    per-scalar cost.  A point's output equals its row of a stack call bit
-    for bit wherever math's cos and sin round as numpy's do; the tests
-    check this over every stage of the shipped loop.
+    arrays.  stepper and stage, which the condensed recursions call once
+    per stage of a single decision vector, take a single point as lists of
+    Python floats (``type(x) is list``) and return lists: the same formulas
+    in the same operation order, with math's cos, sin and sqrt, at a
+    fraction of numpy's per-scalar cost.  The band term's squares are
+    products there, as numpy's square is: Python's ``**`` calls libm's
+    pow, which can round differently.  A non-finite heading in a list
+    raises GeonmpcError naming it, where math.cos alone would raise a bare
+    ValueError at inf and pass NaN through.  H_x, which only a stack's
+    recursions call, takes arrays only.  A point's output equals its row
+    of a stack call bit for bit wherever math's cos and sin round as
+    numpy's do; the tests check this over every stage of the shipped loop.
     """
     c_u, r_u, w_s = params.c_u, params.r_u, params.w_s
 
@@ -175,24 +180,39 @@ def make_ocp(params: HemisphereParams) -> OcpDefinition:
             x0, x1 = x
             u0 = u[0]
             speed = p[0] * _height(x)
+            if not math.isfinite(u0):
+                raise GeonmpcError(f"heading u = {u0!r} is not finite")
             return [x0 + dtau * (speed * math.cos(u0)), x1 + dtau * (speed * math.sin(u0))]
         u0 = u.T[0]
         speed = p.T[0] * _height(x.T)
         return x + dtau * np.array([speed * np.cos(u0), speed * np.sin(u0)]).T
 
     def H_x(x, lam, u, mu, p):
-        if type(x) is list:
-            x0, x1 = x
-            l0, l1 = lam
-            u0 = u[0]
-            drift = math.cos(u0) * l0 + math.sin(u0) * l1
-            scale = -(p[0] / _height(x)) * drift
-            return [scale * x0, scale * x1]
         xt, lt, u0 = x.T, lam.T, u.T[0]
         drift = np.cos(u0) * lt[0] + np.sin(u0) * lt[1]
         return (-(p.T[0] / _height(xt)) * drift * xt).T
 
     def stage(x, lam, u, mu, p, dtau):
+        if type(x) is list:
+            x0, x1 = x
+            l0, l1 = lam
+            u0, u1 = u
+            m0, p0 = mu[0], p[0]
+            z = _height(x)
+            if not math.isfinite(u0):
+                raise GeonmpcError(f"heading u = {u0!r} is not finite")
+            cos_u, sin_u = math.cos(u0), math.sin(u0)
+            speed = p0 * z
+            drift = cos_u * l0 + sin_u * l1
+            du = u0 - c_u
+            band = du * du + u1 * u1 - r_u ** 2  # constraint_C, squares as numpy's
+            scale = -(p0 / z) * drift
+            return ([x0 + dtau * (speed * cos_u), x1 + dtau * (speed * sin_u)],
+                    [scale * x0, scale * x1],
+                    [p0 * (z * (-sin_u * l0 + cos_u * l1) + 2.0 * du * m0),
+                     p0 * (2.0 * m0 * u1 - w_s)],
+                    [p0 * band],
+                    [z * drift + m0 * band - w_s * u1])
         xt, lt, ut, m0, p0 = x.T, lam.T, u.T, mu.T[0], p.T[0]
         z, cos_u, sin_u = _height(xt), np.cos(ut[0]), np.sin(ut[0])
         speed = p0 * z

@@ -16,12 +16,15 @@ the discrete first-order optimum, in one of two transcriptions:
   defect rows tie consecutive stages together.  One stage call on whole
   stage stacks and one Phi_grad call give every row, with no stage loop;
 * condensed (single shooting): the decision vector holds the controls and
-  multipliers only.  lift fills in the states and costates by the forward
-  recursion with the caller's structure-preserving stepper and the
-  backward one with H_x, and the rows are the lifted ones read there,
-  without the defect rows, which the recursions make zero.  They run on
-  lists of Python floats for a single decision vector, on stage views
-  for a stack.
+  multipliers only.  The forward recursion with the caller's
+  structure-preserving stepper gives the states and the backward one the
+  costates, and the rows are the lifted ones read there, without the
+  defect rows, which the recursions make zero.  For a single decision
+  vector they run on lists of Python floats, and the backward one calls
+  stage once per stage: its H_x part steps the costate and its other
+  parts are that stage's rows.  For a stack they run on stage views, the
+  backward one with H_x, and one stage call on the stage stacks gives the
+  rows.
 
 Decision vector layout (stage-major inside each block):
 
@@ -129,14 +132,17 @@ class OcpDefinition:
     Callbacks take arrays whose last axis is the component and broadcast
     over any leading stage or batch axes: all array arguments of one call
     share those axes, and each output carries them in front of the shapes
-    below.  The condensed recursions call stepper and H_x one stage at a
-    time: on a single decision vector they pass one point as lists of
-    Python floats, and stepper and H_x then return a list of n_x floats
-    (the recursions feed the stepper's list back in as the next x); on a
-    stack of decision vectors they pass (..., n) stage slices.  Every other
-    call, and every call of the lifted residual, sees whole
-    (..., n_steps, n) stage stacks.  dtau is always one Python float: the
-    uniform step 1/n_steps in a residual, PROBE_DTAU in validate_at.
+    below.  The condensed recursions call their callbacks one stage at a
+    time.  On a single decision vector they pass stepper and stage one
+    point as lists of Python floats, and these then return lists: stepper
+    a list of n_x floats, which the recursions feed back in as the next x,
+    and stage a tuple of five lists, whose H_x part steps the costate and
+    whose other parts are that stage's rows.  On a stack of decision
+    vectors they pass stepper and H_x (..., n) stage slices; H_x never
+    receives lists.  Every other call, and every call of the lifted
+    residual, sees whole (..., n_steps, n) stage stacks.  dtau is always
+    one Python float: the uniform step 1/n_steps in a residual, PROBE_DTAU
+    in validate_at.
 
     Every optimality row is a partial of the Hamiltonian
     H = L + lam . f + mu . C or of the terminal Lagrangian
@@ -144,14 +150,14 @@ class OcpDefinition:
     stepper integrates, C the stage constraint, phi the terminal cost and
     psi the terminal constraint.  stage returns everything a residual
     reads at a stage, (x_next, H_x, H_u, H_mu = C, H_p), so that shared
-    terms are computed once per stage stack; Phi_grad returns (Phi_x,
+    terms are computed once per call; Phi_grad returns (Phi_x,
     Phi_nu = psi, Phi_p), where lam_N = Phi_x and Phi_p opens the
     parameter row.  So L, phi, C, psi and psi's Jacobian are not callbacks
-    of their own.  stepper and H_x stay apart for the condensed
-    recursions, which call them once per stage, where the other parts of
-    stage would be wasted work; parts 0 and 1 of stage must equal them.
-    The costate recursion deliberately uses H_x in place of the stepper's
-    own state sensitivity.
+    of their own.  stepper stays apart for the forward recursion, which has
+    no costate to pass stage yet, and H_x for a stack's backward one, where
+    a stage call per stage slice would compute the other parts for nothing;
+    parts 0 and 1 of stage must equal them.  The costate recursion
+    deliberately uses H_x in place of the stepper's own state sensitivity.
 
     The solver floors the parameter block p at solver.P_MIN, so p should be
     a quantity that stays positive, such as a free horizon length.
@@ -163,8 +169,9 @@ class OcpDefinition:
     n_nu: int
     n_p: int
     stepper: Callable      # (x, u, p, dtau) -> next x; lists in, list out on a point
-    H_x: Callable          # (x, lam, u, mu, p) -> (n_x,); lists in, list out on a point
-    stage: Callable        # (x, lam, u, mu, p, dtau) -> (x_next, H_x, H_u, H_mu, H_p)
+    H_x: Callable          # (x, lam, u, mu, p) -> (n_x,); arrays only
+    stage: Callable        # (x, lam, u, mu, p, dtau) -> (x_next, H_x, H_u, H_mu, H_p);
+                           # lists in, five lists out on a point
     Phi_grad: Callable     # (x_N, nu, p) -> ((n_x,), (n_nu,), (n_p,))
 
     def _probe(self, lead, x, u, lam, mu, nu, p) -> dict:
@@ -175,12 +182,12 @@ class OcpDefinition:
         type or attribute error or returns the wrong number of parts, or a
         part whose shape is not lead + its component shape.
         """
-        # the condensed recursions pass stepper and H_x a single point as lists
+        # the condensed recursions pass stepper and stage a single point as lists
         px, pu, plam, pmu, pp = (v if lead else v.tolist() for v in (x, u, lam, mu, p))
         calls = {
             "stepper": (lambda: (self.stepper(px, pu, pp, PROBE_DTAU),), [(self.n_x,)]),
-            "H_x": (lambda: (self.H_x(px, plam, pu, pmu, pp),), [(self.n_x,)]),
-            "stage": (lambda: self.stage(x, lam, u, mu, p, PROBE_DTAU),
+            "H_x": (lambda: (self.H_x(x, lam, u, mu, p),), [(self.n_x,)]),
+            "stage": (lambda: self.stage(px, plam, pu, pmu, pp, PROBE_DTAU),
                       [(self.n_x,), (self.n_x,), (self.n_u,), (self.n_mu,), (self.n_p,)]),
             "Phi_grad": (lambda: self.Phi_grad(x, nu, p),
                          [(self.n_x,), (self.n_nu,), (self.n_p,)]),
@@ -205,7 +212,7 @@ class OcpDefinition:
 
     def validate_at(self, x, u, lam, mu, nu, p) -> None:
         """Probe every callback at single points (lists for stepper and
-        H_x, as the condensed recursions pass them) and on stacks of them.
+        stage, as the condensed recursions pass them) and on stacks of them.
 
         Raise DimensionMismatch naming a callback that fails, returns the
         wrong number of parts or a part of the wrong shape, or returns stack
@@ -234,8 +241,8 @@ class OcpDefinition:
                             if not np.allclose(a, b, rtol=1e-12, atol=1e-12))
                 raise DimensionMismatch(f"{name} does not broadcast: rows for leading "
                                         f"axes {lead} differ from single-point calls")
-        # at the single points: stage as the lifted residual calls it, stepper
-        # and H_x as the condensed recursions do
+        # at the single points: stepper and stage as the condensed recursions
+        # call them, H_x as arrays
         for j, name in enumerate(("stepper", "H_x")):
             if not np.allclose(rows[f"stage part {j}"], rows[name], rtol=1e-12, atol=1e-12):
                 raise DimensionMismatch(f"stage part {j} differs from {name} "
@@ -271,20 +278,27 @@ class HorizonProblem:
     def lift(self, x0, U) -> np.ndarray:
         """The lifted vector of a condensed U, which may be a (..., dim)
         stack: U, then the states x_1..x_N and costates lam_1..lam_N that
-        the forward stepper and backward H_x recursions give."""
+        the forward stepper and backward costate recursions give."""
         U = np.asarray(U, dtype=float)
         if U.ndim < 1 or U.shape[-1] != self.layout.dim:
             raise DimensionMismatch(f"U has shape {U.shape}, layout dim {self.layout.dim}")
-        return self._lift(x0, U)[0]
-
-    def _lift(self, x0, U) -> tuple:
-        """(lifted vector, Phi_grad at x_N) of a float condensed U.  The
-        recursions run in stage order; no row reads lam_0, so the backward
-        one stops at lam_1.  A single U runs them on lists of Python floats,
-        converted from U once and into the lifted vector once; a stack runs
-        them on stage views (_lift_stack)."""
         if U.ndim > 1:
-            return self._lift_stack(x0, U)
+            return self._lift_stack(x0, U)[0]
+        values, states, costates, _ = self._sweep(x0, U)
+        for block in states[1:] + costates:
+            values += block
+        return np.array(values)
+
+    def _sweep(self, x0, U) -> tuple:
+        """(U's values, states x_0..x_N, costates lam_1..lam_N, residual)
+        of a single float condensed U, from the recursions on lists of
+        Python floats, converted from U once.  The forward pass calls
+        stepper once per stage.  The backward pass calls stage once per
+        stage, i = N-1 down to 0, at (x_i, lam_{i+1}, u_i, mu_i): its H_x
+        part steps the costate to lam_i, and its H_u, H_mu and H_p parts
+        are the stage's rows, so the residual needs no lifted vector and no
+        stage-stack call.  No row reads lam_0, so stage 0's H_x part goes
+        unused."""
         ocp, layout = self.ocp, self.layout
         n, dtau = layout.n_steps, self.dtau
         values = U.tolist()
@@ -299,21 +313,29 @@ class HorizonProblem:
         states = [x.tolist()]
         for u in controls:
             states.append(ocp.stepper(states[-1], u, p, dtau))
-        terminal = ocp.Phi_grad(np.array(states[-1]), layout.nu(U), layout.p(U))
-        lam = np.asarray(terminal[0], dtype=float).tolist()
-        costates = [lam]  # lam_N first; reversed into the lifted vector
-        for i in range(n - 1, 0, -1):
-            hx = ocp.H_x(states[i], lam, controls[i], mus[i], p)
-            lam = [l + h * dtau for l, h in zip(lam, hx)]
+        Phi_x, psi, Phi_p = ocp.Phi_grad(np.array(states[-1]), layout.nu(U), layout.p(U))
+        lam = np.asarray(Phi_x, dtype=float).tolist()
+        costates, parts = [], []  # stage N-1 first; reversed below
+        for i in range(n - 1, -1, -1):
             costates.append(lam)
-        for block in states[1:] + costates[::-1]:
-            values += block
-        return np.array(values), terminal
+            parts.append(ocp.stage(states[i], lam, controls[i], mus[i], p, dtau))
+            lam = [l + h * dtau for l, h in zip(lam, parts[-1][1])]
+        costates.reverse()
+        parts.reverse()
+        # the rows a stage-stack call gives, stage-major, and its numpy sum
+        # of H_p over the stages
+        rows = [dtau * h for part in parts for h in part[2]]
+        rows += [dtau * h for part in parts for h in part[3]]
+        H_p = np.array([h for part in parts for h in part[4]]).reshape(n, -1)
+        residual = np.concatenate((rows, psi, Phi_p + dtau * H_p.sum(axis=0)))
+        return values, states, costates, residual
 
     def _lift_stack(self, x0, U) -> tuple:
-        """_lift of a (..., dim) stack, on stage views of U.  Every block
-        is stage-major, so the steps' results are the lifted blocks in
-        order."""
+        """(lifted stack, Phi_grad at x_N) of a float (..., dim) stack, from
+        the recursions on stage views of U: the forward one with stepper,
+        the backward one with H_x, stopping at lam_1, since no row reads
+        lam_0.  Every block is stage-major, so the steps' results are the
+        lifted blocks in order."""
         ocp, layout = self.ocp, self.layout
         n, lead = layout.n_steps, U.shape[:-1]
         k = len(lead)
@@ -348,17 +370,21 @@ class HorizonProblem:
         for i < N and lam_N - Phi_x.  A condensed U (length dim) gives the
         same rows read at lift(x0, U) without the defect rows, which are
         zero there by construction; its terminal rows reuse the Phi_grad
-        call that gave lam_N.  U may carry leading batch axes; the result
-        then has the same leading axes.  Either length makes one stage call
-        on whole stage stacks.
+        call that gave lam_N.  A single condensed U takes them from the
+        backward pass of its float recursions (_sweep), one stage call per
+        stage.  U may carry leading batch axes; the result then has the
+        same leading axes.  A stack, or a lifted U, makes one stage call on
+        whole stage stacks.
         """
         ocp, layout = self.ocp, self.layout
         U = np.asarray(U, dtype=float)
         lead, n = U.shape[:-1], layout.n_steps
         length = U.shape[-1] if U.ndim else None
         lifted = length == layout.lifted_dim
+        if length == layout.dim and not lead:
+            return self._sweep(x0, U)[-1]
         if length == layout.dim:
-            U, terminal = self._lift(x0, U)
+            U, terminal = self._lift_stack(x0, U)
         elif not lifted:
             raise DimensionMismatch(f"U has shape {U.shape}, layout dim "
                                     f"{layout.dim} or lifted dim {layout.lifted_dim}")

@@ -66,17 +66,25 @@ class SampleTelemetry:
     update_skipped: bool          # preconditioned, but the update was skipped
 
 
-def jacobian_vector_product(problem, x0, U, F0, v) -> np.ndarray:
+def _step_scale(U) -> float:
+    """FD_STEP * max(1, |U|): the forward-difference step of a product at
+    U before it is normalized by |v|."""
+    return FD_STEP * max(1.0, norm2(U))
+
+
+def jacobian_vector_product(problem, x0, U, F0, v, scale=None) -> np.ndarray:
     """Forward-difference directional derivative of the residual along v.
 
     The step is FD_STEP scaled by max(1, |U|) and normalized by |v|, so
-    callers may pass unnormalized directions.
+    callers may pass unnormalized directions.  scale, when given, is that
+    FD_STEP * max(1, |U|), computed once by a caller that takes many
+    products at one U, as sample_update does.
     """
     v = as_vector(v)
     nv = norm2(v)
     if nv == 0.0:
         raise ValueError("direction must be nonzero")
-    eps = FD_STEP * max(1.0, norm2(U)) / nv
+    eps = (_step_scale(U) if scale is None else scale) / nv
     return (problem.assemble_residual(x0, U + eps * v) - F0) / eps
 
 
@@ -231,9 +239,10 @@ class NmpcController:
         precond_op = matrix_operator(self.precond.inverse) if precond_used else None
         U = self.U
         f0 = self.problem.assemble_residual(x, U)
+        scale = _step_scale(U)
         op = LinearOperator(
             U.shape[0],
-            lambda v: jacobian_vector_product(self.problem, x, U, f0, v),
+            lambda v: jacobian_vector_product(self.problem, x, U, f0, v, scale),
         )
         report = gmres_solve(op, -f0, precond_op)
         self.U = U + report.solution

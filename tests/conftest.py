@@ -26,13 +26,15 @@ from geonmpc.solver import NmpcController
 
 def on_lists(callback):
     """An array callback that also takes a single point as lists of Python
-    floats, as the condensed recursions pass stepper and H_x one, and then
-    returns a list: the same arithmetic on the same numbers."""
+    floats, as the condensed recursions pass stepper and stage one, and then
+    returns a list, or a tuple of lists for a fused callback: the same
+    arithmetic on the same numbers."""
     @functools.wraps(callback)
     def call(*args):
         if type(args[0]) is not list:
             return callback(*args)
-        return callback(*(np.array(a) if type(a) is list else a for a in args)).tolist()
+        out = callback(*(np.array(a) if type(a) is list else a for a in args))
+        return tuple(part.tolist() for part in out) if type(out) is tuple else out.tolist()
     return call
 
 
@@ -66,14 +68,13 @@ def make_cart_problem(n_steps=10):
 
     Callbacks unpack components along the last axis and pack results back
     with ``.T``, so they broadcast over stage and batch axes; stepper and
-    H_x take single-point lists through on_lists.
+    stage take single-point lists through on_lists.
     """
 
     def f(x, u, p):
         x0, x1 = x.T
         return np.array([x1, u.T[0] - 0.3 * np.sin(x0) + 0.2 * p.T[0]]).T
 
-    @on_lists
     def H_x(x, lam, u, mu, p):
         x0 = x.T[0]
         l0, l1 = lam.T
@@ -81,6 +82,7 @@ def make_cart_problem(n_steps=10):
 
     stepper = euler_stepper(f)
 
+    @on_lists
     def stage(x, lam, u, mu, p, dtau):
         return (stepper(x, u, p, dtau),
                 H_x(x, lam, u, mu, p),

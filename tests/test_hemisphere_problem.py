@@ -6,7 +6,7 @@ import pytest
 
 from conftest import discrete_lagrangian, fd_gradient
 from geonmpc.config import KEYS
-from geonmpc.errors import ChartDomainViolation, DimensionMismatch
+from geonmpc.errors import ChartDomainViolation, DimensionMismatch, GeonmpcError
 from geonmpc.hemisphere import (
     CHART_R2_MAX,
     Z_MIN,
@@ -87,10 +87,10 @@ def test_chart_guard_rejects_nan():
 
 
 def test_single_points_equal_their_stack_rows(shipped_loop):
-    # the condensed recursions call stepper and H_x on single points, which
+    # the condensed recursions call stepper and stage on single points, which
     # they pass as lists of Python floats; at every stage of every sample of
-    # the unpreconditioned shipped loop, a point's output list must equal its
-    # row of one stack call bit for bit
+    # the unpreconditioned shipped loop, a point's output lists must equal
+    # its rows of one stack call bit for bit
     problem = make_problem(PARAMS, 20)
     ocp, layout = problem.ocp, problem.layout
     _, samples = shipped_loop(False)
@@ -104,13 +104,34 @@ def test_single_points_equal_their_stack_rows(shipped_loop):
         p.append(np.tile(layout.p(U), (layout.n_steps, 1)))
     x, lam, u, mu, p = map(np.array, (x, lam, u, mu, p))  # (samples, N, .)
     step_rows = ocp.stepper(x, u, p, problem.dtau)
-    hx_rows = ocp.H_x(x, lam, u, mu, p)
+    stage_rows = ocp.stage(x, lam, u, mu, p, problem.dtau)
     for s, i in np.ndindex(x.shape[:2]):
         xp, lamp, up, mup, pp = (a[s, i].tolist() for a in (x, lam, u, mu, p))
-        step, hx = ocp.stepper(xp, up, pp, problem.dtau), ocp.H_x(xp, lamp, up, mup, pp)
-        assert type(step) is list and type(hx) is list
-        assert np.array_equal(step, step_rows[s, i])
-        assert np.array_equal(hx, hx_rows[s, i])
+        step = ocp.stepper(xp, up, pp, problem.dtau)
+        parts = ocp.stage(xp, lamp, up, mup, pp, problem.dtau)
+        assert type(step) is list and np.array_equal(step, step_rows[s, i])
+        assert len(parts) == 5
+        for part, rows in zip(parts, stage_rows):
+            assert type(part) is list and np.array_equal(part, rows[s, i])
+
+
+def test_a_single_condensed_residual_equals_its_stack_row(shipped_loop):
+    # a single condensed vector takes its rows from the float backward pass,
+    # a stack from one stage-stack call: at every sample of the
+    # unpreconditioned shipped loop, and at perturbed vectors around each,
+    # the two give the same bits.  The stack has one row: numpy sums the
+    # parameter row's stage terms pairwise along one column, but in stage
+    # order across the columns of a wider stack.
+    problem = make_problem(PARAMS, 20)
+    _, samples = shipped_loop(False)
+    rng = np.random.default_rng(17)
+    points = [(x0, U) for x0, U, _ in samples]
+    points += [(x0, U + 1e-3 * rng.standard_normal(U.shape))
+               for x0, U, _ in samples[::2] for _ in range(4)]
+    assert len(points) > 500
+    for x0, U in points:
+        single = problem.assemble_residual(x0, U)
+        assert np.array_equal(single, problem.assemble_residual(x0, U[None])[0])
 
 
 @pytest.mark.parametrize("point", [(0.9, 0.5), (np.sqrt(CHART_R2_MAX) + 1e-9, 0.0),
@@ -122,7 +143,26 @@ def test_single_point_callbacks_keep_the_chart_guard(point):
     with pytest.raises(ChartDomainViolation):
         ocp.stepper(x, u, p, 0.05)
     with pytest.raises(ChartDomainViolation):
-        ocp.H_x(x, [0.1, -0.1], u, [0.02], p)
+        ocp.stage(x, [0.1, -0.1], u, [0.02], p, 0.05)
+
+
+@pytest.mark.parametrize("heading", [math.inf, -math.inf, math.nan])
+def test_single_point_callbacks_name_a_non_finite_heading(heading):
+    # math.cos raises a bare ValueError at inf and passes NaN through; the
+    # list branches raise GeonmpcError naming the heading, which the
+    # cold start's line search counts as a failed trial
+    ocp = make_ocp(PARAMS)
+    x, u, p = [0.1, -0.2], [heading, 0.1], [1.2]
+    message = f"^heading u = {heading!r} is not finite$"
+    with pytest.raises(GeonmpcError, match=message):
+        ocp.stepper(x, u, p, 0.05)
+    with pytest.raises(GeonmpcError, match=message):
+        ocp.stage(x, [0.1, -0.1], u, [0.02], p, 0.05)
+    problem = make_problem(PARAMS, 20)
+    U = initial_guess(problem.layout, PARAMS)
+    U[4] = heading  # stage 2's heading
+    with pytest.raises(GeonmpcError, match=message):
+        problem.assemble_residual(np.array([PARAMS.x0, PARAMS.y0]), U)
 
 
 def test_forward_band_moves_y_upward():

@@ -40,8 +40,8 @@ def zero_like_callbacks(n_x, n_u, n_mu, n_nu, n_p, f):
     return OcpDefinition(
         n_x=n_x, n_u=n_u, n_mu=n_mu, n_nu=n_nu, n_p=n_p,
         stepper=stepper,
-        H_x=on_lists(zeros(n_x)),
-        stage=lambda x, lam, u, mu, p, dtau: (stepper(x, u, p, dtau),) + H_parts(x),
+        H_x=zeros(n_x),
+        stage=on_lists(lambda x, lam, u, mu, p, dtau: (stepper(x, u, p, dtau),) + H_parts(x)),
         Phi_grad=zero_parts((n_x,), (n_nu,), (n_p,)),
     )
 
@@ -246,8 +246,8 @@ def test_stage_rows_are_the_step_times_the_stage_partials():
     inert = zero_like_callbacks(2, 1, 1, 1, 1, f=zeros(2))
     ocp = dataclasses.replace(
         inert,
-        stage=lambda x, lam, u, mu, p, dtau: inert.stage(x, lam, u, mu, p, dtau)[:2] + (
-            2.0 * u + mu, u - 0.3, u * p),
+        stage=on_lists(lambda x, lam, u, mu, p, dtau: inert.stage(x, lam, u, mu, p, dtau)[:2] + (
+            2.0 * u + mu, u - 0.3, u * p)),
         Phi_grad=lambda xn, nu, p: (nu * [1.0, 0.0], xn[..., :1], 3.0 * p))
     prob = HorizonProblem(ocp, 5, origin_probe(ocp))
     layout = prob.layout
@@ -431,14 +431,14 @@ def test_validate_at_rejects_callbacks_that_do_not_broadcast():
     prob.ocp.validate_at(*args)
     stage = prob.ocp.stage
     # right at one point, wrong shape for a stage stack
-    indexed = dataclasses.replace(prob.ocp, stage=lambda x, lam, u, mu, p, dtau: (
+    indexed = dataclasses.replace(prob.ocp, stage=on_lists(lambda x, lam, u, mu, p, dtau: (
         stage(x, lam, u, mu, p, dtau)[:2] + (np.array([u[0] + lam[1] + mu[0]]),)
-        + stage(x, lam, u, mu, p, dtau)[3:]))
+        + stage(x, lam, u, mu, p, dtau)[3:])))
     with pytest.raises(DimensionMismatch, match="^stage part 2 returned shape"):
         indexed.validate_at(*args)
     # right shape for a stack, but every row of H_p reads the first stage's mu
-    first_row = dataclasses.replace(prob.ocp, stage=lambda x, lam, u, mu, p, dtau: (
-        stage(x, lam, u, mu, p, dtau)[:4] + (0.1 * p + 0.2 * lam[..., 1:] - 0.1 * mu[0],)))
+    first_row = dataclasses.replace(prob.ocp, stage=on_lists(lambda x, lam, u, mu, p, dtau: (
+        stage(x, lam, u, mu, p, dtau)[:4] + (0.1 * p + 0.2 * lam[..., 1:] - 0.1 * mu[0],))))
     with pytest.raises(DimensionMismatch, match="^stage part 4 does not broadcast"):
         first_row.validate_at(*args)
 
@@ -461,9 +461,10 @@ NONZERO_PROBE = (np.array([0.3, -0.2]), np.array([0.4]), np.array([-0.5, 0.6]),
 
 @pytest.mark.parametrize("j, name", [(0, "stepper"), (1, "H_x")])
 def test_validate_at_rejects_a_stage_that_disagrees_with_the_condensed_callbacks(j, name):
-    # the lifted residual reads x_next and H_x from stage, the condensed
-    # recursions from stepper and H_x: a stage whose part j is doubled would
-    # make the two transcriptions disagree
+    # the lifted residual reads x_next and H_x from stage, a stack's
+    # recursions from stepper and H_x, and a single vector's forward pass
+    # from stepper: a stage whose part j is doubled would make them disagree
+    @on_lists
     def doubled(*args):
         parts = list(CART_OCP.stage(*args))
         parts[j] = 2.0 * parts[j]
@@ -571,32 +572,39 @@ def test_validate_at_names_a_callback_that_returns_nan(name, j):
         broken_ocp.validate_at(*origin_probe(CART_OCP))
 
 
-def on_single_points(callback, fault):
+def on_single_points(callback, fault, j):
     """The callback with fault applied to what it returns for a single
-    point, which the condensed recursions pass as lists."""
+    point, which the condensed recursions pass as lists: to the whole
+    output, or to part j of a fused callback's."""
     def call(*args):
         out = callback(*args)
-        return fault(out) if type(args[0]) is list else out
+        if type(args[0]) is not list:
+            return out
+        if j is None:
+            return fault(out)
+        return out[:j] + (fault(out[j]),) + out[j + 1:]
     return call
 
 
-@pytest.mark.parametrize("name", ["stepper", "H_x"])
+@pytest.mark.parametrize("name", ["stepper", "stage"])
 @pytest.mark.parametrize("fault, message", [
     (lambda out: out[:-1], r"returned shape \(1,\) for leading axes \(\), expected \(2,\)$"),
     (lambda out: [v + 1e-6 for v in out],
      r"does not broadcast: rows for leading axes \(3,\) differ from single-point calls$"),
 ], ids=["short", "off"])
 def test_validate_at_probes_the_single_point_lists(name, fault, message):
-    # the condensed recursions call stepper and H_x on lists: a list branch
+    # the condensed recursions call stepper and stage on lists: a list branch
     # that returns the wrong length, or values that differ from the same
-    # points' rows of a stack call, is named
+    # points' rows of a stack call, is named (for stage, in its H_x part,
+    # which steps the costate)
+    j, label = (None, name) if name == "stepper" else (1, f"{name} part 1")
     broken = dataclasses.replace(
-        CART_OCP, **{name: on_single_points(getattr(CART_OCP, name), fault)})
-    with pytest.raises(DimensionMismatch, match=f"^{name} {message}"):
+        CART_OCP, **{name: on_single_points(getattr(CART_OCP, name), fault, j)})
+    with pytest.raises(DimensionMismatch, match=f"^{label} {message}"):
         broken.validate_at(*NONZERO_PROBE)
 
 
-@pytest.mark.parametrize("name", ["stepper", "H_x"])
+@pytest.mark.parametrize("name", ["stepper", "stage"])
 def test_validate_at_names_a_callback_that_takes_no_lists(name):
     # the cart's array callback without its list branch reads x.T of a list
     broken = dataclasses.replace(CART_OCP, **{name: getattr(CART_OCP, name).__wrapped__})
@@ -625,9 +633,11 @@ def test_validate_at_calls_each_callback_once_per_distinct_input():
 def test_each_transcription_calls_every_callback(case):
     # a callback that no transcription reads is dead protocol surface, and a
     # repeated stage-stack call is wasted work: the lifted residual reads
-    # every row from one stage and one Phi_grad call, the condensed one steps
-    # and recurses once per stage, takes the H partials from one stage call
-    # and reads lam_N and the terminal rows from one Phi_grad call
+    # every row from one stage and one Phi_grad call; a single condensed
+    # vector steps once per stage and, backward, calls stage once per stage
+    # for its costate step and its rows; a condensed stack steps and
+    # recurses with H_x once per stage and takes the H partials from one
+    # stage call; both read lam_N and the terminal rows from one Phi_grad call
     prob, x0, base, _ = case()
     ocp, n = prob.ocp, prob.layout.n_steps
     names = {f.name for f in dataclasses.fields(ocp) if callable(getattr(ocp, f.name))}
@@ -642,7 +652,9 @@ def test_each_transcription_calls_every_callback(case):
     lifted = prob.lift(x0, base)
     prob.ocp = dataclasses.replace(ocp, **{name: recorded(name) for name in names})
     seen = set()
-    for U, counts in [(base, {"stepper": n, "H_x": n - 1, "stage": 1, "Phi_grad": 1}),
+    for U, counts in [(base, {"stepper": n, "stage": n, "Phi_grad": 1}),
+                      (np.vstack([base, base]),
+                       {"stepper": n, "H_x": n - 1, "stage": 1, "Phi_grad": 1}),
                       (lifted, {"stage": 1, "Phi_grad": 1})]:
         called.clear()
         prob.assemble_residual(x0, U)
@@ -654,7 +666,7 @@ def test_each_transcription_calls_every_callback(case):
 def test_problem_rejects_callbacks_that_do_not_broadcast():
     ocp = make_cart_problem(4).ocp
     # every stage row of H_p reads the first stage's mu
-    first_row = dataclasses.replace(ocp, stage=lambda x, lam, u, mu, p, dtau: (
-        ocp.stage(x, lam, u, mu, p, dtau)[:4] + (0.1 * p + 0.2 * lam[..., 1:] - 0.1 * mu[0],)))
+    first_row = dataclasses.replace(ocp, stage=on_lists(lambda x, lam, u, mu, p, dtau: (
+        ocp.stage(x, lam, u, mu, p, dtau)[:4] + (0.1 * p + 0.2 * lam[..., 1:] - 0.1 * mu[0],))))
     with pytest.raises(DimensionMismatch, match="^stage part 4"):
         HorizonProblem(first_row, 4, origin_probe(first_row))

@@ -8,7 +8,7 @@ import geonmpc.gmres
 import geonmpc.solver
 from conftest import make_cart_problem
 from geonmpc.config import SimConfig
-from geonmpc.errors import InitializationFailure
+from geonmpc.errors import GeonmpcError, InitializationFailure
 from geonmpc.gmres import GmresReport, gmres_solve, matrix_operator
 from geonmpc.hemisphere import (
     HemisphereParams,
@@ -191,6 +191,34 @@ def test_initialize_reports_singular_jacobian():
     prob = CallableProblem(lambda U: np.array([1.0]), layout)
     with pytest.raises(InitializationFailure, match="singular"):
         initialize(prob, None, np.array([0.5]))
+
+
+def test_a_trial_with_an_infinite_heading_counts_as_no_descent():
+    # the first line-search trial carries an infinite heading: the
+    # hemisphere names it with GeonmpcError (math.cos alone raises a bare
+    # ValueError), which the line search counts as r = inf, so it halves
+    # the step and the cold start still converges
+    prob = make_problem(PARAMS, 20)
+    x0 = np.array([PARAMS.x0, PARAMS.y0])
+    real, single_calls, raised = prob.assemble_residual, [], []
+
+    def assemble_residual(x, U):
+        if np.ndim(U) == 1:
+            single_calls.append(1)
+            if len(single_calls) == 2:  # the first trial, after the start's residual
+                U = U.copy()
+                U[4] = np.inf  # stage 2's heading
+                try:
+                    return real(x, U)
+                except GeonmpcError as exc:
+                    raised.append(str(exc))
+                    raise
+        return real(x, U)
+
+    prob.assemble_residual = assemble_residual
+    U = initialize(prob, x0, initial_guess(prob.layout, PARAMS))
+    assert raised == ["heading u = inf is not finite"]
+    assert np.linalg.norm(real(x0, U)) <= INIT_TOL
 
 
 def test_initialize_hemisphere_solution(hemi):

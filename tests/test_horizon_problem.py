@@ -637,28 +637,35 @@ def test_each_transcription_calls_every_callback(case):
     # vector steps once per stage and, backward, calls stage once per stage
     # for its costate step and its rows; a condensed stack steps and
     # recurses with H_x once per stage and takes the H partials from one
-    # stage call; both read lam_N and the terminal rows from one Phi_grad call
+    # stage call; both read lam_N and the terminal rows from one Phi_grad
+    # call.  A single vector passes lists to every stepper and stage call,
+    # so it makes no array stage call; the others pass no lists.
     prob, x0, base, _ = case()
     ocp, n = prob.ocp, prob.layout.n_steps
     names = {f.name for f in dataclasses.fields(ocp) if callable(getattr(ocp, f.name))}
-    called = collections.Counter()
+    called, listed = collections.Counter(), collections.Counter()
 
     def recorded(name):
         def call(*args):
             called[name] += 1
+            if type(args[0]) is list:
+                listed[name] += 1
             return getattr(ocp, name)(*args)
         return call
 
     lifted = prob.lift(x0, base)
     prob.ocp = dataclasses.replace(ocp, **{name: recorded(name) for name in names})
     seen = set()
-    for U, counts in [(base, {"stepper": n, "stage": n, "Phi_grad": 1}),
-                      (np.vstack([base, base]),
-                       {"stepper": n, "H_x": n - 1, "stage": 1, "Phi_grad": 1}),
-                      (lifted, {"stage": 1, "Phi_grad": 1})]:
+    for U, counts, lists in [
+            (base, {"stepper": n, "stage": n, "Phi_grad": 1}, {"stepper": n, "stage": n}),
+            (np.vstack([base, base]),
+             {"stepper": n, "H_x": n - 1, "stage": 1, "Phi_grad": 1}, {}),
+            (lifted, {"stage": 1, "Phi_grad": 1}, {})]:
         called.clear()
+        listed.clear()
         prob.assemble_residual(x0, U)
         assert called == counts
+        assert listed == lists
         seen |= set(called)
     assert seen == names
 

@@ -121,6 +121,30 @@ def test_jvp_rejects_zero_direction():
         jacobian_vector_product(prob, None, U, f0, np.zeros(8))
 
 
+def test_sample_update_scales_its_products_once(hemi, monkeypatch):
+    # the forward-difference step scale FD_STEP * max(1, |U|) depends on U
+    # alone: sample_update computes it once and passes every product the
+    # value each would compute, so the products keep their bits
+    scales, products = [], []
+    real_scale, real_jvp = geonmpc.solver._step_scale, geonmpc.solver.jacobian_vector_product
+
+    def counted_scale(U):
+        scales.append(1)
+        return real_scale(U)
+
+    def checked_jvp(problem, x0, U, F0, v, scale):
+        products.append(scale == real_scale(U))
+        return real_jvp(problem, x0, U, F0, v, scale)
+
+    ctl = perturbed_controller(hemi, precondition=False)
+    monkeypatch.setattr(geonmpc.solver, "_step_scale", counted_scale)
+    monkeypatch.setattr(geonmpc.solver, "jacobian_vector_product", checked_jvp)
+    _, tel = ctl.sample_update(hemi[1], 0.0)
+    assert tel.gmres_iters >= 2
+    assert products == [True] * tel.gmres_iters
+    assert scales == [1]
+
+
 def test_exact_jacobian_linear_recovery():
     rng = np.random.default_rng(14)
     n = 12

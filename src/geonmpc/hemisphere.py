@@ -168,8 +168,8 @@ def make_ocp(params: HemisphereParams) -> OcpDefinition:
     products there, as numpy's square is: Python's ``**`` calls libm's
     pow, which can round differently.  A non-finite heading in a list
     raises GeonmpcError naming it, where math.cos alone would raise a bare
-    ValueError at inf and pass NaN through.  H_x, which only a stack's
-    recursions call, takes arrays only.  A point's output equals its row
+    ValueError at inf and pass NaN through.  H_x, which only the
+    stage-view recursions of a stack or of lift call, takes arrays only.  A point's output equals its row
     of a stack call bit for bit wherever math's cos and sin round as
     numpy's do; the tests check this over every stage of the shipped loop.
     """

@@ -22,9 +22,9 @@ the discrete first-order optimum, in one of two transcriptions:
   defect rows, which the recursions make zero.  For a single decision
   vector they run on lists of Python floats, and the backward one calls
   stage once per stage: its H_x part steps the costate and its other
-  parts are that stage's rows.  For a stack they run on stage views, the
-  backward one with H_x, and one stage call on the stage stacks gives the
-  rows.
+  parts are that stage's rows.  For a stack, and in lift, they run on
+  stage views, the backward one with H_x, and one stage call on the stage
+  stacks gives a stack's rows.
 
 Decision vector layout (stage-major inside each block):
 
@@ -138,11 +138,15 @@ class OcpDefinition:
     a list of n_x floats, which the recursions feed back in as the next x,
     and stage a tuple of five lists, whose H_x part steps the costate and
     whose other parts are that stage's rows.  On a stack of decision
-    vectors they pass stepper and H_x (..., n) stage slices; H_x never
-    receives lists.  Every other call, and every call of the lifted
-    residual, sees whole (..., n_steps, n) stage stacks.  dtau is always
-    one Python float: the uniform step 1/n_steps in a residual, PROBE_DTAU
-    in validate_at.
+    vectors, and in lift, they pass stepper and H_x (..., n) stage slices,
+    with no leading axes for a single vector; H_x never receives lists.
+    So a single residual steps its costates with stage's part 1, and a
+    stack or lift with H_x: a single residual equals its row of a stack
+    bit for bit only where those two agree bit for bit, not merely to
+    validate_at's tolerance.  Every other call, and every call of the
+    lifted residual, sees whole (..., n_steps, n) stage stacks.  dtau is
+    always one Python float: the uniform step 1/n_steps in a residual,
+    PROBE_DTAU in validate_at.
 
     Every optimality row is a partial of the Hamiltonian
     H = L + lam . f + mu . C or of the terminal Lagrangian
@@ -168,10 +172,11 @@ class OcpDefinition:
     n_mu: int
     n_nu: int
     n_p: int
-    stepper: Callable      # (x, u, p, dtau) -> next x; lists in, list out on a point
+    stepper: Callable      # (x, u, p, dtau) -> next x; lists in, list out on a
+                           # residual's point
     H_x: Callable          # (x, lam, u, mu, p) -> (n_x,); arrays only
     stage: Callable        # (x, lam, u, mu, p, dtau) -> (x_next, H_x, H_u, H_mu, H_p);
-                           # lists in, five lists out on a point
+                           # lists in, five lists out on a residual's point
     Phi_grad: Callable     # (x_N, nu, p) -> ((n_x,), (n_nu,), (n_p,))
 
     def _probe(self, lead, x, u, lam, mu, nu, p) -> dict:
@@ -278,24 +283,19 @@ class HorizonProblem:
     def lift(self, x0, U) -> np.ndarray:
         """The lifted vector of a condensed U, which may be a (..., dim)
         stack: U, then the states x_1..x_N and costates lam_1..lam_N that
-        the forward stepper and backward costate recursions give."""
+        the forward stepper and backward H_x recursions on its stage views
+        give."""
         U = np.asarray(U, dtype=float)
         if U.ndim < 1 or U.shape[-1] != self.layout.dim:
             raise DimensionMismatch(f"U has shape {U.shape}, layout dim {self.layout.dim}")
-        if U.ndim > 1:
-            return self._lift_stack(x0, U)[0]
-        values, states, costates, _ = self._sweep(x0, U)
-        for block in states[1:] + costates:
-            values += block
-        return np.array(values)
+        return self._lift_stack(x0, U)[0]
 
-    def _sweep(self, x0, U) -> tuple:
-        """(U's values, states x_0..x_N, costates lam_1..lam_N, residual)
-        of a single float condensed U, from the recursions on lists of
-        Python floats, converted from U once.  The forward pass calls
-        stepper once per stage.  The backward pass calls stage once per
-        stage, i = N-1 down to 0, at (x_i, lam_{i+1}, u_i, mu_i): its H_x
-        part steps the costate to lam_i, and its H_u, H_mu and H_p parts
+    def _sweep(self, x0, U) -> np.ndarray:
+        """The residual of a single float condensed U, from the recursions
+        on lists of Python floats, converted from U once.  The forward pass
+        calls stepper once per stage.  The backward pass calls stage once
+        per stage, i = N-1 down to 0, at (x_i, lam_{i+1}, u_i, mu_i): its
+        H_x part steps the costate to lam_i, and its H_u, H_mu and H_p parts
         are the stage's rows, so the residual needs no lifted vector and no
         stage-stack call.  No row reads lam_0, so stage 0's H_x part goes
         unused."""
@@ -315,20 +315,17 @@ class HorizonProblem:
             states.append(ocp.stepper(states[-1], u, p, dtau))
         Phi_x, psi, Phi_p = ocp.Phi_grad(np.array(states[-1]), layout.nu(U), layout.p(U))
         lam = np.asarray(Phi_x, dtype=float).tolist()
-        costates, parts = [], []  # stage N-1 first; reversed below
+        parts = []  # stage N-1 first; reversed below
         for i in range(n - 1, -1, -1):
-            costates.append(lam)
             parts.append(ocp.stage(states[i], lam, controls[i], mus[i], p, dtau))
             lam = [l + h * dtau for l, h in zip(lam, parts[-1][1])]
-        costates.reverse()
         parts.reverse()
         # the rows a stage-stack call gives, stage-major, and its numpy sum
         # of H_p over the stages
         rows = [dtau * h for part in parts for h in part[2]]
         rows += [dtau * h for part in parts for h in part[3]]
         H_p = np.array([h for part in parts for h in part[4]]).reshape(n, -1)
-        residual = np.concatenate((rows, psi, Phi_p + dtau * H_p.sum(axis=0)))
-        return values, states, costates, residual
+        return np.concatenate((rows, psi, Phi_p + dtau * H_p.sum(axis=0)))
 
     def _lift_stack(self, x0, U) -> tuple:
         """(lifted stack, Phi_grad at x_N) of a float (..., dim) stack, from
@@ -382,7 +379,7 @@ class HorizonProblem:
         length = U.shape[-1] if U.ndim else None
         lifted = length == layout.lifted_dim
         if length == layout.dim and not lead:
-            return self._sweep(x0, U)[-1]
+            return self._sweep(x0, U)
         if length == layout.dim:
             U, terminal = self._lift_stack(x0, U)
         elif not lifted:

@@ -72,19 +72,18 @@ def _step_scale(U) -> float:
     return FD_STEP * max(1.0, norm2(U))
 
 
-def jacobian_vector_product(problem, x0, U, F0, v, scale=None) -> np.ndarray:
+def jacobian_vector_product(problem, x0, U, F0, v, scale) -> np.ndarray:
     """Forward-difference directional derivative of the residual along v.
 
-    The step is FD_STEP scaled by max(1, |U|) and normalized by |v|, so
-    callers may pass unnormalized directions.  scale, when given, is that
-    FD_STEP * max(1, |U|), computed once by a caller that takes many
-    products at one U, as sample_update does.
+    scale is _step_scale(U), computed once by a caller that takes many
+    products at one U.  The step is scale normalized by |v|, so callers
+    may pass unnormalized directions.
     """
     v = as_vector(v)
     nv = norm2(v)
     if nv == 0.0:
         raise ValueError("direction must be nonzero")
-    eps = (_step_scale(U) if scale is None else scale) / nv
+    eps = scale / nv
     return (problem.assemble_residual(x0, U + eps * v) - F0) / eps
 
 

@@ -26,7 +26,7 @@ from geonmpc.manifold import (explicit_euler, local_coordinates_step,
                               standard_projection_step,
                               symmetric_projection_step, trapezoidal)
 from geonmpc.simulate import run_simulation
-from geonmpc.solver import (NmpcController, exact_jacobian,
+from geonmpc.solver import (NmpcController, _step_scale, exact_jacobian,
                             jacobian_vector_product)
 
 EXPECTED_TIME_TO_GO = 1.2332
@@ -193,7 +193,8 @@ def test_06b_jvp_matches_jacobian_columns(initialized):
     for j in range(problem.layout.dim):
         e_j = np.zeros(problem.layout.dim)
         e_j[j] = 1.0
-        jv = jacobian_vector_product(problem, x0, decision, f0, e_j)
+        jv = jacobian_vector_product(problem, x0, decision, f0, e_j,
+                                     _step_scale(decision))
         col = jac[:, j]
         worst = max(worst,
                     float(np.linalg.norm(jv - col) / np.linalg.norm(col)))

@@ -639,7 +639,8 @@ def test_each_transcription_calls_every_callback(case):
     # recurses with H_x once per stage and takes the H partials from one
     # stage call; both read lam_N and the terminal rows from one Phi_grad
     # call.  A single vector passes lists to every stepper and stage call,
-    # so it makes no array stage call; the others pass no lists.
+    # so it makes no array stage call; the others pass no lists.  lift runs
+    # a stack's recursions on any shape, so it makes no stage call.
     prob, x0, base, _ = case()
     ocp, n = prob.ocp, prob.layout.n_steps
     names = {f.name for f in dataclasses.fields(ocp) if callable(getattr(ocp, f.name))}
@@ -668,6 +669,11 @@ def test_each_transcription_calls_every_callback(case):
         assert listed == lists
         seen |= set(called)
     assert seen == names
+    called.clear()
+    listed.clear()
+    prob.lift(x0, base)
+    assert called == {"stepper": n, "H_x": n - 1, "Phi_grad": 1}
+    assert not listed
 
 
 def test_problem_rejects_callbacks_that_do_not_broadcast():

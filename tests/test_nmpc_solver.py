@@ -25,6 +25,7 @@ from geonmpc.solver import (
     P_MIN,
     NmpcController,
     PreconditionerState,
+    _step_scale,
     exact_jacobian,
     initialize,
     jacobian_vector_product,
@@ -108,7 +109,7 @@ def test_jvp_linear_problem():
         f0 = prob.assemble_residual(None, U)
         for _ in range(5):
             v = rng.standard_normal(n)
-            jv = jacobian_vector_product(prob, None, U, f0, v)
+            jv = jacobian_vector_product(prob, None, U, f0, v, _step_scale(U))
             want = a @ v
             assert np.linalg.norm(jv - want) <= 1e-6 * np.linalg.norm(want)
 
@@ -118,7 +119,7 @@ def test_jvp_rejects_zero_direction():
     U = np.ones(8)
     f0 = prob.assemble_residual(None, U)
     with pytest.raises(ValueError):
-        jacobian_vector_product(prob, None, U, f0, np.zeros(8))
+        jacobian_vector_product(prob, None, U, f0, np.zeros(8), _step_scale(U))
 
 
 def test_sample_update_scales_its_products_once(hemi, monkeypatch):
@@ -175,7 +176,7 @@ def test_jvp_matches_jacobian_columns(hemi):
     for j in range(0, prob.layout.dim, 7):
         e = np.zeros(prob.layout.dim)
         e[j] = 1.0
-        col = jacobian_vector_product(prob, x0, u_star, f0, e)
+        col = jacobian_vector_product(prob, x0, u_star, f0, e, _step_scale(u_star))
         assert np.linalg.norm(col - jac[:, j]) <= 1e-4 * np.linalg.norm(jac[:, j])
 
 
@@ -187,7 +188,7 @@ def test_jvp_matches_all_lifted_jacobian_columns(hemi):
     jac = exact_jacobian(prob, x0, U)
     worst = 0.0
     for j, e in enumerate(np.eye(U.size)):
-        col = jacobian_vector_product(prob, x0, U, f0, e)
+        col = jacobian_vector_product(prob, x0, U, f0, e, _step_scale(U))
         worst = max(worst, np.linalg.norm(col - jac[:, j]) / np.linalg.norm(jac[:, j]))
     assert worst <= 1e-4
 

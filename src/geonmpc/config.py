@@ -11,6 +11,7 @@ module constants of solver and gmres, not keys.
 """
 
 import math
+import operator
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -35,6 +36,13 @@ class SimConfig:
     params: HemisphereParams = field(default_factory=HemisphereParams)
 
     def __post_init__(self):
+        # the counts are read as HorizonProblem reads n_steps: an int or a
+        # numpy integer, never a float, even an integral one
+        for key, value in (("n", self.n_steps), ("max_samples", self.max_samples)):
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ConfigError(f"{key} must be an integer, got {value!r}") from None
         # the float checks are negated so that NaN fails them too
         if self.n_steps < 1:
             raise ConfigError("n must be >= 1")

@@ -283,57 +283,14 @@ class HorizonProblem:
     def lift(self, x0, U) -> np.ndarray:
         """The lifted vector of a condensed U, which may be a (..., dim)
         stack: U, then the states x_1..x_N and costates lam_1..lam_N that
-        the forward stepper and backward H_x recursions on its stage views
-        give."""
+        the recursions on its stage views give, the forward one with
+        stepper, the backward one with H_x, stopping at lam_1, since no row
+        reads lam_0.  Every block is stage-major, so the steps' results are
+        the lifted blocks in order."""
+        ocp, layout = self.ocp, self.layout
         U = np.asarray(U, dtype=float)
-        if U.ndim < 1 or U.shape[-1] != self.layout.dim:
-            raise DimensionMismatch(f"U has shape {U.shape}, layout dim {self.layout.dim}")
-        return self._lift_stack(x0, U)[0]
-
-    def _sweep(self, x0, U) -> np.ndarray:
-        """The residual of a single float condensed U, from the recursions
-        on lists of Python floats, converted from U once.  The forward pass
-        calls stepper once per stage.  The backward pass calls stage once
-        per stage, i = N-1 down to 0, at (x_i, lam_{i+1}, u_i, mu_i): its
-        H_x part steps the costate to lam_i, and its H_u, H_mu and H_p parts
-        are the stage's rows, so the residual needs no lifted vector and no
-        stage-stack call.  No row reads lam_0, so stage 0's H_x part goes
-        unused."""
-        ocp, layout = self.ocp, self.layout
-        n, dtau = layout.n_steps, self.dtau
-        values = U.tolist()
-        p = values[layout.p_offset:]
-
-        def stages(offset, width):  # stage i's slice of a block, as layout._stages cuts it
-            return [values[offset + i * width : offset + (i + 1) * width] for i in range(n)]
-
-        controls, mus = stages(0, layout.n_u), stages(layout.mu_offset, layout.n_mu)
-        x = np.empty(ocp.n_x)
-        x[...] = x0
-        states = [x.tolist()]
-        for u in controls:
-            states.append(ocp.stepper(states[-1], u, p, dtau))
-        Phi_x, psi, Phi_p = ocp.Phi_grad(np.array(states[-1]), layout.nu(U), layout.p(U))
-        lam = np.asarray(Phi_x, dtype=float).tolist()
-        parts = []  # stage N-1 first; reversed below
-        for i in range(n - 1, -1, -1):
-            parts.append(ocp.stage(states[i], lam, controls[i], mus[i], p, dtau))
-            lam = [l + h * dtau for l, h in zip(lam, parts[-1][1])]
-        parts.reverse()
-        # the rows a stage-stack call gives, stage-major, and its numpy sum
-        # of H_p over the stages
-        rows = [dtau * h for part in parts for h in part[2]]
-        rows += [dtau * h for part in parts for h in part[3]]
-        H_p = np.array([h for part in parts for h in part[4]]).reshape(n, -1)
-        return np.concatenate((rows, psi, Phi_p + dtau * H_p.sum(axis=0)))
-
-    def _lift_stack(self, x0, U) -> tuple:
-        """(lifted stack, Phi_grad at x_N) of a float (..., dim) stack, from
-        the recursions on stage views of U: the forward one with stepper,
-        the backward one with H_x, stopping at lam_1, since no row reads
-        lam_0.  Every block is stage-major, so the steps' results are the
-        lifted blocks in order."""
-        ocp, layout = self.ocp, self.layout
+        if U.ndim < 1 or U.shape[-1] != layout.dim:
+            raise DimensionMismatch(f"U has shape {U.shape}, layout dim {layout.dim}")
         n, lead = layout.n_steps, U.shape[:-1]
         k = len(lead)
         p, dtau = layout.p(U), self.dtau
@@ -347,14 +304,43 @@ class HorizonProblem:
         for u in controls:
             x = ocp.stepper(x, u, p, dtau)
             states.append(x)
-        terminal = ocp.Phi_grad(x, layout.nu(U), p)
-        lam = terminal[0]
+        lam = ocp.Phi_grad(x, layout.nu(U), p)[0]
         costates = [lam]  # lam_N first; reversed below, so costates[i] is lam_{i+1}
         for i in range(n - 1, 0, -1):
             lam = lam + ocp.H_x(states[i], lam, controls[i], mus[i], p) * dtau
             costates.append(lam)
         costates.reverse()
-        return np.concatenate([U, *states[1:], *costates], axis=-1), terminal
+        return np.concatenate([U, *states[1:], *costates], axis=-1)
+
+    def _sweep(self, x0, U) -> tuple:
+        """((H_u, H_mu, H_p), Phi_grad at x_N) of a single float condensed
+        U: the stage partials as (n_steps, n) arrays, from the recursions on
+        lists of Python floats read from U's stage views.  The forward pass
+        calls stepper once per stage.  The backward pass calls stage once
+        per stage, i = N-1 down to 0, at (x_i, lam_{i+1}, u_i, mu_i): its H_x
+        part steps the costate to lam_i, and its other parts are the
+        stage's partials, so no lifted vector and no stage-stack call is
+        needed.  No row reads lam_0, so stage 0's H_x part goes unused."""
+        ocp, layout, dtau = self.ocp, self.layout, self.dtau
+        n = layout.n_steps
+        controls, mus = layout.controls(U).tolist(), layout.mus(U).tolist()
+        p = layout.p(U).tolist()
+        x = np.empty(ocp.n_x)
+        x[...] = x0
+        states = [x.tolist()]
+        for u in controls:
+            states.append(ocp.stepper(states[-1], u, p, dtau))
+        terminal = ocp.Phi_grad(np.array(states[-1]), layout.nu(U), layout.p(U))
+        lam = np.asarray(terminal[0], dtype=float).tolist()
+        parts = []  # stage N-1 first; reversed below
+        for i in range(n - 1, -1, -1):
+            parts.append(ocp.stage(states[i], lam, controls[i], mus[i], p, dtau))
+            lam = [l + h * dtau for l, h in zip(lam, parts[-1][1])]
+        parts.reverse()
+        # one flat conversion per partial: numpy converts nested lists slower
+        return tuple(np.array([h for part in parts for h in part[j]]).reshape(n, width)
+                     for j, width in ((2, layout.n_u), (3, layout.n_mu), (4, layout.n_p))
+                     ), terminal
 
     def assemble_residual(self, x0, U) -> np.ndarray:
         """Stack the optimality residual over the whole horizon.
@@ -366,45 +352,42 @@ class HorizonProblem:
         defects lam_i - lam_{i+1} - dtau H_x(x_i, lam_{i+1}, u_i, mu_i, p)
         for i < N and lam_N - Phi_x.  A condensed U (length dim) gives the
         same rows read at lift(x0, U) without the defect rows, which are
-        zero there by construction; its terminal rows reuse the Phi_grad
-        call that gave lam_N.  A single condensed U takes them from the
-        backward pass of its float recursions (_sweep), one stage call per
-        stage.  U may carry leading batch axes; the result then has the
-        same leading axes.  A stack, or a lifted U, makes one stage call on
-        whole stage stacks.
+        zero there by construction.  Every residual's rows are assembled
+        here, once, from the stage partials and Phi_grad: a single
+        condensed U takes them from the backward pass of its float
+        recursions (_sweep), one stage call per stage; a stack of condensed
+        vectors, which lift first, and a lifted U from one stage call on
+        whole stage stacks and one Phi_grad call.  U may carry leading batch
+        axes; the result then has the same leading axes.
         """
         ocp, layout = self.ocp, self.layout
         U = np.asarray(U, dtype=float)
-        lead, n = U.shape[:-1], layout.n_steps
+        lead, n, dtau = U.shape[:-1], layout.n_steps, self.dtau
         length = U.shape[-1] if U.ndim else None
-        lifted = length == layout.lifted_dim
-        if length == layout.dim and not lead:
-            return self._sweep(x0, U)
-        if length == layout.dim:
-            U, terminal = self._lift_stack(x0, U)
-        elif not lifted:
+        if length not in (layout.dim, layout.lifted_dim):
             raise DimensionMismatch(f"U has shape {U.shape}, layout dim "
                                     f"{layout.dim} or lifted dim {layout.lifted_dim}")
-        p, nu, lam = layout.p(U), layout.nu(U), layout.costates(U)
-        states = np.empty(lead + (n + 1, ocp.n_x))
-        states[..., 0, :] = x0
-        states[..., 1:, :] = layout.states(U)
-        x, x_n = states[..., :n, :], states[..., n, :]
-        p_stages = np.empty(lead + (n, layout.n_p))
-        p_stages[...] = p[..., None, :]
-        dtau = self.dtau
-        x_next, hx, H_u, H_mu, H_p = ocp.stage(
-            x, lam, layout.controls(U), layout.mus(U), p_stages, dtau)
-        if lifted:
-            terminal = ocp.Phi_grad(x_n, nu, p)
-        Phi_x, psi, Phi_p = terminal
+        if length == layout.dim and not lead:
+            (H_u, H_mu, H_p), (Phi_x, psi, Phi_p) = self._sweep(x0, U)
+        else:
+            lifted = self.lift(x0, U) if length == layout.dim else U
+            p, lam = layout.p(lifted), layout.costates(lifted)
+            states = np.empty(lead + (n + 1, ocp.n_x))
+            states[..., 0, :] = x0
+            states[..., 1:, :] = layout.states(lifted)
+            p_stages = np.empty(lead + (n, layout.n_p))
+            p_stages[...] = p[..., None, :]
+            x_next, hx, H_u, H_mu, H_p = ocp.stage(
+                states[..., :n, :], lam, layout.controls(lifted), layout.mus(lifted),
+                p_stages, dtau)
+            Phi_x, psi, Phi_p = ocp.Phi_grad(states[..., n, :], layout.nu(lifted), p)
         rows = [
             (dtau * H_u).reshape(lead + (-1,)),
             (dtau * H_mu).reshape(lead + (-1,)),
             psi,
             Phi_p + dtau * H_p.sum(axis=-2),
         ]
-        if lifted:  # the defect rows follow
+        if length == layout.lifted_dim:  # the defect rows follow
             lam_target = np.empty(lam.shape)
             lam_target[..., :-1, :] = lam[..., 1:, :] + hx[..., 1:, :] * dtau
             lam_target[..., -1, :] = Phi_x

@@ -198,8 +198,8 @@ def test_recursion_reevaluation_is_bitwise_stable():
 
 @pytest.mark.parametrize("problem", ["hemisphere", "cart"])
 def test_trajectory_of_a_stack_equals_its_rows(problem):
-    # a stack's recursions run on stage views, a single vector's on lists of
-    # Python floats: the two give the same bits
+    # lift runs on stage views for every shape, a single vector's having no
+    # leading axes: each row of a stack's lift has the bits of its own lift
     rng = np.random.default_rng(9)
     if problem == "hemisphere":
         params = HemisphereParams()
@@ -323,9 +323,8 @@ def lifted_cart_case():
 
 @pytest.mark.parametrize("case", [hemisphere_case, cart_case])
 def test_lifted_rows_equal_condensed_rows(case):
-    # the condensed residual is the lifted one read at lift(U), its terminal
-    # rows from the Phi_grad call that gave lam_N, and the lift satisfies
-    # every defect row
+    # the condensed residual is the lifted one read at lift(U) without the
+    # defect rows, and the lift satisfies every defect row
     prob, x0, base, spread = case()
     stack = base + spread * np.random.default_rng(3).standard_normal((4, prob.layout.dim))
     for U in [*stack, stack]:
@@ -635,12 +634,13 @@ def test_each_transcription_calls_every_callback(case):
     # repeated stage-stack call is wasted work: the lifted residual reads
     # every row from one stage and one Phi_grad call; a single condensed
     # vector steps once per stage and, backward, calls stage once per stage
-    # for its costate step and its rows; a condensed stack steps and
-    # recurses with H_x once per stage and takes the H partials from one
-    # stage call; both read lam_N and the terminal rows from one Phi_grad
-    # call.  A single vector passes lists to every stepper and stage call,
-    # so it makes no array stage call; the others pass no lists.  lift runs
-    # a stack's recursions on any shape, so it makes no stage call.
+    # for its costate step and its partials, reading lam_N and the terminal
+    # rows from one Phi_grad call; a condensed stack is lift (stepper and
+    # H_x once per stage, Phi_grad for lam_N), then the lifted rows without
+    # the defect rows (one stage and one more Phi_grad call).  A single
+    # vector passes lists to every stepper and stage call, so it makes no
+    # array stage call; the others pass no lists.  lift runs on stage views
+    # for any shape, so it makes no stage call.
     prob, x0, base, _ = case()
     ocp, n = prob.ocp, prob.layout.n_steps
     names = {f.name for f in dataclasses.fields(ocp) if callable(getattr(ocp, f.name))}
@@ -660,7 +660,7 @@ def test_each_transcription_calls_every_callback(case):
     for U, counts, lists in [
             (base, {"stepper": n, "stage": n, "Phi_grad": 1}, {"stepper": n, "stage": n}),
             (np.vstack([base, base]),
-             {"stepper": n, "H_x": n - 1, "stage": 1, "Phi_grad": 1}, {}),
+             {"stepper": n, "H_x": n - 1, "stage": 1, "Phi_grad": 2}, {}),
             (lifted, {"stage": 1, "Phi_grad": 1}, {})]:
         called.clear()
         listed.clear()

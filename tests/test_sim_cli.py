@@ -160,6 +160,15 @@ y_f = 0.1
         with pytest.raises(ConfigError, match="^n must be >= 1$"):
             replace(SimConfig(), n_steps=0)
 
+    @pytest.mark.parametrize("name, key, value", [("max_samples", "max_samples", 2.5),
+                                                  ("max_samples", "max_samples", 3.0),
+                                                  ("n_steps", "n", 20.0)])
+    def test_counts_must_be_integers(self, name, key, value):
+        # an integral float is no count either: range() and the layout
+        # would reject it later, far from the setting that caused it
+        with pytest.raises(ConfigError, match=f"^{key} must be an integer, got {value!r}$"):
+            SimConfig(output_dir=None, **{name: value})
+
     def test_readme_config_block_lists_the_defaults(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)

@@ -22,9 +22,12 @@ the discrete first-order optimum, in one of two transcriptions:
   defect rows, which the recursions make zero.  For a single decision
   vector they run on lists of Python floats, and the backward one calls
   stage once per stage: its H_x part steps the costate and its other
-  parts are that stage's rows.  For a stack, and in lift, they run on
-  stage views, the backward one with H_x, and one stage call on the stage
-  stacks gives a stack's rows.
+  parts are that stage's partials.  A stack is lifted first (lift runs
+  the recursions on stage views, the backward one with H_x), and then
+  read as a lifted stack is.
+
+Both transcriptions assemble their rows in one place, assemble_residual,
+from the stage partials (H_u, H_mu, H_p) and the Phi_grad triple.
 
 Decision vector layout (stage-major inside each block):
 
@@ -137,15 +140,17 @@ class OcpDefinition:
     point as lists of Python floats, and these then return lists: stepper
     a list of n_x floats, which the recursions feed back in as the next x,
     and stage a tuple of five lists, whose H_x part steps the costate and
-    whose other parts are that stage's rows.  On a stack of decision
-    vectors, and in lift, they pass stepper and H_x (..., n) stage slices,
-    with no leading axes for a single vector; H_x never receives lists.
-    So a single residual steps its costates with stage's part 1, and a
-    stack or lift with H_x: a single residual equals its row of a stack
-    bit for bit only where those two agree bit for bit, not merely to
-    validate_at's tolerance.  Every other call, and every call of the
-    lifted residual, sees whole (..., n_steps, n) stage stacks.  dtau is
-    always one Python float: the uniform step 1/n_steps in a residual,
+    whose other parts are that stage's partials.  In lift, which a stack
+    of decision vectors goes through, they pass stepper and H_x (..., n)
+    stage slices, with no leading axes for a single vector; H_x never
+    receives lists.  So a single residual steps its costates with stage's
+    part 1, and a stack or lift with H_x: a single residual equals its row
+    of a stack bit for bit only where those two agree bit for bit, not
+    merely to validate_at's tolerance.  Every other call sees whole
+    (..., n_steps, n) stage stacks: one stage call and one Phi_grad call
+    give a stack's or a lifted vector's partials, from which
+    HorizonProblem.assemble_residual builds every residual's rows.  dtau
+    is always one Python float: the uniform step 1/n_steps in a residual,
     PROBE_DTAU in validate_at.
 
     Every optimality row is a partial of the Hamiltonian
@@ -158,8 +163,8 @@ class OcpDefinition:
     Phi_nu = psi, Phi_p), where lam_N = Phi_x and Phi_p opens the
     parameter row.  So L, phi, C, psi and psi's Jacobian are not callbacks
     of their own.  stepper stays apart for the forward recursion, which has
-    no costate to pass stage yet, and H_x for a stack's backward one, where
-    a stage call per stage slice would compute the other parts for nothing;
+    no costate to pass stage yet, and H_x for lift's backward one, where a
+    stage call per stage slice would compute the other parts for nothing;
     parts 0 and 1 of stage must equal them.  The costate recursion
     deliberately uses H_x in place of the stepper's own state sensitivity.
 
@@ -338,9 +343,9 @@ class HorizonProblem:
             lam = [l + h * dtau for l, h in zip(lam, parts[-1][1])]
         parts.reverse()
         # one flat conversion per partial: numpy converts nested lists slower
-        return tuple(np.array([h for part in parts for h in part[j]]).reshape(n, width)
-                     for j, width in ((2, layout.n_u), (3, layout.n_mu), (4, layout.n_p))
-                     ), terminal
+        partials = tuple(np.array([h for part in parts for h in part[j]]).reshape(n, width)
+                         for j, width in ((2, layout.n_u), (3, layout.n_mu), (4, layout.n_p)))
+        return partials, terminal
 
     def assemble_residual(self, x0, U) -> np.ndarray:
         """Stack the optimality residual over the whole horizon.
